@@ -12,6 +12,7 @@ trends, not a measured audio property.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import time
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .schedule import row_entropy
 from .talker import TalkerConfig, TalkerParams
 
 NOMINAL_SECONDS_PER_TOKEN = 0.04
+STAGE_ROUND = 12  # sources per round of first-chunk stage timing
 
 CSV_COLUMNS = ["checkpoint", "K", "tps", "rtf_analog", "err_rate",
                "conf_step1", "entropy_step1",
@@ -79,40 +81,66 @@ class ExperimentConfig:
             raise ParameterError(f"repetitions must be >= 1, got {self.repetitions}")
 
 
-def _first_chunk_stages(params: TalkerParams, tcfg: TalkerConfig, source, dcfg: DecodeConfig):
-    """Per-stage wall times for producing the first completed block.
-
-    Stages: building the aligned conditioning stream, the talker's
-    diffusion steps, and post-processing (EOS scan plus trace/assembly).
-    """
-    canvas_T = min(dcfg.max_blocks * dcfg.B, (tcfg.T_max // dcfg.B) * dcfg.B)
-    t0 = time.perf_counter()
-    with nd.no_grad():
-        aligned = talker.align_for_canvas(params, tcfg, source, canvas_T)
-    t1 = time.perf_counter()
-    block, btrace = decode_mod.decode_block(np.empty(0, dtype=np.intp), aligned, params, tcfg, dcfg)
-    t2 = time.perf_counter()
-    eos = dcfg.eos_id if dcfg.eos_id is not None else tcfg.vocab.eos_id
-    hits = np.nonzero(block == eos)[0]
-    emitted = block[:int(hits[0]) + 1] if hits.size else block
-    _ = emitted.tolist()
-    t3 = time.perf_counter()
-    return {"semantics": t1 - t0, "talker": t2 - t1, "post": t3 - t2}, btrace
+def _timed(fn, inputs):
+    """``fn`` over ``inputs`` back to back; returns results and per-call wall times."""
+    results, times = [], []
+    for x in inputs:
+        t0 = time.perf_counter()
+        results.append(fn(x))
+        times.append(time.perf_counter() - t0)
+    return results, times
 
 
 def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, K: int,
                           max_blocks: int = 8, warmup: int = 2) -> dict:
-    """Mean and standard deviation of per-stage first-chunk latency."""
+    """Mean and standard deviation of per-stage first-chunk latency.
+
+    Stages: building the aligned conditioning stream, the talker's
+    diffusion steps for the first block, and post-processing (EOS scan and
+    emission). Sources are taken in rounds of ``STAGE_ROUND``; within a
+    round each stage runs over the round's sources in its own back-to-back
+    loop, with the garbage collector paused. So a microsecond stage is
+    never timed right after the K-dependent talker stage or across a
+    collection, each stage's samples are spread over the whole measurement
+    (a drift in processor speed reaches every stage alike), and the memory
+    held while the collector is paused stays bounded.
+    """
     dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
-    for source in sources[:warmup]:
-        _first_chunk_stages(params, tcfg, source, dcfg)
+    canvas_T = decode_mod.canvas_length(tcfg, dcfg)
+    empty = np.empty(0, dtype=np.intp)
+
+    def semantics(source):
+        with nd.no_grad():
+            return talker.align_for_canvas(params, tcfg, source, canvas_T)
+
+    def talker_steps(aligned):
+        return decode_mod.decode_block(empty, aligned, params, tcfg, dcfg)
+
+    def post(block):
+        hits = np.nonzero(block == dcfg.eos_id)[0]
+        return (block[:int(hits[0]) + 1] if hits.size else block).tolist()
+
     stages = {"semantics": [], "talker": [], "post": []}
     forwards = []
-    for source in sources:
-        timing, btrace = _first_chunk_stages(params, tcfg, source, dcfg)
-        for name, value in timing.items():
-            stages[name].append(value)
-        forwards.append(btrace.forward_passes)
+
+    def run_round(inputs):
+        aligned, t_sem = _timed(semantics, inputs)
+        decoded, t_talker = _timed(talker_steps, aligned)
+        _, t_post = _timed(post, [block for block, _ in decoded])
+        return (t_sem, t_talker, t_post), [btrace.forward_passes for _, btrace in decoded]
+
+    run_round(sources[:warmup])
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lo in range(0, len(sources), STAGE_ROUND):
+            times, round_forwards = run_round(sources[lo:lo + STAGE_ROUND])
+            for values, t in zip(stages.values(), times):
+                values.extend(t)
+            forwards.extend(round_forwards)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     report = {"K": K, "n_inputs": len(sources), "forwards_first_block": float(np.mean(forwards))}
     total = 0.0
     for name, values in stages.items():
@@ -178,7 +206,7 @@ def uncertainty_profile(params: TalkerParams, tcfg: TalkerConfig, sources, K: in
     dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
     conf_by_step = [[] for _ in range(K)]
     ent_by_step = [[] for _ in range(K)]
-    canvas_T = min(dcfg.max_blocks * dcfg.B, (tcfg.T_max // dcfg.B) * dcfg.B)
+    canvas_T = decode_mod.canvas_length(tcfg, dcfg)
     for source in sources:
         with nd.no_grad():
             aligned = talker.align_for_canvas(params, tcfg, source, canvas_T)

@@ -8,6 +8,13 @@ they are emitted immediately and never change. Generation stops at the
 first block containing an end-of-sequence token (output truncated at the
 earliest one) or when the block budget runs out.
 
+Each request keeps a :class:`talker.KVCache` of its committed blocks' keys
+and values. Attention is block-causal, so those never change once a
+block's tokens are final, and reusing them is exact. A block's first step
+computes the just-finished previous block together with the new masked
+block and then commits the previous one; its other steps compute only the
+``B`` rows of the new block. Every step is still one forward pass.
+
 ``B = 1`` with ``K = 1`` degenerates to greedy next-token decoding.
 """
 
@@ -79,12 +86,21 @@ class DecodeResult:
         return self.trace.truncated_by_limit
 
 
+def canvas_length(tcfg: TalkerConfig, dcfg: DecodeConfig) -> int:
+    """Positions a request's conditioning stream covers: the block budget,
+    capped at the whole blocks that fit in the model's ``T_max``."""
+    return min(dcfg.max_blocks * dcfg.B, (tcfg.T_max // dcfg.B) * dcfg.B)
+
+
 def decode_block(prefix, aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerConfig,
-                 dcfg: DecodeConfig) -> tuple:
+                 dcfg: DecodeConfig, cache: talker.KVCache = None) -> tuple:
     """Denoise the next block after ``prefix``; returns ``(tokens, trace)``.
 
     The prefix must consist of whole committed blocks (length a multiple of
-    ``B``, possibly zero).
+    ``B``, possibly zero). ``cache`` holds the keys and values of the first
+    ``cache.rows`` prefix positions (a fresh one is made when none is
+    given); the first step computes the rest of the prefix along with the
+    new block and commits it.
     """
     prefix = np.asarray(prefix, dtype=np.intp)
     B, K = dcfg.B, dcfg.K
@@ -93,6 +109,10 @@ def decode_block(prefix, aligned: AlignedSemantics, params: TalkerParams, tcfg: 
     if len(prefix) % B != 0:
         raise ParameterError(f"prefix length {len(prefix)} is not a multiple of B={B}")
     lo = len(prefix)
+    if cache is None:
+        cache = talker.KVCache(tcfg, aligned.T)
+    if cache.rows > lo:
+        raise ParameterError(f"K/V cache holds {cache.rows} rows, more than the {lo}-row prefix")
     mask_id = tcfg.vocab.mask_id
     canvas = np.concatenate([prefix, np.full(B, mask_id, dtype=np.intp)])
     trace = BlockTrace(block_index=lo // B)
@@ -102,16 +122,17 @@ def decode_block(prefix, aligned: AlignedSemantics, params: TalkerParams, tcfg: 
         if masked_local.size == 0:
             break
         t0 = time.perf_counter()
-        logits = talker.forward_array(params, tcfg, canvas, aligned)
+        logits = talker.forward_array(params, tcfg, canvas[cache.rows:], aligned, cache=cache)[-B:]
+        cache.commit(lo - cache.rows)  # the prefix is final; nothing left to commit after step 1
         trace.forward_passes += 1
-        if not np.isfinite(logits[lo:lo + B]).all():
+        if not np.isfinite(logits).all():
             trace.wall_time = time.perf_counter() - block_start
             raise DecodeError(f"non-finite logits in block {trace.block_index} at step {j}", trace=trace)
-        rows = logits[lo + masked_local]
+        rows = logits[masked_local]
         conf = nd.softmax_array(rows).max(axis=1)
         n_j = schedule_step(len(masked_local), j, K)
         reveal_local = pick_reveal(masked_local, conf, n_j)
-        canvas[lo + reveal_local] = logits[lo + reveal_local].argmax(axis=1)
+        canvas[lo + reveal_local] = logits[reveal_local].argmax(axis=1)
         conf_by_pos = dict(zip(masked_local.tolist(), conf.tolist()))
         trace.steps.append(StepTrace(
             step=j,
@@ -136,8 +157,9 @@ def stream_blocks(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerC
     capacity = min(dcfg.max_blocks, aligned.T // dcfg.B)
     prefix = np.empty(0, dtype=np.intp)
     t0 = time.perf_counter()
+    cache = talker.KVCache(tcfg, aligned.T)
     for _ in range(capacity):
-        block, btrace = decode_block(prefix, aligned, params, tcfg, dcfg)
+        block, btrace = decode_block(prefix, aligned, params, tcfg, dcfg, cache)
         trace.blocks.append(btrace)
         trace.total_forwards += btrace.forward_passes
         eos_hits = np.nonzero(block == eos)[0]
@@ -170,7 +192,6 @@ def decode_source(source_tokens, params: TalkerParams, tcfg: TalkerConfig,
                   dcfg: DecodeConfig) -> DecodeResult:
     """Convenience wrapper: build the conditioning stream for a source
     sequence over the full block budget, then decode."""
-    canvas_T = min(dcfg.max_blocks * dcfg.B, (tcfg.T_max // dcfg.B) * dcfg.B)
     with nd.no_grad():
-        aligned = talker.align_for_canvas(params, tcfg, source_tokens, canvas_T)
+        aligned = talker.align_for_canvas(params, tcfg, source_tokens, canvas_length(tcfg, dcfg))
     return decode(aligned, params, tcfg, dcfg)

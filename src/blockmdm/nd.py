@@ -25,6 +25,11 @@ from .errors import DimensionError, NonFiniteError, ParameterError, ContractErro
 _GRAD_ENABLED = True
 
 
+def grad_enabled() -> bool:
+    """Whether ops currently record onto the tape."""
+    return _GRAD_ENABLED
+
+
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (forward-only evaluation)."""
@@ -363,15 +368,18 @@ def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str =
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     """Scaled dot-product attention where ``mask[t, t']`` gates visibility.
 
-    Positions with ``mask`` False contribute exactly zero weight. Every row
-    must be able to see at least itself.
+    ``q`` has ``Tq`` rows and ``k``/``v`` have ``Tk >= Tq`` rows (queries for
+    the last rows of a sequence whose earlier keys are cached); ``mask`` is
+    ``Tq x Tk``. Positions with ``mask`` False contribute exactly zero
+    weight. Every row must be able to see at least one position.
     """
     mask = np.asarray(mask, dtype=bool)
-    T, d = q.data.shape
-    if k.data.shape != (T, d) or v.data.shape != (T, d):
+    Tq, d = q.data.shape
+    Tk = k.data.shape[0]
+    if Tk < Tq or k.data.shape != (Tk, d) or v.data.shape != (Tk, d):
         raise DimensionError(f"q/k/v shapes differ: {q.data.shape}, {k.data.shape}, {v.data.shape}")
-    if mask.shape != (T, T):
-        raise DimensionError(f"mask must be {T}x{T}, got {mask.shape}")
+    if mask.shape != (Tq, Tk):
+        raise DimensionError(f"mask must be {Tq}x{Tk}, got {mask.shape}")
     if not mask.any(axis=1).all():
         raise ContractError("attention row with no visible positions")
     inv_sqrt_d = 1.0 / math.sqrt(d)

@@ -4,7 +4,8 @@ Block-causal attention: tokens attend bidirectionally inside their own
 block and causally to every earlier block, never to later blocks. The
 model input is the fused sum of token embeddings and the aligned
 conditioning stream; the output is a full grid of vocabulary logits, one
-row per position.
+row per position. For inference, a :class:`KVCache` holds the keys and
+values of committed blocks so a forward pass computes only later rows.
 
 Checkpoint format (binary, little-endian):
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import nd
-from .errors import CheckpointError, InputError, ParameterError
+from .errors import CheckpointError, ContractError, InputError, ParameterError
 from .masking import partition
 from .semantics import AlignedSemantics, FusionParams, align, build_anchors, fuse
 
@@ -182,6 +183,57 @@ def init_params(cfg: TalkerConfig, rng, std: float = 0.02) -> TalkerParams:
     )
 
 
+def param_shapes(cfg: TalkerConfig) -> list:
+    """``(name, shape)`` of every parameter in checkpoint order, as
+    :func:`init_params` builds them."""
+    d, d_ff = cfg.d, cfg.d_ff
+    layer = [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
+             ("ffn_in", (d, d_ff)), ("ffn_out", (d_ff, d))]
+    return ([("src_embed", (cfg.src_vocab, d)), ("fusion.W1", (d, d_ff)), ("fusion.b1", (d_ff,)),
+             ("fusion.W2", (d_ff, d)), ("fusion.b2", (d,)), ("tok_embed", (cfg.V, d)),
+             ("pos_embed", (cfg.T_max, d))]
+            + [(f"layer{i}.{name}", shape) for i in range(cfg.n_layers) for name, shape in layer]
+            + [("head", (d, cfg.V))])
+
+
+class KVCache:
+    """Keys and values of one request's committed rows, one buffer per layer.
+
+    Attention is block-causal, so the keys and values of a block depend only
+    on that block and earlier ones: once a block's tokens are final, so are
+    its keys and values. Reusing them is exact (equal to the full-canvas
+    forward up to float rounding), unlike approximate caches for fully
+    bidirectional models. ``rows`` counts the committed rows; a forward pass
+    given the cache computes rows from ``rows`` onward and writes their keys
+    and values after the committed ones.
+    """
+
+    def __init__(self, cfg: TalkerConfig, capacity: int):
+        self.B = cfg.B
+        self.capacity = capacity
+        self.k = [np.empty((capacity, cfg.d)) for _ in range(cfg.n_layers)]
+        self.v = [np.empty((capacity, cfg.d)) for _ in range(cfg.n_layers)]
+        self.rows = 0
+        self.written = 0
+
+    def write(self, layer: int, k: nd.Tensor, v: nd.Tensor):
+        """Store one layer's keys and values for the rows after ``rows``;
+        returns the keys and values of every row up to the new ones."""
+        end = self.rows + k.data.shape[0]
+        self.k[layer][self.rows:end] = k.data
+        self.v[layer][self.rows:end] = v.data
+        self.written = end
+        return nd.constant(self.k[layer][:end]), nd.constant(self.v[layer][:end])
+
+    def commit(self, n: int) -> None:
+        """Mark the next ``n`` written rows, whole blocks with final tokens,
+        as committed."""
+        if n < 0 or self.rows + n > self.written or (self.rows + n) % self.B:
+            raise ContractError(f"cannot commit {n} rows after {self.rows} "
+                                f"({self.written} written, block size {self.B})")
+        self.rows += n
+
+
 def semantic_states(params: TalkerParams, source_tokens) -> nd.Tensor:
     """Conditioning vectors for a source sequence: rows of the learned
     source embedding table."""
@@ -198,38 +250,52 @@ def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: 
     return align(semantic_states(params, source_tokens), anchors, T)
 
 
-def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics) -> nd.Tensor:
+def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
+            cache: KVCache = None) -> nd.Tensor:
     """Logits for every position of a (possibly corrupted) token sequence.
 
     Positions in block ``k`` are a function of blocks ``<= k`` only, given
-    the conditioning stream.
+    the conditioning stream. With a ``cache`` (inference only, under
+    :func:`nd.no_grad`), ``tokens`` are the rows from position
+    ``cache.rows`` onward and the logits cover those rows only.
     """
     tokens = np.asarray(tokens, dtype=np.intp)
+    offset = 0
+    if cache is not None:
+        if nd.grad_enabled():
+            raise ContractError("a K/V cache is for inference only: call forward under nd.no_grad()")
+        offset = cache.rows
     T = len(tokens)
-    if T < 1 or T > cfg.T_max:
-        raise InputError(f"sequence length {T} outside [1, {cfg.T_max}]")
+    end = offset + T
+    if T < 1 or end > cfg.T_max:
+        raise InputError(f"sequence length {end} ({T} new rows) outside [1, {cfg.T_max}]")
     if tokens.min() < 0 or tokens.max() >= cfg.V:
         raise InputError(f"token id outside vocabulary [0, {cfg.V})")
-    if aligned.T < T:
-        raise InputError(f"conditioning stream covers {aligned.T} positions, need {T}")
+    if aligned.T < end:
+        raise InputError(f"conditioning stream covers {aligned.T} positions, need {end}")
+    if cache is not None and cache.capacity < end:
+        raise InputError(f"K/V cache holds {cache.capacity} rows, need {end}")
+    positions = np.arange(offset, end)
     h_prime = aligned
     if aligned.T > T:
         h_prime = AlignedSemantics(T=T, d=aligned.d,
-                                   h_prime=nd.take_rows(aligned.h_prime, np.arange(T)),
+                                   h_prime=nd.take_rows(aligned.h_prime, positions),
                                    anchor_positions=aligned.anchor_positions,
                                    n_assigned=aligned.n_assigned)
 
     emb = nd.embedding(params.tok_embed.value, tokens)
     x = fuse(emb, h_prime, params.fusion)
-    x = nd.add(x, nd.embedding(params.pos_embed.value, np.arange(T)))
+    x = nd.add(x, nd.embedding(params.pos_embed.value, positions))
 
-    mask = build_block_causal_mask(T, cfg.B)
+    mask = build_block_causal_mask(end, cfg.B)[offset:]
     dh = cfg.d // cfg.n_heads
-    for lp in params.layers:
+    for layer, lp in enumerate(params.layers):
         h = nd.rmsnorm_rows(x)
         q = nd.matmul(h, lp.wq.value)
         k = nd.matmul(h, lp.wk.value)
         v = nd.matmul(h, lp.wv.value)
+        if cache is not None:
+            k, v = cache.write(layer, k, v)
         heads = []
         for i in range(cfg.n_heads):
             lo, hi = i * dh, (i + 1) * dh
@@ -244,10 +310,11 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
     return nd.matmul(x, params.head.value)
 
 
-def forward_array(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics) -> np.ndarray:
+def forward_array(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
+                  cache: KVCache = None) -> np.ndarray:
     """Forward pass without tape recording; returns a plain logits array."""
     with nd.no_grad():
-        return forward(params, cfg, tokens, aligned).data
+        return forward(params, cfg, tokens, aligned, cache=cache).data
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +335,31 @@ def save_checkpoint(path, cfg: TalkerConfig, params: TalkerParams) -> None:
             f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _read_manifest(path, header, cfg: TalkerConfig) -> list:
+    """The header's parameter manifest, checked entry by entry against the
+    names and shapes ``cfg`` implies."""
+    try:
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+    except (TypeError, KeyError) as e:
+        raise CheckpointError(f"{path}: malformed parameter manifest ({e!r})") from e
+    expected = param_shapes(cfg)
+    if len(manifest) != len(expected):
+        raise CheckpointError(f"{path}: manifest lists {len(manifest)} parameters, "
+                              f"config implies {len(expected)}")
+    for (name, shape), (want_name, want_shape) in zip(manifest, expected):
+        if name != want_name or shape != want_shape:
+            raise CheckpointError(f"{path}: manifest entry {name!r} with shape {list(shape)} "
+                                  f"where config implies {want_name!r} with shape {list(want_shape)}")
+    return expected
+
+
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(config, params)``."""
+    """Read a checkpoint; returns ``(config, params)``.
+
+    Raises :class:`CheckpointError` for a bad magic line, a malformed
+    header, a manifest that disagrees with the config, truncated data or
+    bytes after the last parameter.
+    """
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != MAGIC:
@@ -277,16 +367,19 @@ def load_checkpoint(path):
         try:
             header = json.loads(f.readline().decode("utf-8"))
             cfg = TalkerConfig(**header["config"])
-        except (ValueError, TypeError, KeyError) as e:
-            raise CheckpointError(f"{path}: malformed header ({e})") from e
+            if not all(type(v) is int and v >= 1 for v in asdict(cfg).values()):
+                raise ValueError(f"config fields must be positive integers, got {header['config']}")
+        except (ValueError, TypeError, KeyError, ParameterError) as e:
+            raise CheckpointError(f"{path}: malformed header ({e!r})") from e
         plist = []
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
+        for name, shape in _read_manifest(path, header, cfg):
             n = int(np.prod(shape))
             raw = f.read(n * 8)
             if len(raw) != n * 8:
-                raise CheckpointError(f"{path}: truncated data for parameter {entry['name']!r}")
-            plist.append(nd.param(entry["name"], np.frombuffer(raw, dtype="<f8").reshape(shape).copy()))
+                raise CheckpointError(f"{path}: truncated data for parameter {name!r}")
+            plist.append(nd.param(name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()))
+        if f.read(1):
+            raise CheckpointError(f"{path}: unexpected bytes after the last parameter")
     return cfg, _params_from_ordered(plist, n_layers=cfg.n_layers)
 
 

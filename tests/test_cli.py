@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blockmdm
 from blockmdm import synthtask, talker
 from blockmdm.cli import main
 
@@ -42,6 +46,14 @@ class TestDispatch:
         assert main(["--help"]) == 0
         assert main(["decode", "--help"]) == 0
         capsys.readouterr()
+
+    def test_python_m_cli_prints_usage(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blockmdm.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "blockmdm.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: blockmdm")
 
 
 class TestGradcheckCommand:
@@ -155,6 +167,25 @@ class TestDecodeCommand:
     def test_missing_checkpoint_exit_1(self, corpus):
         assert main(["decode", "--checkpoint", "/nonexistent.ckpt", "--input", str(corpus),
                      "--steps", "1"]) == 1
+
+    @pytest.mark.parametrize("defect", ["no_params", "transposed", "trailing"])
+    def test_malformed_checkpoint_one_error_line(self, checkpoint, corpus, tmp_path, capsys, defect):
+        magic, header, body = checkpoint.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        if defect == "no_params":
+            del header["params"]
+        elif defect == "transposed":
+            header["params"][0]["shape"].reverse()
+        else:
+            body += b"\0" * 8
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
+        for argv in (["decode", "--checkpoint", str(bad), "--input", str(corpus), "--steps", "1"],
+                     ["bench", "--checkpoint", f"bad={bad}", "--eval", str(corpus), "--steps", "1"]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
 
 
 class TestMaskstatsCommand:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from blockmdm import nd, talker
-from blockmdm.decode import DecodeConfig, DecodeTrace, decode, decode_block, decode_source, stream_blocks
+from blockmdm.decode import (DecodeConfig, DecodeTrace, canvas_length, decode, decode_block,
+                             decode_source, stream_blocks)
 from blockmdm.errors import DecodeError, ParameterError
+from blockmdm.schedule import pick_reveal, schedule_step
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                           B=4, Q=2, T_max=32)
@@ -202,3 +204,127 @@ class TestDecodeSource:
         dcfg = DecodeConfig(B=4, K=2, max_blocks=3, eos_id=CFG.vocab.eos_id)
         result = decode_source(source, params, CFG, dcfg)
         assert len(result.tokens) <= 3 * 4
+
+
+def uncached_reference_decode(aligned, params, cfg, dcfg):
+    """Block decoding with one full-canvas forward per step and no cache:
+    the plain reference the cached decoder must reproduce. Returns the
+    tokens, whether EOS stopped it, and per step the revealed positions
+    and their confidences."""
+    mask_id = cfg.vocab.mask_id
+    B, K = dcfg.B, dcfg.K
+    canvas = np.empty(0, dtype=np.intp)
+    steps = []
+    for _ in range(min(dcfg.max_blocks, aligned.T // B)):
+        lo = len(canvas)
+        canvas = np.concatenate([canvas, np.full(B, mask_id, dtype=np.intp)])
+        for j in range(1, K + 1):
+            masked = np.nonzero(canvas[lo:] == mask_id)[0]
+            if masked.size == 0:
+                break
+            logits = talker.forward_array(params, cfg, canvas, aligned)[lo:]
+            conf = nd.softmax_array(logits[masked]).max(axis=1)
+            reveal = pick_reveal(masked, conf, schedule_step(len(masked), j, K))
+            canvas[lo + reveal] = logits[reveal].argmax(axis=1)
+            conf_by_pos = dict(zip(masked.tolist(), conf.tolist()))
+            steps.append(((lo + reveal).tolist(), [conf_by_pos[int(p)] for p in reveal]))
+        eos_hits = np.nonzero(canvas[lo:] == dcfg.eos_id)[0]
+        if eos_hits.size:
+            return canvas[:lo + int(eos_hits[0]) + 1], True, steps
+    return canvas, False, steps
+
+
+def eos_averse(params):
+    """Give EOS the head column of token 0, so the two tie and argmax picks
+    token 0: decodes then run to the block budget."""
+    params.head.value.data[:, CFG.vocab.eos_id] = params.head.value.data[:, 0]
+    return params
+
+
+class TestKVCacheDecode:
+    @pytest.mark.parametrize("K", [1, 4, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("canvas_blocks,max_blocks", [(8, 8), (3, 6)])
+    def test_tokens_equal_uncached_reference(self, K, seed, canvas_blocks, max_blocks):
+        # (3, 6): the conditioning stream, not max_blocks, sets the capacity
+        params, _, aligned = setup_model(seed=seed, canvas_blocks=canvas_blocks)
+        if seed % 2 == 0:
+            eos_averse(params)
+        dcfg = DecodeConfig(B=4, K=K, max_blocks=max_blocks, eos_id=CFG.vocab.eos_id)
+        result = decode(aligned, params, CFG, dcfg)
+        want, stopped, steps = uncached_reference_decode(aligned, params, CFG, dcfg)
+        np.testing.assert_array_equal(result.tokens, want)
+        assert result.stopped_on_eos == stopped
+        got = [s for b in result.trace.blocks for s in b.steps]
+        assert [s.revealed_positions for s in got] == [positions for positions, _ in steps]
+        np.testing.assert_allclose(np.concatenate([s.confidences for s in got]),
+                                   np.concatenate([c for _, c in steps]), rtol=0, atol=1e-12)
+        if seed % 2 == 0:
+            assert len(result.trace.blocks) == min(canvas_blocks, max_blocks)
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_cached_logits_match_full_canvas_every_step(self, monkeypatch, K):
+        params, _, aligned = setup_model(seed=9, canvas_blocks=6)
+        eos_averse(params)
+        full_forward = talker.forward
+        calls = []
+
+        def spy(params, cfg, tokens, aligned, cache=None):
+            offset = cache.rows if cache is not None else 0
+            out = full_forward(params, cfg, tokens, aligned, cache=cache)
+            calls.append((offset, np.array(tokens), out.data.copy()))
+            return out
+
+        monkeypatch.setattr(talker, "forward", spy)
+        dcfg = DecodeConfig(B=4, K=K, max_blocks=6, eos_id=CFG.vocab.eos_id)
+        result = decode(aligned, params, CFG, dcfg)
+        assert len(result.trace.blocks) == 6 and len(calls) == 6 * K
+        canvas = np.full(aligned.T, -1)
+        for offset, tokens, logits in calls:
+            end = offset + len(tokens)
+            canvas[offset:end] = tokens
+            assert (canvas[:end] >= 0).all()
+            with nd.no_grad():
+                oracle = full_forward(params, CFG, canvas[:end], aligned).data
+            np.testing.assert_allclose(logits, oracle[offset:], rtol=0, atol=1e-12)
+
+    def test_forward_rows_are_block_after_first_step(self, monkeypatch):
+        params, _, aligned = setup_model(seed=10, canvas_blocks=5)
+        eos_averse(params)
+        rows = []
+        full_forward = talker.forward
+
+        def count_rows(params, cfg, tokens, aligned, cache=None):
+            rows.append(len(tokens))
+            return full_forward(params, cfg, tokens, aligned, cache=cache)
+
+        monkeypatch.setattr(talker, "forward", count_rows)
+        dcfg = DecodeConfig(B=4, K=4, max_blocks=5, eos_id=CFG.vocab.eos_id)
+        result = decode(aligned, params, CFG, dcfg)
+        assert [b.forward_passes for b in result.trace.blocks] == [4] * 5
+        # block 0 computes its 4 rows; later blocks add the previous block once
+        assert rows == [4, 4, 4, 4] + [8, 4, 4, 4] * 4
+
+    def test_block_after_prefix_without_cache(self):
+        # a fresh cache computes the whole prefix in step 1: same block as
+        # the streamed decode, which had the prefix cached
+        params, _, aligned = setup_model(seed=11, canvas_blocks=4)
+        eos_averse(params)
+        dcfg = DecodeConfig(B=4, K=2, max_blocks=4, eos_id=CFG.vocab.eos_id)
+        tokens = decode(aligned, params, CFG, dcfg).tokens
+        block, trace = decode_block(tokens[:8], aligned, params, CFG, dcfg)
+        np.testing.assert_array_equal(block, tokens[8:12])
+        assert trace.block_index == 2 and trace.forward_passes == 2
+
+    def test_cache_ahead_of_prefix_rejected(self):
+        params, _, aligned = setup_model()
+        dcfg = DecodeConfig(B=4, K=1, max_blocks=4, eos_id=CFG.vocab.eos_id)
+        cache = talker.KVCache(CFG, aligned.T)
+        block, _ = decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg, cache)
+        decode_block(block, aligned, params, CFG, dcfg, cache)
+        with pytest.raises(ParameterError):
+            decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg, cache)
+
+    def test_canvas_length_caps_at_t_max(self):
+        assert canvas_length(CFG, DecodeConfig(B=4, K=1, max_blocks=3)) == 12
+        assert canvas_length(CFG, DecodeConfig(B=4, K=1, max_blocks=100)) == 32

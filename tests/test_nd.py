@@ -218,6 +218,42 @@ class TestMaskedAttention:
         with pytest.raises(ContractError):
             nd.masked_attention(*tensors(*(np.ones((3, 2)),) * 3), mask)
 
+    def test_rectangular_equals_last_rows_of_square(self):
+        # queries for the last 3 of 7 rows over all 7 keys: the rows a
+        # K/V-cached forward computes
+        rng = nd.make_rng(12)
+        q, k, v = (rng.normal(size=(7, 4)) for _ in range(3))
+        mask = np.tril(np.ones((7, 7), bool))
+        full = nd.masked_attention(*tensors(q, k, v), mask).data
+        rect = nd.masked_attention(*tensors(q[4:], k, v), mask[4:]).data
+        np.testing.assert_allclose(rect, full[4:], rtol=0, atol=1e-14)
+
+    def test_rectangular_gradcheck(self):
+        rng = nd.make_rng(13)
+        q = nd.param("q", rng.normal(size=(3, 4)))
+        k = nd.param("k", rng.normal(size=(7, 4)))
+        v = nd.param("v", rng.normal(size=(7, 4)))
+        mask = (np.arange(7)[None, :] // 2) <= (np.arange(4, 7)[:, None] // 2)  # block-causal, B=2
+        tgt = np.array([0, 3, 1])
+
+        def loss():
+            out = nd.masked_attention(q.value, k.value, v.value, mask)
+            return nd.masked_cross_entropy(out, tgt, np.arange(3))
+
+        report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=28)
+        assert report.max_rel_err < 1e-5, str(report)
+
+    def test_rectangular_shape_errors(self):
+        q, k = np.ones((3, 2)), np.ones((5, 2))
+        with pytest.raises(DimensionError, match="mask must be 3x5"):
+            nd.masked_attention(*tensors(q, k, k), np.ones((3, 3), bool))
+        with pytest.raises(DimensionError, match="mask must be 3x5"):
+            nd.masked_attention(*tensors(q, k, k), np.ones((5, 3), bool))
+        with pytest.raises(DimensionError):  # fewer keys than queries
+            nd.masked_attention(*tensors(k, q, q), np.ones((5, 3), bool))
+        with pytest.raises(DimensionError):  # keys and values disagree
+            nd.masked_attention(*tensors(q, k, np.ones((4, 2))), np.ones((3, 5), bool))
+
 
 class TestAdamW:
     def test_zero_grad_zero_decay_unchanged(self):

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from blockmdm import nd, talker
-from blockmdm.errors import CheckpointError, InputError, ParameterError
-from blockmdm.talker import (TalkerConfig, Vocabulary, build_block_causal_mask,
-                             check_compatible, init_params, load_checkpoint, save_checkpoint)
+from blockmdm.errors import CheckpointError, ContractError, InputError, ParameterError
+from blockmdm.talker import (KVCache, TalkerConfig, Vocabulary, build_block_causal_mask,
+                             check_compatible, init_params, load_checkpoint, param_shapes,
+                             save_checkpoint)
 
 SMALL = TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                      B=4, Q=2, T_max=32)
@@ -131,6 +134,60 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
+class TestKVCache:
+    def test_cached_rows_match_full_forward(self):
+        # blocks 0-1, then 2, then 3 through one cache; every computed row
+        # agrees with the full-canvas forward
+        params, tokens, _, aligned = make_inputs(SMALL, T=16, n_src=4)
+        full = talker.forward_array(params, SMALL, tokens, aligned)
+        cache = KVCache(SMALL, aligned.T)
+        for lo, hi in ((0, 8), (8, 12), (12, 16)):
+            out = talker.forward_array(params, SMALL, tokens[lo:hi], aligned, cache=cache)
+            assert out.shape == (hi - lo, SMALL.V)
+            np.testing.assert_allclose(out, full[lo:hi], rtol=0, atol=1e-12)
+            cache.commit(hi - lo)
+        assert cache.rows == 16
+
+    def test_uncommitted_rows_are_recomputed(self):
+        # a second pass at the same offset replaces the rows of the first
+        params, tokens, _, aligned = make_inputs(SMALL, T=8, n_src=2)
+        cache = KVCache(SMALL, aligned.T)
+        talker.forward_array(params, SMALL, tokens[:4], aligned, cache=cache)
+        cache.commit(4)
+        talker.forward_array(params, SMALL, np.full(4, SMALL.vocab.mask_id), aligned, cache=cache)
+        out = talker.forward_array(params, SMALL, tokens[4:], aligned, cache=cache)
+        full = talker.forward_array(params, SMALL, tokens, aligned)
+        np.testing.assert_allclose(out, full[4:], rtol=0, atol=1e-12)
+
+    def test_cache_with_grad_enabled_is_contract_error(self):
+        params, tokens, _, aligned = make_inputs(SMALL, T=8, n_src=2)
+        with pytest.raises(ContractError):
+            talker.forward(params, SMALL, tokens, aligned, cache=KVCache(SMALL, aligned.T))
+
+    def test_commit_only_written_whole_blocks(self):
+        params, tokens, _, aligned = make_inputs(SMALL, T=8, n_src=2)
+        cache = KVCache(SMALL, aligned.T)
+        with pytest.raises(ContractError):
+            cache.commit(4)  # nothing written yet
+        talker.forward_array(params, SMALL, tokens, aligned, cache=cache)
+        with pytest.raises(ContractError):
+            cache.commit(3)  # part of a block
+        with pytest.raises(ContractError):
+            cache.commit(12)  # beyond the written rows
+        cache.commit(8)
+        assert cache.rows == 8
+
+    def test_capacity_and_conditioning_checked(self):
+        params, tokens, _, aligned = make_inputs(SMALL, T=8, n_src=2)
+        with pytest.raises(InputError):
+            talker.forward_array(params, SMALL, tokens, aligned, cache=KVCache(SMALL, 4))
+        cache = KVCache(SMALL, 16)
+        talker.forward_array(params, SMALL, tokens[:4], aligned, cache=cache)
+        cache.commit(4)
+        with pytest.raises(InputError):  # rows 4..12 exceed the 8-row stream
+            talker.forward_array(params, SMALL, np.zeros(8, dtype=int), aligned, cache=cache)
+
+
 class TestParams:
     def test_shapes_reproducible_from_config(self):
         p1 = init_params(SMALL, nd.make_rng(0))
@@ -138,6 +195,10 @@ class TestParams:
         assert [(q.name, q.data.shape) for q in p1.ordered()] == \
                [(q.name, q.data.shape) for q in p2.ordered()]
         assert p1.n_parameters() == p2.n_parameters()
+
+    def test_param_shapes_match_init_params(self):
+        params = init_params(SMALL, nd.make_rng(0))
+        assert param_shapes(SMALL) == [(q.name, q.data.shape) for q in params.ordered()]
 
     def test_copy_is_deep(self):
         p = init_params(SMALL, nd.make_rng(0))
@@ -191,3 +252,55 @@ class TestCheckpoint:
         aligned2 = talker.align_for_canvas(params2, SMALL, source, 16)
         np.testing.assert_array_equal(
             talker.forward_array(params2, SMALL, tokens, aligned2), base)
+
+
+def rewrite_checkpoint(path, edit_header=None, body_suffix=b""):
+    """Rewrite a saved checkpoint with an edited header and/or extra body bytes."""
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    if edit_header is not None:
+        edit_header(header)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body + body_suffix)
+
+
+class TestCheckpointErrors:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SMALL, init_params(SMALL, nd.make_rng(3)))
+        return path
+
+    def test_header_without_params(self, path):
+        rewrite_checkpoint(path, lambda h: h.pop("params"))
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [{"name": "src_embed"}, {"shape": [6, 16]}, 7, None])
+    def test_malformed_manifest_entry(self, path, entry):
+        rewrite_checkpoint(path, lambda h: h["params"].__setitem__(0, entry))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_transposed_shape_names_parameter(self, path):
+        rewrite_checkpoint(path, lambda h: h["params"][0].__setitem__("shape", [16, 6]))
+        with pytest.raises(CheckpointError, match="'src_embed'"):
+            load_checkpoint(path)
+
+    def test_wrong_name_and_count(self, path):
+        rewrite_checkpoint(path, lambda h: h["params"][1].__setitem__("name", "fusion.W9"))
+        with pytest.raises(CheckpointError, match="fusion.W9"):
+            load_checkpoint(path)
+        rewrite_checkpoint(path, lambda h: h["params"].pop())
+        with pytest.raises(CheckpointError, match="lists"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("d", 16.0), ("n_layers", 0), ("d", "16"), ("n_heads", 3)])
+    def test_bad_config_values(self, path, field, value):
+        rewrite_checkpoint(path, lambda h: h["config"].__setitem__(field, value))
+        with pytest.raises(CheckpointError, match="malformed header"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, path):
+        rewrite_checkpoint(path, body_suffix=b"\0" * 8)
+        with pytest.raises(CheckpointError, match="after the last parameter"):
+            load_checkpoint(path)
