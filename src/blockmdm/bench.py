@@ -7,6 +7,11 @@ output. Throughput is tokens per second of decode wall time; the
 real-time-factor analog divides wall time by a nominal output duration
 (``tokens * seconds_per_token``), a labeling convention for comparing
 trends, not a measured audio property.
+
+Confidence and entropy per reveal step come from the traces of the eval
+decodes themselves: the decoder records them for every revealed position
+as :func:`decode.reveal_step` picks it, so no measurement replays a
+decode.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from . import decode as decode_mod
 from . import nd, synthtask, talker
 from .decode import DecodeConfig
 from .errors import ParameterError
-from .schedule import row_entropy
 from .talker import TalkerConfig, TalkerParams
 
 NOMINAL_SECONDS_PER_TOKEN = 0.04
@@ -48,9 +52,6 @@ class Metrics:
     mean_confidence_per_step: list
     mean_entropy_per_step: list
     forwards_per_block: float
-    latency_semantics: float
-    latency_talker: float
-    latency_post: float
 
     @property
     def conf_step1(self):
@@ -91,64 +92,88 @@ def _timed(fn, inputs):
     return results, times
 
 
-def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, K: int,
+def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, Ks,
                           max_blocks: int = 8, warmup: int = 2) -> dict:
-    """Mean and standard deviation of per-stage first-chunk latency.
+    """Mean and standard deviation of per-stage first-chunk latency, as
+    ``{K: report}`` for each step count in ``Ks``.
 
     Stages: building the aligned conditioning stream, the talker's
     diffusion steps for the first block, and post-processing (EOS scan and
-    emission). Sources are taken in rounds of ``STAGE_ROUND``; within a
-    round each stage runs over the round's sources in its own back-to-back
-    loop, with the garbage collector paused. So a microsecond stage is
-    never timed right after the K-dependent talker stage or across a
-    collection, each stage's samples are spread over the whole measurement
-    (a drift in processor speed reaches every stage alike), and the memory
-    held while the collector is paused stays bounded.
+    emission). Sources are taken in rounds of ``STAGE_ROUND``, with the
+    garbage collector paused. Within a round each stage runs over the
+    round's sources in its own back-to-back loop, every source once per K,
+    the K values alternating from call to call (and their order reversed
+    every other round). So a microsecond stage is never timed right after
+    the K-dependent talker stage or across a collection, every K sees the
+    same drift in processor speed, and the memory held while the collector
+    is paused stays bounded.
     """
-    dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
-    canvas_T = decode_mod.canvas_length(tcfg, dcfg)
+    dcfgs = {K: DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
+             for K in Ks}
+    Ks = list(dcfgs)
+    canvas_T = decode_mod.canvas_length(tcfg, dcfgs[Ks[0]])
     empty = np.empty(0, dtype=np.intp)
 
     def semantics(source):
         with nd.no_grad():
             return talker.align_for_canvas(params, tcfg, source, canvas_T)
 
-    def talker_steps(aligned):
-        return decode_mod.decode_block(empty, aligned, params, tcfg, dcfg)
+    def talker_steps(job):
+        K, aligned = job
+        return decode_mod.decode_block(empty, aligned, params, tcfg, dcfgs[K])
 
     def post(block):
-        hits = np.nonzero(block == dcfg.eos_id)[0]
+        hits = np.nonzero(block == tcfg.vocab.eos_id)[0]
         return (block[:int(hits[0]) + 1] if hits.size else block).tolist()
 
-    stages = {"semantics": [], "talker": [], "post": []}
-    forwards = []
-
-    def run_round(inputs):
-        aligned, t_sem = _timed(semantics, inputs)
-        decoded, t_talker = _timed(talker_steps, aligned)
+    def run_round(inputs, order):
+        """Each stage over ``inputs`` in its own loop, alternating between
+        the K values of ``order`` from call to call; returns per call its K,
+        three stage times and forward passes."""
+        Ks_by_call = [K for _ in inputs for K in order]
+        aligned, t_sem = _timed(semantics, [x for x in inputs for _ in order])
+        decoded, t_talker = _timed(talker_steps, zip(Ks_by_call, aligned))
         _, t_post = _timed(post, [block for block, _ in decoded])
-        return (t_sem, t_talker, t_post), [btrace.forward_passes for _, btrace in decoded]
+        return zip(Ks_by_call, t_sem, t_talker, t_post, [btrace.forward_passes for _, btrace in decoded])
 
-    run_round(sources[:warmup])
+    stages = {K: {"semantics": [], "talker": [], "post": []} for K in Ks}
+    forwards = {K: [] for K in Ks}
+    run_round(sources[:warmup], Ks)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for lo in range(0, len(sources), STAGE_ROUND):
-            times, round_forwards = run_round(sources[lo:lo + STAGE_ROUND])
-            for values, t in zip(stages.values(), times):
-                values.extend(t)
-            forwards.extend(round_forwards)
+        for r, lo in enumerate(range(0, len(sources), STAGE_ROUND)):
+            order = Ks if r % 2 == 0 else Ks[::-1]
+            for K, *times, n_forwards in run_round(sources[lo:lo + STAGE_ROUND], order):
+                for values, t in zip(stages[K].values(), times):
+                    values.append(t)
+                forwards[K].append(n_forwards)
     finally:
         if gc_was_enabled:
             gc.enable()
-    report = {"K": K, "n_inputs": len(sources), "forwards_first_block": float(np.mean(forwards))}
-    total = 0.0
-    for name, values in stages.items():
-        report[f"{name}_mean"] = float(np.mean(values))
-        report[f"{name}_std"] = float(np.std(values))
-        total += report[f"{name}_mean"]
-    report["total_mean"] = total
-    return report
+    reports = {}
+    for K, by_stage in stages.items():
+        report = {"K": K, "n_inputs": len(sources), "forwards_first_block": float(np.mean(forwards[K]))}
+        for name, values in by_stage.items():
+            report[f"{name}_mean"] = float(np.mean(values))
+            report[f"{name}_std"] = float(np.std(values))
+        report["total_mean"] = sum(report[f"{name}_mean"] for name in by_stage)
+        reports[K] = report
+    return reports
+
+
+def _step_means(traces, K: int) -> list:
+    """Mean confidence and mean entropy of the positions revealed at each
+    of the ``K`` steps, over every block of the given decode traces."""
+    conf_by_step = [[] for _ in range(K)]
+    ent_by_step = [[] for _ in range(K)]
+    for trace in traces:
+        for btrace in trace.blocks:
+            for strace in btrace.steps:
+                conf_by_step[strace.step - 1].extend(strace.confidences)
+                ent_by_step[strace.step - 1].extend(strace.entropies)
+    return [[float(np.mean(v)) if v else float("nan") for v in by_step]
+            for by_step in (conf_by_step, ent_by_step)]
 
 
 def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
@@ -163,20 +188,17 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
     tokens = 0
     wall = 0.0
     errs = []
-    conf_by_step = [[] for _ in range(K)]
-    forwards = []
+    traces = []
     for p in pairs:
         result = decode_mod.decode_source(p.source, params, tcfg, dcfg)
         tokens += len(result.tokens)
-        wall += result.trace.total_time
+        wall += result.trace.wall_time
         hyp = synthtask.strip_eos(result.tokens, vocab.eos_id)
         ref = synthtask.strip_eos(p.target, vocab.eos_id)
         errs.append(synthtask.token_error_rate(hyp, ref).rate)
-        for btrace in result.trace.blocks:
-            forwards.append(btrace.forward_passes)
-            for strace in btrace.steps:
-                conf_by_step[strace.step - 1].extend(strace.confidences)
-    mean_conf = [float(np.mean(v)) if v else float("nan") for v in conf_by_step]
+        traces.append(result.trace)
+    mean_conf, mean_ent = _step_means(traces, K)
+    forwards = [btrace.forward_passes for trace in traces for btrace in trace.blocks]
     return Metrics(
         checkpoint=checkpoint_label,
         K=K,
@@ -186,11 +208,8 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
         rtf_analog=wall / (tokens * seconds_per_token) if tokens else float("inf"),
         err_rate=float(np.mean(errs)),
         mean_confidence_per_step=mean_conf,
-        mean_entropy_per_step=[float("nan")] * K,  # filled by uncertainty_profile
+        mean_entropy_per_step=mean_ent,
         forwards_per_block=float(np.mean(forwards)) if forwards else 0.0,
-        latency_semantics=float("nan"),
-        latency_talker=float("nan"),
-        latency_post=float("nan"),
     )
 
 
@@ -198,60 +217,24 @@ def uncertainty_profile(params: TalkerParams, tcfg: TalkerConfig, sources, K: in
                         max_blocks: int = 8) -> dict:
     """Mean confidence and entropy of the positions revealed at each step.
 
-    Replays decoding and scores the logits rows of positions at the moment
-    they are revealed (step 1 reflects the fully masked block state).
+    Decodes each source and scores positions with the logits rows they
+    were revealed from (step 1 reflects the fully masked block state).
     """
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
     dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
-    conf_by_step = [[] for _ in range(K)]
-    ent_by_step = [[] for _ in range(K)]
-    canvas_T = decode_mod.canvas_length(tcfg, dcfg)
-    for source in sources:
-        with nd.no_grad():
-            aligned = talker.align_for_canvas(params, tcfg, source, canvas_T)
-        _replay_uncertainty(params, tcfg, dcfg, aligned, conf_by_step, ent_by_step)
-    return {
-        "K": K,
-        "mean_confidence_per_step": [float(np.mean(v)) if v else float("nan") for v in conf_by_step],
-        "mean_entropy_per_step": [float(np.mean(v)) if v else float("nan") for v in ent_by_step],
-        "n_sources": len(sources),
-    }
-
-
-def _replay_uncertainty(params, tcfg, dcfg, aligned, conf_by_step, ent_by_step):
-    """Replay the decode loop, scoring revealed rows at their reveal step."""
-    from .schedule import pick_reveal, schedule_step
-
-    eos = dcfg.eos_id if dcfg.eos_id is not None else tcfg.vocab.eos_id
-    mask_id = tcfg.vocab.mask_id
-    capacity = min(dcfg.max_blocks, aligned.T // dcfg.B)
-    prefix = np.empty(0, dtype=np.intp)
-    for _ in range(capacity):
-        lo = len(prefix)
-        canvas = np.concatenate([prefix, np.full(dcfg.B, mask_id, dtype=np.intp)])
-        for j in range(1, dcfg.K + 1):
-            masked_local = np.nonzero(canvas[lo:lo + dcfg.B] == mask_id)[0]
-            if masked_local.size == 0:
-                break
-            logits = talker.forward_array(params, tcfg, canvas, aligned)
-            rows = logits[lo + masked_local]
-            conf = nd.softmax_array(rows).max(axis=1)
-            n_j = schedule_step(len(masked_local), j, dcfg.K)
-            reveal = pick_reveal(masked_local, conf, n_j)
-            conf_local = dict(zip(masked_local.tolist(), conf.tolist()))
-            for r in reveal:
-                conf_by_step[j - 1].append(conf_local[int(r)])
-                ent_by_step[j - 1].append(row_entropy(logits[lo + int(r)]))
-            canvas[lo + reveal] = logits[lo + reveal].argmax(axis=1)
-        block = canvas[lo:lo + dcfg.B]
-        if (block == eos).any():
-            return
-        prefix = canvas
+    traces = [decode_mod.decode_source(source, params, tcfg, dcfg).trace for source in sources]
+    mean_conf, mean_ent = _step_means(traces, K)
+    return {"K": K, "mean_confidence_per_step": mean_conf, "mean_entropy_per_step": mean_ent,
+            "n_sources": len(sources)}
 
 
 def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
-    """Run the full (checkpoint, K) grid and aggregate over repetitions."""
+    """Run the full (checkpoint, K) grid and aggregate over repetitions.
+
+    Each cell decodes the eval set once per repetition (after warm-up);
+    its confidence and entropy columns come from those decodes' traces.
+    """
     if pairs is None:
         if cfg.eval_path is None:
             raise ParameterError("bench_sweep needs an eval corpus (eval_path) or explicit pairs")
@@ -269,6 +252,8 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
     rows = []
     for label, (tcfg, params) in loaded.items():
         sources = [p.source for p in pairs]
+        breakdown = first_chunk_breakdown(params, tcfg, sources, cfg.steps,
+                                          max_blocks=cfg.max_blocks, warmup=cfg.warmup)
         for K in cfg.steps:
             reps = []
             for rep in range(cfg.repetitions):
@@ -276,9 +261,6 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
                                 warmup=cfg.warmup, checkpoint_label=label,
                                 seconds_per_token=cfg.seconds_per_token)
                 reps.append(m)
-            breakdown = first_chunk_breakdown(params, tcfg, sources, K,
-                                              max_blocks=cfg.max_blocks, warmup=cfg.warmup)
-            profile = uncertainty_profile(params, tcfg, sources, K, max_blocks=cfg.max_blocks)
             rows.append({
                 "checkpoint": label,
                 "K": K,
@@ -288,13 +270,13 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
                 "err_rate": reps[0].err_rate,  # decoding is deterministic across reps
                 "tokens": reps[0].tokens,
                 "forwards_per_block": reps[0].forwards_per_block,
-                "conf_step1": profile["mean_confidence_per_step"][0],
-                "entropy_step1": profile["mean_entropy_per_step"][0],
-                "mean_confidence_per_step": profile["mean_confidence_per_step"],
-                "mean_entropy_per_step": profile["mean_entropy_per_step"],
-                "latency_stage_semantics": breakdown["semantics_mean"],
-                "latency_stage_talker": breakdown["talker_mean"],
-                "latency_stage_post": breakdown["post_mean"],
+                "conf_step1": reps[0].conf_step1,
+                "entropy_step1": reps[0].entropy_step1,
+                "mean_confidence_per_step": reps[0].mean_confidence_per_step,
+                "mean_entropy_per_step": reps[0].mean_entropy_per_step,
+                "latency_stage_semantics": breakdown[K]["semantics_mean"],
+                "latency_stage_talker": breakdown[K]["talker_mean"],
+                "latency_stage_post": breakdown[K]["post_mean"],
             })
     return {
         "seconds_per_token": cfg.seconds_per_token,

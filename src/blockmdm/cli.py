@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,7 +26,12 @@ def _merge(args, config_path, defaults):
     cfg = {}
     if config_path:
         with open(config_path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
+            try:
+                cfg = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ParameterError(f"{config_path}: malformed config JSON: {e}") from None
+        if not isinstance(cfg, dict):
+            raise ParameterError(f"{config_path}: config must be a JSON object")
         unknown = set(cfg) - set(defaults)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -239,11 +245,10 @@ def _read_conditioning(path):
         return [p.source for p in pairs]
     sources = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            sources.append(np.array([int(t) for t in line.split()], dtype=np.intp))
+            if line and not line.startswith("#"):
+                sources.append(synthtask.parse_tokens(line, path, lineno))
     return sources
 
 
@@ -268,25 +273,7 @@ def cmd_decode(args) -> int:
                 out.write("\n")
             for tok in result.tokens:
                 out.write(f"{int(tok)}\n")
-            traces.append({
-                "input_index": i,
-                "tokens_emitted": result.trace.tokens_emitted,
-                "total_forwards": result.trace.total_forwards,
-                "stopped_on_eos": result.trace.stopped_on_eos,
-                "truncated_by_limit": result.trace.truncated_by_limit,
-                "wall_time": result.trace.total_time,
-                "blocks": [{
-                    "block_index": b.block_index,
-                    "forward_passes": b.forward_passes,
-                    "wall_time": b.wall_time,
-                    "steps": [{
-                        "step": s.step,
-                        "revealed_positions": s.revealed_positions,
-                        "confidences": s.confidences,
-                        "wall_time": s.wall_time,
-                    } for s in b.steps],
-                } for b in result.trace.blocks],
-            })
+            traces.append({"input_index": i, **asdict(result.trace)})
     finally:
         if out is not sys.stdout:
             out.close()
@@ -313,7 +300,10 @@ def cmd_bench(args) -> int:
             checkpoints[label] = path
         else:
             checkpoints.update(entry)
-    steps = [int(s) for s in str(ns.steps).split(",")]
+    try:
+        steps = [int(s) for s in str(ns.steps).split(",")]
+    except ValueError:
+        raise ParameterError(f"--steps must be comma-separated integers, got {ns.steps!r}") from None
     ecfg = bench.ExperimentConfig(checkpoints=checkpoints, steps=steps, eval_path=ns.eval_path,
                                   seed=ns.seed, repetitions=ns.repetitions, max_blocks=ns.max_blocks)
     report = bench.bench_sweep(ecfg)

@@ -3,7 +3,10 @@
 Each block starts fully masked and is denoised in ``K`` steps: every step
 runs one forward pass conditioned on the committed prefix and the
 conditioning stream, then reveals the scheduled number of highest
-confidence positions with their argmax tokens. Completed blocks are final:
+confidence positions with their argmax tokens. That reveal rule is
+:func:`reveal_step`; the self-distillation teacher uses it too, and the
+confidences and entropies it reports are what the bench aggregates, read
+from the decode traces. Completed blocks are final:
 they are emitted immediately and never change. Generation stops at the
 first block containing an end-of-sequence token (output truncated at the
 earliest one) or when the block budget runs out.
@@ -51,6 +54,7 @@ class StepTrace:
     step: int
     revealed_positions: list
     confidences: list
+    entropies: list
     wall_time: float
 
 
@@ -67,7 +71,7 @@ class DecodeTrace:
     blocks: list = field(default_factory=list)
     tokens_emitted: int = 0
     total_forwards: int = 0
-    total_time: float = 0.0
+    wall_time: float = 0.0
     stopped_on_eos: bool = False
     truncated_by_limit: bool = False
 
@@ -90,6 +94,24 @@ def canvas_length(tcfg: TalkerConfig, dcfg: DecodeConfig) -> int:
     """Positions a request's conditioning stream covers: the block budget,
     capped at the whole blocks that fit in the model's ``T_max``."""
     return min(dcfg.max_blocks * dcfg.B, (tcfg.T_max // dcfg.B) * dcfg.B)
+
+
+def reveal_step(logits, masked, j: int, K: int) -> tuple:
+    """The confidence-ranked reveal at step ``j`` of ``K``.
+
+    ``logits`` rows are indexed by position and ``masked`` holds the
+    still-masked positions in ascending order. Returns the positions to
+    reveal, highest confidence first (ties to the lowest position), with
+    their confidences (maximum softmax probability) and softmax entropies
+    in nats. Their tokens are ``logits[positions].argmax(1)``.
+    """
+    probs = nd.softmax_array(logits[masked])
+    conf = probs.max(axis=1)
+    reveal = pick_reveal(masked, conf, schedule_step(len(masked), j, K))
+    idx = np.searchsorted(masked, reveal)
+    p = probs[idx]
+    entropy = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+    return reveal, conf[idx], entropy
 
 
 def decode_block(prefix, aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerConfig,
@@ -128,18 +150,11 @@ def decode_block(prefix, aligned: AlignedSemantics, params: TalkerParams, tcfg: 
         if not np.isfinite(logits).all():
             trace.wall_time = time.perf_counter() - block_start
             raise DecodeError(f"non-finite logits in block {trace.block_index} at step {j}", trace=trace)
-        rows = logits[masked_local]
-        conf = nd.softmax_array(rows).max(axis=1)
-        n_j = schedule_step(len(masked_local), j, K)
-        reveal_local = pick_reveal(masked_local, conf, n_j)
-        canvas[lo + reveal_local] = logits[reveal_local].argmax(axis=1)
-        conf_by_pos = dict(zip(masked_local.tolist(), conf.tolist()))
-        trace.steps.append(StepTrace(
-            step=j,
-            revealed_positions=(lo + reveal_local).tolist(),
-            confidences=[conf_by_pos[int(p)] for p in reveal_local],
-            wall_time=time.perf_counter() - t0,
-        ))
+        reveal, conf, entropy = reveal_step(logits, masked_local, j, K)
+        canvas[lo + reveal] = logits[reveal].argmax(axis=1)
+        trace.steps.append(StepTrace(step=j, revealed_positions=(lo + reveal).tolist(),
+                                     confidences=conf.tolist(), entropies=entropy.tolist(),
+                                     wall_time=time.perf_counter() - t0))
     trace.wall_time = time.perf_counter() - block_start
     return canvas[lo:lo + B], trace
 
@@ -167,14 +182,14 @@ def stream_blocks(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerC
             emitted = block[:int(eos_hits[0]) + 1]
             trace.tokens_emitted += len(emitted)
             trace.stopped_on_eos = True
-            trace.total_time = time.perf_counter() - t0
+            trace.wall_time = time.perf_counter() - t0
             yield emitted, btrace
             return
         prefix = np.concatenate([prefix, block])
         trace.tokens_emitted += len(block)
         yield block, btrace
     trace.truncated_by_limit = True
-    trace.total_time = time.perf_counter() - t0
+    trace.wall_time = time.perf_counter() - t0
 
 
 def decode(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerConfig,
@@ -183,8 +198,6 @@ def decode(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerConfig,
     trace = DecodeTrace()
     chunks = [chunk for chunk, _ in stream_blocks(aligned, params, tcfg, dcfg, trace)]
     tokens = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
-    if trace.total_time == 0.0 and trace.blocks:
-        trace.total_time = sum(b.wall_time for b in trace.blocks)
     return DecodeResult(tokens=tokens, trace=trace)
 
 

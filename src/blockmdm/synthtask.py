@@ -136,14 +136,26 @@ def write_corpus(path, spec: TaskSpec, pairs) -> None:
             f.write("\n")
 
 
+def parse_tokens(text, path, lineno) -> np.ndarray:
+    """The space-separated integer ids on line ``lineno`` of ``path``."""
+    try:
+        return np.array([int(t) for t in text.split()], dtype=np.intp)
+    except ValueError:
+        raise InputError(f"{path}: line {lineno}: expected integer token ids, got {text!r}") from None
+
+
 def read_corpus(path):
     """Read a corpus file; returns ``(spec, pairs)``."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline()
         if not header.startswith(CORPUS_MAGIC):
             raise InputError(f"{path}: missing corpus header")
-        meta = json.loads(header[len(CORPUS_MAGIC):])
-        spec = TaskSpec(**meta["spec"])
+        try:
+            meta = json.loads(header[len(CORPUS_MAGIC):])
+            spec = TaskSpec(**meta["spec"])
+            count = meta["count"]
+        except (ValueError, KeyError, TypeError) as e:
+            raise InputError(f"{path}: line 1: malformed corpus header: {e}") from None
         pairs = []
         lines = [ln.strip() for ln in f]
     i = 0
@@ -153,10 +165,9 @@ def read_corpus(path):
             continue
         if i + 1 >= len(lines) or not lines[i + 1]:
             raise InputError(f"{path}: record at line {i + 2} is missing its target line")
-        source = np.array([int(t) for t in lines[i].split()], dtype=np.intp)
-        target = np.array([int(t) for t in lines[i + 1].split()], dtype=np.intp)
-        pairs.append(SamplePair(source=source, target=target))
+        pairs.append(SamplePair(source=parse_tokens(lines[i], path, i + 2),
+                                target=parse_tokens(lines[i + 1], path, i + 3)))
         i += 2
-    if len(pairs) != meta["count"]:
-        raise InputError(f"{path}: header says {meta['count']} records, found {len(pairs)}")
+    if len(pairs) != count:
+        raise InputError(f"{path}: header says {count} records, found {len(pairs)}")
     return spec, pairs

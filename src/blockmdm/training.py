@@ -4,7 +4,8 @@ Stage one trains the mask predictor with cross-entropy on masked positions
 under a masking strategy (typically global Bernoulli). Stage two
 fine-tunes it against a frozen copy of itself: the teacher refines the
 corrupted input over ``K`` confidence-ranked reveal steps (independently
-per block, one forward pass per step), recording its logits for each
+per block, one forward pass per step, with the decoder's reveal rule
+:func:`decode.reveal_step`), recording its logits for each
 position at the moment that position is revealed. The student then has to
 match those targets from a single forward pass on the original corrupted
 input, which is what compresses multi-step refinement into few steps.
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nd, talker
+from .decode import reveal_step
 from .errors import ContractError, ParameterError, TrainingDivergedError
 from .masking import MaskingConfig, partition, sample_mask
-from .schedule import pick_reveal, schedule_step
 from .talker import TalkerConfig, TalkerParams
 
 
@@ -96,9 +97,7 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int):
             z_tea = np.zeros((T, logits.shape[1]))
         for k in sorted(remaining):
             pos = remaining[k]
-            n_j = schedule_step(len(pos), j, K)
-            conf = nd.softmax_array(logits[pos]).max(axis=1)
-            reveal = pick_reveal(pos, conf, n_j)
+            reveal, _, _ = reveal_step(logits, pos, j, K)
             z_tea[reveal] = logits[reveal]
             valid[reveal] = True
             seq[reveal] = logits[reveal].argmax(axis=1)

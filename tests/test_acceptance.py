@@ -358,8 +358,8 @@ def test_criterion_11_efficiency_trend(stage2, datasets):
         if m.forwards_per_block != K:
             forwards_ok = False
     increasing = all(tps[a] < tps[b] for a, b in ((16, 8), (8, 4), (4, 2), (2, 1)))
-    lo = bench.first_chunk_breakdown(params, MODEL_CFG, sources, K=1, max_blocks=4, warmup=2)
-    hi = bench.first_chunk_breakdown(params, MODEL_CFG, sources, K=16, max_blocks=4, warmup=2)
+    stages = bench.first_chunk_breakdown(params, MODEL_CFG, sources, [1, 16], max_blocks=4, warmup=2)
+    lo, hi = stages[1], stages[16]
     talker_ratio = hi["talker_mean"] / lo["talker_mean"]
     report(11, increasing and forwards_ok and talker_ratio >= 4.0,
            f"TPS strictly increases 16->1: {[round(tps[k]) for k in (16, 8, 4, 2, 1)]}; "

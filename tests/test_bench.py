@@ -1,10 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from blockmdm import bench, nd, talker
+from blockmdm import bench, decode, nd, talker
 from blockmdm.errors import ParameterError
 from blockmdm.synthtask import TaskSpec, gen_dataset
 from blockmdm.talker import TalkerConfig, init_params, save_checkpoint
@@ -33,6 +34,8 @@ class TestDecodeEval:
         assert m.rtf_analog == pytest.approx(m.wall_time / (m.tokens * 0.04))
         assert m.forwards_per_block == 2.0
         assert len(m.mean_confidence_per_step) == 2
+        assert len(m.mean_entropy_per_step) == 2
+        assert all(0.0 < h <= math.log(CFG.V) for h in m.mean_entropy_per_step)
 
     def test_error_rate_zero_for_echo_model(self, model, pairs):
         # a model is not needed: feed references as hypotheses through the
@@ -71,8 +74,10 @@ class TestUncertaintyProfile:
 
 class TestFirstChunkBreakdown:
     def test_stage_fields_and_forward_count(self, model, pairs):
-        rep = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs], K=3,
-                                          max_blocks=4, warmup=1)
+        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs], [3],
+                                           max_blocks=4, warmup=1)
+        assert list(reps) == [3]
+        rep = reps[3]
         for stage in ("semantics", "talker", "post"):
             assert rep[f"{stage}_mean"] >= 0.0
         assert rep["forwards_first_block"] == 3.0
@@ -81,8 +86,8 @@ class TestFirstChunkBreakdown:
 
     def test_talker_stage_scales_with_k(self, model, pairs):
         sources = [p.source for p in pairs] * 3
-        lo = bench.first_chunk_breakdown(model, CFG, sources, K=1, max_blocks=4)
-        hi = bench.first_chunk_breakdown(model, CFG, sources, K=8, max_blocks=4)
+        reps = bench.first_chunk_breakdown(model, CFG, sources, [1, 8], max_blocks=4)
+        lo, hi = reps[1], reps[8]
         assert hi["talker_mean"] > 3.0 * lo["talker_mean"]
 
     def test_non_talker_stages_stable_across_k(self, model, pairs):
@@ -90,8 +95,8 @@ class TestFirstChunkBreakdown:
         # means (over enough repetitions to tame microsecond jitter) agree
         # within 10% between K=1 and K=8
         sources = [p.source for p in pairs] * 25  # 300 measurements
-        lo = bench.first_chunk_breakdown(model, CFG, sources, K=1, max_blocks=4)
-        hi = bench.first_chunk_breakdown(model, CFG, sources, K=8, max_blocks=4)
+        reps = bench.first_chunk_breakdown(model, CFG, sources, [1, 8], max_blocks=4)
+        lo, hi = reps[1], reps[8]
         for stage in ("semantics", "post"):
             a, b = lo[f"{stage}_mean"], hi[f"{stage}_mean"]
             assert abs(a - b) / max(a, b) < 0.10, (stage, a, b)
@@ -108,6 +113,49 @@ class TestSweep:
         for row in report["rows"]:
             assert row["forwards_per_block"] == row["K"]
             assert set(bench.CSV_COLUMNS) <= set(row) | {"checkpoint", "K"}
+
+    def test_one_decode_pass_per_cell(self, model, pairs, tmp_path, monkeypatch):
+        # each (checkpoint, K) cell decodes the eval set once per repetition
+        # after its warm-up, and its uncertainty columns are what
+        # uncertainty_profile reports for the same sources
+        other = init_params(CFG, nd.make_rng(5))
+        models = {"a": model, "b": other}
+        paths = {label: tmp_path / f"{label}.ckpt" for label in models}
+        for label, params in models.items():
+            save_checkpoint(paths[label], CFG, params)
+        label_of = {params.digest(): label for label, params in models.items()}
+        calls = Counter()
+        forwards = Counter()
+        real_decode_source, real_forward = decode.decode_source, talker.forward
+
+        def counting_decode(source, params, tcfg, dcfg):
+            calls[label_of[params.digest()], dcfg.K] += 1
+            result = real_decode_source(source, params, tcfg, dcfg)
+            forwards["decodes"] += result.trace.total_forwards
+            return result
+
+        def counting_forward(*args, **kwargs):
+            forwards["all"] += 1
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(decode, "decode_source", counting_decode)
+        monkeypatch.setattr(talker, "forward", counting_forward)
+        ecfg = bench.ExperimentConfig(checkpoints={k: str(v) for k, v in paths.items()},
+                                      steps=[2, 1], repetitions=2, max_blocks=4, warmup=1)
+        report = bench.bench_sweep(ecfg, pairs=pairs)
+        per_cell = ecfg.repetitions * (len(pairs) + ecfg.warmup)
+        assert calls == {(label, K): per_cell for label in models for K in ecfg.steps}
+        # besides those decodes, only the first-chunk timing runs the model:
+        # K forwards per source and warm-up source
+        first_chunks = len(models) * sum(K * (len(pairs) + ecfg.warmup) for K in ecfg.steps)
+        assert forwards["all"] == forwards["decodes"] + first_chunks
+        monkeypatch.undo()
+        sources = [p.source for p in pairs]
+        for row in report["rows"]:
+            prof = bench.uncertainty_profile(models[row["checkpoint"]], CFG, sources, row["K"],
+                                             max_blocks=4)
+            assert row["mean_confidence_per_step"] == prof["mean_confidence_per_step"]
+            assert row["mean_entropy_per_step"] == prof["mean_entropy_per_step"]
 
     def test_incompatible_checkpoints_rejected(self, model, pairs, tmp_path):
         other_cfg = TalkerConfig(data_tokens=12, src_vocab=6, d=32, d_ff=32, n_layers=2,

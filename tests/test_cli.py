@@ -188,6 +188,35 @@ class TestDecodeCommand:
             assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
 
 
+MALFORMED_INPUTS = {
+    # case: (file contents, argv builder taking the file, checkpoint and corpus)
+    "corpus_header_json": (synthtask.CORPUS_MAGIC + "{bad json\n",
+                           lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt, "--input", f]),
+    "corpus_token": (synthtask.CORPUS_MAGIC + '{"count": 1, "spec": {}}\n1 2 x\n3 4\n\n',
+                     lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}", "--eval", f,
+                                              "--steps", "1"]),
+    "conditioning_token": ("1 2 3\n1 2 x\n",
+                           lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt, "--input", f]),
+    "config_json": ("{bad json", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
+    "config_not_object": ("[]", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
+    "bench_steps": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}",
+                                                 "--eval", corpus, "--steps", "4,x"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_one_error_line(case, checkpoint, corpus, tmp_path, capsys):
+    text, argv = MALFORMED_INPUTS[case]
+    bad = tmp_path / "input.txt"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(argv(str(bad), str(checkpoint), str(corpus))) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    if text:
+        assert str(bad) in err[0]
+
+
 class TestMaskstatsCommand:
     def test_json_and_csv_outputs(self, tmp_path, capsys):
         oj, oc = tmp_path / "stats.json", tmp_path / "stats.csv"

@@ -5,7 +5,7 @@ from blockmdm import nd, talker
 from blockmdm.decode import (DecodeConfig, DecodeTrace, canvas_length, decode, decode_block,
                              decode_source, stream_blocks)
 from blockmdm.errors import DecodeError, ParameterError
-from blockmdm.schedule import pick_reveal, schedule_step
+from blockmdm.schedule import pick_reveal, row_entropy, schedule_step
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                           B=4, Q=2, T_max=32)
@@ -209,8 +209,8 @@ class TestDecodeSource:
 def uncached_reference_decode(aligned, params, cfg, dcfg):
     """Block decoding with one full-canvas forward per step and no cache:
     the plain reference the cached decoder must reproduce. Returns the
-    tokens, whether EOS stopped it, and per step the revealed positions
-    and their confidences."""
+    tokens, whether EOS stopped it, and per step the revealed positions,
+    their confidences and their entropies."""
     mask_id = cfg.vocab.mask_id
     B, K = dcfg.B, dcfg.K
     canvas = np.empty(0, dtype=np.intp)
@@ -227,7 +227,8 @@ def uncached_reference_decode(aligned, params, cfg, dcfg):
             reveal = pick_reveal(masked, conf, schedule_step(len(masked), j, K))
             canvas[lo + reveal] = logits[reveal].argmax(axis=1)
             conf_by_pos = dict(zip(masked.tolist(), conf.tolist()))
-            steps.append(((lo + reveal).tolist(), [conf_by_pos[int(p)] for p in reveal]))
+            steps.append(((lo + reveal).tolist(), [conf_by_pos[int(p)] for p in reveal],
+                          [row_entropy(logits[p]) for p in reveal]))
         eos_hits = np.nonzero(canvas[lo:] == dcfg.eos_id)[0]
         if eos_hits.size:
             return canvas[:lo + int(eos_hits[0]) + 1], True, steps
@@ -256,9 +257,11 @@ class TestKVCacheDecode:
         np.testing.assert_array_equal(result.tokens, want)
         assert result.stopped_on_eos == stopped
         got = [s for b in result.trace.blocks for s in b.steps]
-        assert [s.revealed_positions for s in got] == [positions for positions, _ in steps]
+        assert [s.revealed_positions for s in got] == [positions for positions, _, _ in steps]
         np.testing.assert_allclose(np.concatenate([s.confidences for s in got]),
-                                   np.concatenate([c for _, c in steps]), rtol=0, atol=1e-12)
+                                   np.concatenate([c for _, c, _ in steps]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate([s.entropies for s in got]),
+                                   np.concatenate([h for _, _, h in steps]), rtol=0, atol=1e-12)
         if seed % 2 == 0:
             assert len(result.trace.blocks) == min(canvas_blocks, max_blocks)
 
