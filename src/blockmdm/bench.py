@@ -94,8 +94,8 @@ def _timed(fn, inputs):
 
 def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, Ks,
                           max_blocks: int = 8, warmup: int = 2) -> dict:
-    """Mean and standard deviation of per-stage first-chunk latency, as
-    ``{K: report}`` for each step count in ``Ks``.
+    """Mean, median and standard deviation of per-stage first-chunk
+    latency, as ``{K: report}`` for each step count in ``Ks``.
 
     Stages: building the aligned conditioning stream, the talker's
     diffusion steps for the first block, and post-processing (EOS scan and
@@ -106,7 +106,9 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, Ks,
     every other round). So a microsecond stage is never timed right after
     the K-dependent talker stage or across a collection, every K sees the
     same drift in processor speed, and the memory held while the collector
-    is paused stays bounded.
+    is paused stays bounded. A stage takes microseconds per call, so one
+    preempted call can move its mean by more than 10%; the median is the
+    figure to compare across K, and the sweep reports it.
     """
     dcfgs = {K: DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
              for K in Ks}
@@ -156,6 +158,7 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, Ks,
         report = {"K": K, "n_inputs": len(sources), "forwards_first_block": float(np.mean(forwards[K]))}
         for name, values in by_stage.items():
             report[f"{name}_mean"] = float(np.mean(values))
+            report[f"{name}_median"] = float(np.median(values))
             report[f"{name}_std"] = float(np.std(values))
         report["total_mean"] = sum(report[f"{name}_mean"] for name in by_stage)
         reports[K] = report
@@ -274,9 +277,9 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
                 "entropy_step1": reps[0].entropy_step1,
                 "mean_confidence_per_step": reps[0].mean_confidence_per_step,
                 "mean_entropy_per_step": reps[0].mean_entropy_per_step,
-                "latency_stage_semantics": breakdown[K]["semantics_mean"],
-                "latency_stage_talker": breakdown[K]["talker_mean"],
-                "latency_stage_post": breakdown[K]["post_mean"],
+                "latency_stage_semantics": breakdown[K]["semantics_median"],
+                "latency_stage_talker": breakdown[K]["talker_median"],
+                "latency_stage_post": breakdown[K]["post_median"],
             })
     return {
         "seconds_per_token": cfg.seconds_per_token,
@@ -288,8 +291,9 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
 
 TIMING_FIELDS = ("tps", "tps_std", "rtf_analog", "wall_time",
                  "latency_stage_semantics", "latency_stage_talker", "latency_stage_post",
-                 "semantics_mean", "semantics_std", "talker_mean", "talker_std",
-                 "post_mean", "post_std", "total_mean")
+                 "semantics_mean", "semantics_median", "semantics_std",
+                 "talker_mean", "talker_median", "talker_std",
+                 "post_mean", "post_median", "post_std", "total_mean")
 
 
 def report_to_json(report: dict) -> str:

@@ -11,6 +11,7 @@ error (bad parameter, malformed file, diverged run), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -21,20 +22,36 @@ from . import bench, decode as decode_mod, masking, nd, synthtask, talker, train
 from .errors import BlockMDMError, ParameterError, TrainingDivergedError
 
 
+# config keys whose default is None but whose value is not a path
+_NONE_DEFAULT_TYPES = {("decode", "block_size"): int, ("bench", "checkpoint"): (str, list, dict)}
+
+
+def _config_type(command, key, default):
+    """The JSON types a config value may take: the default's type (an int
+    also serves for a float), a path string where the default is None."""
+    if default is None:
+        return _NONE_DEFAULT_TYPES.get((command, key), str)
+    return (int, float) if type(default) is float else type(default)
+
+
 def _merge(args, config_path, defaults):
     """Resolve option values: explicit flag > config file > default."""
     cfg = {}
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as f:
+        with open(config_path, "rb") as f:
             try:
-                cfg = json.load(f)
-            except json.JSONDecodeError as e:
+                cfg = json.loads(f.read().decode("utf-8"))
+            except ValueError as e:  # bad UTF-8 or bad JSON
                 raise ParameterError(f"{config_path}: malformed config JSON: {e}") from None
         if not isinstance(cfg, dict):
             raise ParameterError(f"{config_path}: config must be a JSON object")
         unknown = set(cfg) - set(defaults)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in cfg.items():
+            want = _config_type(args.command, key, defaults[key])
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ParameterError(f"{config_path}: config key {key!r} has the wrong type: {value!r}")
     out = {}
     for key, default in defaults.items():
         cli_val = getattr(args, key, None)
@@ -77,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--data", required=True)
     pt.add_argument("--out", required=True)
     pt.add_argument("--curve")
+    pt.add_argument("--log-jsonl", help="write one JSON object per training step to this file")
     pt.add_argument("--steps", type=int)
     pt.add_argument("--seed", type=int)
     pt.add_argument("--lr", type=float)
@@ -94,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--data", required=True)
     pd.add_argument("--out", required=True)
     pd.add_argument("--curve")
+    pd.add_argument("--log-jsonl", help="write one JSON object per training step to this file")
     pd.add_argument("--steps", type=int)
     pd.add_argument("--seed", type=int)
     pd.add_argument("--lr", type=float)
@@ -162,7 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pair(text):
-    lo, hi = (float(x) for x in str(text).split(","))
+    try:
+        lo, hi = (float(x) for x in str(text).split(","))
+    except ValueError:
+        raise ParameterError(f"expected a range min,max, got {text!r}") from None
     return (lo, hi)
 
 
@@ -180,20 +202,36 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _step_log(path, progress: bool):
+    """A training ``log_cb``: the progress line on a terminal (when
+    ``progress``) and one JSON object per step in ``path`` (when given);
+    None when neither applies."""
+    progress = progress and sys.stdout.isatty()
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as events:
+        def log(event):
+            if progress:
+                print(f"step {event['step']}: loss {event['loss']:.4f}", flush=True)
+            if events:
+                events.write(json.dumps(event) + "\n")
+                events.flush()
+
+        yield log if progress or events else None
+
+
 def cmd_train(args) -> int:
     defaults = dict(MODEL_DEFAULTS)
-    defaults.update({"data": None, "out": None, "curve": None, "steps": 3000, "seed": 0,
-                     "lr": 1e-3, "batch_size": 8, "weight_decay": 0.01,
+    defaults.update({"data": None, "out": None, "curve": None, "log_jsonl": None,
+                     "steps": 3000, "seed": 0, "lr": 1e-3, "batch_size": 8, "weight_decay": 0.01,
                      "gamma_g_min": 0.3, "gamma_g_max": 0.8})
     ns = _merge(args, args.config, defaults)
     _, pairs = synthtask.read_corpus(ns.data)
     cfg = _model_config(ns)
     mcfg = masking.MaskingConfig(mode="global_bernoulli", gamma_g=(ns.gamma_g_min, ns.gamma_g_max))
     opt = training.OptimizerConfig(lr=ns.lr, batch_size=ns.batch_size, weight_decay=ns.weight_decay)
-    log = (lambda row: print(f"step {row['step']}: loss {row['loss']:.4f}", flush=True)
-           if sys.stdout.isatty() else None)
     try:
-        result = training.train_mdm(cfg, pairs, mcfg, opt, steps=ns.steps, seed=ns.seed, log_cb=log)
+        with _step_log(ns.log_jsonl, progress=True) as log:
+            result = training.train_mdm(cfg, pairs, mcfg, opt, steps=ns.steps, seed=ns.seed, log_cb=log)
     except TrainingDivergedError as e:
         talker.save_checkpoint(ns.out, cfg, e.params)
         print(f"error: {e}; last good parameters saved to {ns.out}", file=sys.stderr)
@@ -207,7 +245,8 @@ def cmd_train(args) -> int:
 
 def cmd_distill(args) -> int:
     ns = _merge(args, args.config, {
-        "checkpoint": None, "data": None, "out": None, "curve": None, "steps": 1500, "seed": 0,
+        "checkpoint": None, "data": None, "out": None, "curve": None, "log_jsonl": None,
+        "steps": 1500, "seed": 0,
         "lr": 1e-3, "batch_size": 8, "weight_decay": 0.01,
         "alpha": 0.7, "tau": 2.0, "teacher_steps": 4, "kl": "reverse", "masking": "hierarchical",
         "gamma_c_min": 0.5, "gamma_c_max": 1.0, "gamma_t_min": 0.3, "gamma_t_max": 1.0,
@@ -224,7 +263,9 @@ def cmd_distill(args) -> int:
     dcfg = training.DistillConfig(K=ns.teacher_steps, tau=ns.tau, alpha=ns.alpha, kl_direction=ns.kl)
     opt = training.OptimizerConfig(lr=ns.lr, batch_size=ns.batch_size, weight_decay=ns.weight_decay)
     try:
-        result = training.train_distill(cfg, start, pairs, dcfg, mcfg, opt, steps=ns.steps, seed=ns.seed)
+        with _step_log(ns.log_jsonl, progress=False) as log:
+            result = training.train_distill(cfg, start, pairs, dcfg, mcfg, opt, steps=ns.steps,
+                                            seed=ns.seed, log_cb=log)
     except TrainingDivergedError as e:
         talker.save_checkpoint(ns.out, cfg, e.params)
         print(f"error: {e}; last good parameters saved to {ns.out}", file=sys.stderr)
@@ -238,17 +279,15 @@ def cmd_distill(args) -> int:
 
 def _read_conditioning(path):
     """Source sequences from a corpus file or a plain one-per-line file."""
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.readline()
-    if first.startswith(synthtask.CORPUS_MAGIC):
+    lines = synthtask.read_text_lines(path)
+    if lines and lines[0].startswith(synthtask.CORPUS_MAGIC):
         _, pairs = synthtask.read_corpus(path)
         return [p.source for p in pairs]
     sources = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                sources.append(synthtask.parse_tokens(line, path, lineno))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            sources.append(synthtask.parse_tokens(line, path, lineno))
     return sources
 
 
@@ -298,8 +337,10 @@ def cmd_bench(args) -> int:
             if not path:
                 raise ParameterError(f"--checkpoint must be LABEL=PATH, got {entry!r}")
             checkpoints[label] = path
-        else:
+        elif isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
             checkpoints.update(entry)
+        else:
+            raise ParameterError(f"--checkpoint must be LABEL=PATH, got {entry!r}")
     try:
         steps = [int(s) for s in str(ns.steps).split(",")]
     except ValueError:

@@ -1,11 +1,18 @@
 """Dense float64 numeric core with reverse-mode automatic differentiation.
 
-Everything is built on 2-D numpy float64 arrays in row-major order. A
-``Tensor`` wraps an array plus an optional gradient; operations record
-backward closures onto a tape so a scalar loss can be backpropagated to
-every parameter that fed it. The set of operations is deliberately small:
-exactly the primitives a small transformer with masked attention, masked
-cross-entropy and a KL distillation loss needs.
+A ``Tensor`` wraps a float64 array plus an optional gradient; operations
+record backward closures onto a tape so a scalar loss can be
+backpropagated to every parameter that fed it. The set of operations is
+deliberately small: exactly the primitives a small transformer with
+masked attention, masked cross-entropy and a KL distillation loss needs.
+
+Activations are ``rows x width`` matrices. A batch is several sequences
+stacked sample-major, with no padding, so row-wise ops run on the stacked
+rows unchanged. :func:`masked_attention` takes a visibility mask per
+sequence and splits columns into heads internally, on a
+``(heads, rows, head width)`` view. Inside :func:`sequences`, the ops that
+sum over rows do so one sequence at a time, in order, so a stacked batch
+gives bit for bit the parameter gradients of one pass per sequence.
 
 Determinism: all randomness flows through numpy ``Generator`` objects
 created by :func:`make_rng` (PCG64, seeded explicitly), so identical seeds
@@ -14,7 +21,9 @@ give identical streams run to run. No op uses hidden global state.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -23,6 +32,7 @@ import numpy as np
 from .errors import DimensionError, NonFiniteError, ParameterError, ContractError
 
 _GRAD_ENABLED = True
+_ROW_BLOCKS = None  # (total rows, row slice per sequence) inside a sequences() block
 
 
 def grad_enabled() -> bool:
@@ -42,13 +52,54 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+@contextmanager
+def sequences(lengths):
+    """Declare that row-aligned operands inside the block stack sequences
+    of these lengths sample-major.
+
+    The ops whose arithmetic could see several sequences at once then take
+    them one at a time: a matmul computes its product and input gradient
+    block by block (a BLAS kernel may round a row differently when other
+    rows share the call), and a matmul, a row-broadcast add and an
+    embedding sum their weight gradients per sequence, adding the
+    sequences' sums in order. A stacked batch then computes bit for bit
+    what one forward and backward pass per sequence computes.
+    """
+    global _ROW_BLOCKS
+    prev = _ROW_BLOCKS
+    ends = np.cumsum(lengths)
+    _ROW_BLOCKS = (int(ends[-1]), [slice(int(e) - int(n), int(e)) for e, n in zip(ends, lengths)])
+    try:
+        yield
+    finally:
+        _ROW_BLOCKS = prev
+
+
+def _row_blocks(n_rows):
+    """Row slices of the declared sequences when an operand has their total
+    row count, else one slice over all ``n_rows``."""
+    if _ROW_BLOCKS is not None and _ROW_BLOCKS[0] == n_rows:
+        return _ROW_BLOCKS[1]
+    return [slice(0, n_rows)]
+
+
+def _sum_in_order(parts):
+    """``((p0 + p1) + p2) + ...`` in place in ``p0``: the order in which one
+    backward pass per sequence would accumulate a parameter's gradient."""
+    return functools.reduce(operator.iadd, parts)
+
+
 def make_rng(seed, *stream):
     """PCG64 generator for ``seed`` plus an optional sub-stream key.
 
     ``make_rng(s, k)`` yields an independent, reproducible stream per
     ``(s, k)``; this is how per-sample randomness stays deterministic.
+    Seeds and keys are non-negative integers.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
+    key = (int(seed),) + tuple(int(s) for s in stream)
+    if min(key) < 0:
+        raise ParameterError(f"seeds must be non-negative integers, got {key}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 class Tensor:
@@ -142,11 +193,18 @@ def as_array(x):
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
+    blocks = _row_blocks(a.data.shape[0])
+    out = np.empty((a.data.shape[0], b.data.shape[1]))
+    for rows in blocks:
+        np.matmul(a.data[rows], b.data, out=out[rows])
 
     def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
+        ga = np.empty_like(a.data)
+        for rows in blocks:
+            np.matmul(g[rows], b.data.T, out=ga[rows])
+        return ((a, ga), (b, _sum_in_order(a.data[rows].T @ g[rows] for rows in blocks)))
 
-    return _result(a.data @ b.data, (a, b), backward)
+    return _result(out, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -156,8 +214,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             # the second copy keeps the two parents' accumulators unaliased
             return ((a, g), (b, g.copy()))
     elif b.data.ndim == 1 and a.data.ndim == 2 and b.data.shape[0] == a.data.shape[1]:
+        blocks = _row_blocks(a.data.shape[0])
+
         def backward(g):
-            return ((a, g), (b, g.sum(axis=0)))
+            return ((a, g), (b, _sum_in_order(g[rows].sum(axis=0) for rows in blocks)))
     else:
         raise DimensionError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
     return _result(a.data + b.data, (a, b), backward)
@@ -174,11 +234,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
+    # exactly np.where(mask, a, 0.0), NaN and -0.0 included, and several times faster
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
 
     def backward(g):
         return ((a, g * mask),)
 
-    return _result(np.where(mask, a.data, 0.0), (a,), backward)
+    return _result(out, (a,), backward)
 
 
 def rmsnorm_rows(a: Tensor, eps: float = 1e-6) -> Tensor:
@@ -202,10 +265,15 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise DimensionError(f"embedding id out of range [0, {table.data.shape[0]})")
 
+    blocks = _row_blocks(len(ids))
+
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return ((table, gt),)
+        parts = []
+        for rows in blocks:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids[rows], g[rows])
+            parts.append(gt)
+        return ((table, _sum_in_order(parts)),)
 
     return _result(table.data[ids], (table,), backward)
 
@@ -243,24 +311,15 @@ def place_rows(src: Tensor, row_for_pos, n_rows: int) -> Tensor:
     return _result(out, (src,), backward)
 
 
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[:, lo:hi] = g
-        return ((a, ga),)
-
-    return _result(a.data[:, lo:hi].copy(), (a,), backward)
-
-
-def concat_cols(parts) -> Tensor:
+def concat_rows(parts) -> Tensor:
+    """Stack matrices of equal width on top of each other."""
     parts = list(parts)
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def backward(g):
-        return tuple((p, g[:, offsets[i]:offsets[i + 1]]) for i, p in enumerate(parts))
+        return tuple((p, g[offsets[i]:offsets[i + 1]]) for i, p in enumerate(parts))
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
+    return _result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +336,20 @@ def _log_softmax(z):
 def softmax_array(z):
     """Stable row softmax on a plain array (log-sum-exp shifted)."""
     z = np.asarray(z, dtype=np.float64)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def softmax_rows(z: Tensor) -> Tensor:
-    """Row-wise softmax with max-shift stabilization."""
-    p = softmax_array(z.data)
-
-    def backward(g):
-        dot = (p * g).sum(axis=-1, keepdims=True)
-        return ((z, p * (g - dot)),)
-
-    return _result(p, (z,), backward)
-
-
-def masked_cross_entropy(logits: Tensor, targets, mask_positions) -> Tensor:
+def masked_cross_entropy(logits: Tensor, targets, mask_positions, counts=None) -> Tensor:
     """Summed negative log-likelihood over the masked positions only.
 
     Returns the scalar ``-sum_{t in mask} log p(targets[t] | logits[t])``;
-    the gradient is nonzero only at masked rows. An empty mask gives exactly
-    zero loss and zero gradient.
+    the gradient is nonzero only at masked rows. ``counts`` gives per
+    masked position the masked count of its sequence, and each term is
+    divided by it: the result is then the sum over sequences of their mean.
+    An empty mask gives exactly zero loss and zero gradient.
     """
     targets = np.asarray(targets, dtype=np.intp)
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
@@ -310,28 +361,34 @@ def masked_cross_entropy(logits: Tensor, targets, mask_positions) -> Tensor:
     tgt = targets[mask_positions]
     if tgt.min() < 0 or tgt.max() >= V:
         raise ParameterError(f"targets at masked positions must lie in [0, {V})")
+    if counts is not None and np.shape(counts) != mask_positions.shape:
+        raise DimensionError(f"counts must have shape {mask_positions.shape}, got {np.shape(counts)}")
+    inv = None if counts is None else 1.0 / np.asarray(counts, dtype=np.float64)
     rows = logits.data[mask_positions]
     logp = _log_softmax(rows)
-    loss = -logp[np.arange(len(mask_positions)), tgt].sum()
+    nll = -logp[np.arange(len(mask_positions)), tgt]
+    loss = nll.sum() if inv is None else (nll * inv).sum()
 
     def backward(g):
         grows = np.exp(logp)
         grows[np.arange(len(mask_positions)), tgt] -= 1.0
         gl = np.zeros_like(logits.data)
-        np.add.at(gl, mask_positions, grows * g)
+        np.add.at(gl, mask_positions, grows * (g if inv is None else inv[:, None] * g))
         return ((logits, gl),)
 
     return _result(np.float64(loss), (logits,), backward)
 
 
-def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str = "reverse") -> Tensor:
+def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str = "reverse",
+            counts=None) -> Tensor:
     """Temperature-scaled KL divergence, averaged over rows and scaled by tau^2.
 
     ``reverse`` computes KL(softmax(student/tau) || softmax(teacher/tau)),
     so the gradient on a coordinate is weighted by the student probability
     there (mode-seeking); ``forward`` swaps the arguments and is weighted by
     the teacher probability (mean-seeking). Only the student side receives
-    gradients.
+    gradients. ``counts`` gives per row the row count of its sequence, to
+    average within each sequence and sum the averages.
     """
     if tau <= 0:
         raise ParameterError(f"tau must be > 0, got {tau}")
@@ -344,6 +401,12 @@ def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str =
     if n_rows == 0:
         return _result(np.float64(0.0), (student_logits,),
                        lambda g: ((student_logits, np.zeros_like(student_logits.data)),))
+    if counts is None:
+        counts = n_rows
+    elif np.shape(counts) != (n_rows,):
+        raise DimensionError(f"counts must have shape ({n_rows},), got {np.shape(counts)}")
+    else:
+        counts = np.asarray(counts, dtype=np.float64)[:, None]
     logp = _log_softmax(student_logits.data / tau)
     logq = _log_softmax(tea / tau)
     p = np.exp(logp)
@@ -351,53 +414,80 @@ def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str =
         per_row = (p * (logp - logq)).sum(axis=1)
 
         def backward(g):
-            gs = (tau / n_rows) * p * ((logp - logq) - per_row[:, None])
+            gs = (tau / counts) * p * ((logp - logq) - per_row[:, None])
             return ((student_logits, gs * g),)
     else:
         q = np.exp(logq)
         per_row = (q * (logq - logp)).sum(axis=1)
 
         def backward(g):
-            gs = (tau / n_rows) * (p - q)
+            gs = (tau / counts) * (p - q)
             return ((student_logits, gs * g),)
 
-    loss = (tau * tau) * per_row.mean()
+    loss = (tau * tau) * (per_row[:, None] / counts).sum()
     return _result(np.float64(loss), (student_logits,), backward)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
-    """Scaled dot-product attention where ``mask[t, t']`` gates visibility.
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention within each of a batch's sequences.
 
-    ``q`` has ``Tq`` rows and ``k``/``v`` have ``Tk >= Tq`` rows (queries for
-    the last rows of a sequence whose earlier keys are cached); ``mask`` is
-    ``Tq x Tk``. Positions with ``mask`` False contribute exactly zero
-    weight. Every row must be able to see at least one position.
+    ``mask`` is a boolean ``Tq x Tk`` grid, or a list of them, one per
+    sequence stacked sample-major: sequence ``s`` takes the next ``Tq_s``
+    rows of ``q`` and the next ``Tk_s >= Tq_s`` rows of ``k``/``v`` (queries
+    for the last rows of a sequence whose earlier keys are cached) and sees
+    no other sequence's rows. ``mask[t, t']`` gates visibility: positions
+    with ``mask`` False contribute exactly zero weight, and every row must
+    see at least one position. Columns split into ``n_heads`` equal heads,
+    each scaled by ``1/sqrt(d / n_heads)``, and the output puts the heads
+    back side by side; the whole batch is one tape node.
     """
-    mask = np.asarray(mask, dtype=bool)
+    masks = [np.asarray(m, dtype=bool) for m in ([mask] if isinstance(mask, np.ndarray) else mask)]
     Tq, d = q.data.shape
     Tk = k.data.shape[0]
     if Tk < Tq or k.data.shape != (Tk, d) or v.data.shape != (Tk, d):
         raise DimensionError(f"q/k/v shapes differ: {q.data.shape}, {k.data.shape}, {v.data.shape}")
-    if mask.shape != (Tq, Tk):
-        raise DimensionError(f"mask must be {Tq}x{Tk}, got {mask.shape}")
-    if not mask.any(axis=1).all():
+    if n_heads < 1 or d % n_heads:
+        raise DimensionError(f"width {d} does not split into {n_heads} heads")
+    if (any(m.ndim != 2 or m.shape[1] < m.shape[0] for m in masks)
+            or sum(m.shape[0] for m in masks) != Tq or sum(m.shape[1] for m in masks) != Tk):
+        raise DimensionError(f"mask must be {Tq}x{Tk}, one grid per sequence, got {[m.shape for m in masks]}")
+    if not all(m.any(axis=1).all() for m in masks):
         raise ContractError("attention row with no visible positions")
-    inv_sqrt_d = 1.0 / math.sqrt(d)
-    scores = (q.data @ k.data.T) * inv_sqrt_d
-    scores[~mask] = -np.inf
-    w = softmax_array(scores)
-    out = w @ v.data
+    inv_sqrt_d = 1.0 / math.sqrt(d // n_heads)
+
+    def split(x):  # rows x d -> heads x rows x head width, a view
+        return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+    def merge(x):
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    out = np.empty_like(qh)
+    segments = []
+    q0 = k0 = 0
+    for m in masks:
+        sq, sk = slice(q0, q0 + m.shape[0]), slice(k0, k0 + m.shape[1])
+        scores = qh[:, sq] @ kh[:, sk].transpose(0, 2, 1)
+        scores *= inv_sqrt_d
+        np.copyto(scores, -np.inf, where=~m)
+        w = softmax_array(scores)
+        out[:, sq] = w @ vh[:, sk]
+        segments.append((sq, sk, w))
+        q0, k0 = sq.stop, sk.stop
 
     def backward(g):
-        gw = g @ v.data.T
-        gs = w * (gw - (w * gw).sum(axis=1, keepdims=True))  # zero where w == 0
-        return (
-            (q, (gs @ k.data) * inv_sqrt_d),
-            (k, (gs.T @ q.data) * inv_sqrt_d),
-            (v, w.T @ g),
-        )
+        gh = split(g)
+        gq, gk, gv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
+        for sq, sk, w in segments:
+            gw = gh[:, sq] @ vh[:, sk].transpose(0, 2, 1)
+            gs = gw - (w * gw).sum(axis=-1, keepdims=True)
+            gs *= w  # zero where w == 0
+            gq[:, sq] = (gs @ kh[:, sk]) * inv_sqrt_d
+            gk[:, sk] = (gs.transpose(0, 2, 1) @ qh[:, sq]) * inv_sqrt_d
+            gv[:, sk] = w.transpose(0, 2, 1) @ gh[:, sq]
+        return ((q, merge(gq)), (k, merge(gk)), (v, merge(gv)))
 
-    return _result(out, (q, k, v), backward)
+    return _result(merge(out), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -30,22 +30,6 @@ def schedule_step(R: int, j: int, K: int) -> int:
     return -(-R // r_j)
 
 
-def schedule_counts(R: int, K: int) -> list:
-    """The full reveal plan ``[n_1, ..., n_K]`` starting from ``R`` masked."""
-    counts = []
-    remaining = R
-    for j in range(1, K + 1):
-        n = schedule_step(remaining, j, K)
-        counts.append(n)
-        remaining -= n
-    return counts
-
-
-def confidence(logits_row) -> float:
-    """Maximum softmax probability of one logits row."""
-    return float(softmax_array(np.asarray(logits_row, dtype=np.float64)).max())
-
-
 def row_entropy(logits_row) -> float:
     """Shannon entropy (nats) of the softmax distribution of one row."""
     p = softmax_array(np.asarray(logits_row, dtype=np.float64))

@@ -140,24 +140,33 @@ def parse_tokens(text, path, lineno) -> np.ndarray:
     """The space-separated integer ids on line ``lineno`` of ``path``."""
     try:
         return np.array([int(t) for t in text.split()], dtype=np.intp)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise InputError(f"{path}: line {lineno}: expected integer token ids, got {text!r}") from None
+
+
+def read_text_lines(path) -> list:
+    """The lines of a UTF-8 text file, without line ends."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e})") from None
 
 
 def read_corpus(path):
     """Read a corpus file; returns ``(spec, pairs)``."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline()
-        if not header.startswith(CORPUS_MAGIC):
-            raise InputError(f"{path}: missing corpus header")
-        try:
-            meta = json.loads(header[len(CORPUS_MAGIC):])
-            spec = TaskSpec(**meta["spec"])
-            count = meta["count"]
-        except (ValueError, KeyError, TypeError) as e:
-            raise InputError(f"{path}: line 1: malformed corpus header: {e}") from None
-        pairs = []
-        lines = [ln.strip() for ln in f]
+    header, *lines = read_text_lines(path) or [""]
+    if not header.startswith(CORPUS_MAGIC):
+        raise InputError(f"{path}: missing corpus header")
+    try:
+        meta = json.loads(header[len(CORPUS_MAGIC):])
+        spec = TaskSpec(**meta["spec"])
+        count = meta["count"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise InputError(f"{path}: line 1: malformed corpus header: {e}") from None
+    pairs = []
+    lines = [ln.strip() for ln in lines]
     i = 0
     while i < len(lines):
         if not lines[i]:

@@ -4,8 +4,11 @@ Block-causal attention: tokens attend bidirectionally inside their own
 block and causally to every earlier block, never to later blocks. The
 model input is the fused sum of token embeddings and the aligned
 conditioning stream; the output is a full grid of vocabulary logits, one
-row per position. For inference, a :class:`KVCache` holds the keys and
-values of committed blocks so a forward pass computes only later rows.
+row per position. A training batch is one forward pass over its
+sequences stacked row by row, without padding, that computes bit for bit
+what one pass per sequence computes. For inference, a :class:`KVCache`
+holds the keys and values of committed blocks so a forward pass computes
+only later rows.
 
 Checkpoint format (binary, little-endian):
 
@@ -250,32 +253,54 @@ def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: 
     return align(semantic_states(params, source_tokens), anchors, T)
 
 
-def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
-            cache: KVCache = None) -> nd.Tensor:
-    """Logits for every position of a (possibly corrupted) token sequence.
+def align_batch(params: TalkerParams, cfg: TalkerConfig, sources, lengths) -> AlignedSemantics:
+    """One conditioning stream for sequences stacked sample-major: sample
+    ``i``'s stream for a canvas of ``lengths[i]`` rows, at its rows."""
+    parts = [align_for_canvas(params, cfg, source, T) for source, T in zip(sources, lengths)]
+    anchors = [a.anchor_positions + start for a, start in zip(parts, np.cumsum([0] + list(lengths)))]
+    return AlignedSemantics(T=sum(lengths), d=cfg.d, h_prime=nd.concat_rows([a.h_prime for a in parts]),
+                            anchor_positions=np.concatenate(anchors),
+                            n_assigned=sum(a.n_assigned for a in parts))
 
-    Positions in block ``k`` are a function of blocks ``<= k`` only, given
-    the conditioning stream. With a ``cache`` (inference only, under
+
+def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
+            cache: KVCache = None, lengths=None) -> nd.Tensor:
+    """Logits for every position of one or more (possibly corrupted) token
+    sequences.
+
+    ``lengths`` splits ``tokens`` into sequences stacked sample-major with
+    no padding (default: one sequence); ``aligned`` then covers exactly
+    those rows, as :func:`align_batch` stacks them. Attention sees each
+    sequence on its own, and under :func:`nd.sequences` every sequence gets
+    the arithmetic of a forward pass of its own. Positions in block ``k``
+    of a sequence are a function of its blocks ``<= k`` only, given the
+    conditioning stream.
+    With a ``cache`` (one sequence, inference only, under
     :func:`nd.no_grad`), ``tokens`` are the rows from position
     ``cache.rows`` onward and the logits cover those rows only.
     """
     tokens = np.asarray(tokens, dtype=np.intp)
+    T = len(tokens)
+    lengths = [T] if lengths is None else [int(n) for n in lengths]
     offset = 0
     if cache is not None:
         if nd.grad_enabled():
             raise ContractError("a K/V cache is for inference only: call forward under nd.no_grad()")
+        if len(lengths) > 1:
+            raise ContractError("a K/V cache holds one sequence, not a batch")
         offset = cache.rows
-    T = len(tokens)
     end = offset + T
-    if T < 1 or end > cfg.T_max:
-        raise InputError(f"sequence length {end} ({T} new rows) outside [1, {cfg.T_max}]")
+    if T < 1 or sum(lengths) != T or min(lengths) < 1 or offset + max(lengths) > cfg.T_max:
+        raise InputError(f"sequence lengths {lengths} after {offset} cached rows outside "
+                         f"[1, {cfg.T_max}] or not covering the {T} token rows")
     if tokens.min() < 0 or tokens.max() >= cfg.V:
         raise InputError(f"token id outside vocabulary [0, {cfg.V})")
-    if aligned.T < end:
+    if aligned.T < end or (len(lengths) > 1 and aligned.T != T):
         raise InputError(f"conditioning stream covers {aligned.T} positions, need {end}")
     if cache is not None and cache.capacity < end:
         raise InputError(f"K/V cache holds {cache.capacity} rows, need {end}")
-    positions = np.arange(offset, end)
+    positions = np.concatenate([np.arange(offset, offset + n) for n in lengths])
+    masks = [build_block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths]
     h_prime = aligned
     if aligned.T > T:
         h_prime = AlignedSemantics(T=T, d=aligned.d,
@@ -283,38 +308,31 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
                                    anchor_positions=aligned.anchor_positions,
                                    n_assigned=aligned.n_assigned)
 
-    emb = nd.embedding(params.tok_embed.value, tokens)
-    x = fuse(emb, h_prime, params.fusion)
-    x = nd.add(x, nd.embedding(params.pos_embed.value, positions))
+    with nd.sequences(lengths):
+        emb = nd.embedding(params.tok_embed.value, tokens)
+        x = fuse(emb, h_prime, params.fusion)
+        x = nd.add(x, nd.embedding(params.pos_embed.value, positions))
 
-    mask = build_block_causal_mask(end, cfg.B)[offset:]
-    dh = cfg.d // cfg.n_heads
-    for layer, lp in enumerate(params.layers):
-        h = nd.rmsnorm_rows(x)
-        q = nd.matmul(h, lp.wq.value)
-        k = nd.matmul(h, lp.wk.value)
-        v = nd.matmul(h, lp.wv.value)
-        if cache is not None:
-            k, v = cache.write(layer, k, v)
-        heads = []
-        for i in range(cfg.n_heads):
-            lo, hi = i * dh, (i + 1) * dh
-            heads.append(nd.masked_attention(nd.slice_cols(q, lo, hi),
-                                             nd.slice_cols(k, lo, hi),
-                                             nd.slice_cols(v, lo, hi), mask))
-        att = nd.concat_cols(heads)
-        x = nd.add(x, nd.matmul(att, lp.wo.value))
-        h = nd.rmsnorm_rows(x)
-        x = nd.add(x, nd.matmul(nd.relu(nd.matmul(h, lp.ffn_in.value)), lp.ffn_out.value))
-    x = nd.rmsnorm_rows(x)
-    return nd.matmul(x, params.head.value)
+        for layer, lp in enumerate(params.layers):
+            h = nd.rmsnorm_rows(x)
+            q = nd.matmul(h, lp.wq.value)
+            k = nd.matmul(h, lp.wk.value)
+            v = nd.matmul(h, lp.wv.value)
+            if cache is not None:
+                k, v = cache.write(layer, k, v)
+            att = nd.masked_attention(q, k, v, masks, cfg.n_heads)
+            x = nd.add(x, nd.matmul(att, lp.wo.value))
+            h = nd.rmsnorm_rows(x)
+            x = nd.add(x, nd.matmul(nd.relu(nd.matmul(h, lp.ffn_in.value)), lp.ffn_out.value))
+        x = nd.rmsnorm_rows(x)
+        return nd.matmul(x, params.head.value)
 
 
 def forward_array(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
-                  cache: KVCache = None) -> np.ndarray:
+                  cache: KVCache = None, lengths=None) -> np.ndarray:
     """Forward pass without tape recording; returns a plain logits array."""
     with nd.no_grad():
-        return forward(params, cfg, tokens, aligned, cache=cache).data
+        return forward(params, cfg, tokens, aligned, cache=cache, lengths=lengths).data
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,17 @@ per block, one forward pass per step, with the decoder's reveal rule
 position at the moment that position is revealed. The student then has to
 match those targets from a single forward pass on the original corrupted
 input, which is what compresses multi-step refinement into few steps.
+
+Both stages take one forward and one backward pass per optimizer step:
+a batch's sequences are stacked row by row without padding
+(:class:`Batch`), and the teacher rolls out the whole batch at once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +68,14 @@ class TeacherTargets:
     valid: np.ndarray  # (T,) bool
 
 
-def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int):
+def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, lengths=None):
     """Reveal all masked positions in ``K`` confidence-ranked steps.
 
     ``forward_fn(tokens) -> logits array`` is the frozen teacher bound to
-    its conditioning. Each step runs one forward pass over the full
-    sequence and updates every block in parallel: per block, the
+    its conditioning. ``lengths`` splits the rows into sequences stacked
+    sample-major (default: one sequence), and blocks are counted within
+    each sequence. Each step runs one forward pass over all rows and
+    updates every block of every sequence in parallel: per block, the
     ``n_j`` still-masked positions with highest confidence (ties to lowest
     index) are recorded into the target tensor and replaced by their argmax
     tokens. Returns ``(targets, final_sequence, n_forward_passes)``.
@@ -78,12 +85,17 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int):
     if mask_positions.size == 0:
         raise ParameterError("teacher rollout requires a nonempty masked set")
     T = len(corrupted0)
-    part = partition(T, B)
+    lengths = [T] if lengths is None else list(lengths)
+    if sum(lengths) != T:
+        raise ParameterError(f"sequence lengths {lengths} do not cover the {T} rows")
+    # (sequence, block) of every row as one key, ascending sample-major
+    starts = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
+    block_key = np.repeat(np.arange(len(lengths)), lengths) * T + (np.arange(T) - starts) // B
     seq = corrupted0.copy()
     remaining = {}
-    for t in mask_positions:
-        remaining.setdefault(part.block_of(int(t)), []).append(int(t))
-    remaining = {k: np.array(sorted(v), dtype=np.intp) for k, v in remaining.items()}
+    for t in np.sort(mask_positions):
+        remaining.setdefault(int(block_key[t]), []).append(int(t))
+    remaining = {k: np.array(v, dtype=np.intp) for k, v in remaining.items()}
 
     z_tea = None
     valid = np.zeros(T, dtype=bool)
@@ -112,35 +124,78 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int):
 
 
 def distill_loss(student_logits: nd.Tensor, targets, mask_positions, tea: TeacherTargets,
-                 cfg: DistillConfig):
-    """Combined loss ``alpha * KD + (1 - alpha) * masked-CE``.
+                 cfg: DistillConfig, counts=None):
+    """Combined loss ``alpha * KD + (1 - alpha) * masked-CE``, or masked-CE
+    alone when ``tea`` is None.
 
     Both terms are normalized by the masked count so the mix is
-    scale-compatible; the KD term carries its usual ``tau^2`` factor.
-    Returns ``(loss, kd_value, mdm_value)`` with the scalars as floats.
+    scale-compatible; the KD term carries its usual ``tau^2`` factor. For
+    sequences stacked sample-major, ``counts`` gives per masked position
+    the masked count of its sequence, which makes the loss the sum of the
+    per-sequence losses. Returns ``(loss, kd_value, mdm_value)`` with the
+    scalars as floats.
     """
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
     if mask_positions.size == 0:
         zero = nd.masked_cross_entropy(student_logits, np.asarray(targets), mask_positions)
         return zero, 0.0, 0.0
+    if counts is None:
+        counts = np.full(len(mask_positions), len(mask_positions))
+    mdm = nd.masked_cross_entropy(student_logits, targets, mask_positions, counts)
+    if tea is None:
+        return mdm, 0.0, mdm.item()
     if not tea.valid[mask_positions].all():
         raise ContractError("teacher targets missing for some masked positions")
-    mdm = nd.scale(nd.masked_cross_entropy(student_logits, targets, mask_positions),
-                   1.0 / len(mask_positions))
     kd = nd.kl_rows(nd.take_rows(student_logits, mask_positions),
-                    tea.z_tea[mask_positions], cfg.tau, cfg.kl_direction)
+                    tea.z_tea[mask_positions], cfg.tau, cfg.kl_direction, counts)
     loss = nd.add(nd.scale(kd, cfg.alpha), nd.scale(mdm, 1.0 - cfg.alpha))
     return loss, kd.item(), mdm.item()
 
 
-def mdm_sample_loss(params: TalkerParams, cfg: TalkerConfig, sample, mask_positions):
-    """Per-token masked cross-entropy of one sample (tape-recorded)."""
-    target = sample.target
-    corrupted = target.copy()
-    corrupted[mask_positions] = cfg.vocab.mask_id
-    aligned = talker.align_for_canvas(params, cfg, sample.source, len(target))
-    logits = talker.forward(params, cfg, corrupted, aligned)
-    return nd.scale(nd.masked_cross_entropy(logits, target, mask_positions), 1.0 / len(mask_positions))
+@dataclass
+class Batch:
+    """A training batch stacked sample-major: one row per target position,
+    no padding.
+
+    Samples whose mask draw came up empty are left out of the rows;
+    ``size`` still counts them, so they enter the batch mean as zero loss.
+    """
+
+    size: int
+    sources: list
+    lengths: list
+    targets: np.ndarray
+    corrupted: np.ndarray
+    masked: np.ndarray  # masked rows, ascending
+    counts: np.ndarray  # per masked row: its sample's masked count
+
+
+def draw_batch(dataset, cfg: TalkerConfig, masking_cfg: MaskingConfig, rng, size: int) -> Batch:
+    """Draw ``size`` samples and a mask for each, in that order from ``rng``."""
+    drawn = []
+    for _ in range(size):
+        sample = dataset[int(rng.integers(len(dataset)))]
+        mask_positions = sample_mask(partition(len(sample.target), cfg.B), masking_cfg, rng)
+        if mask_positions.size:
+            drawn.append((sample, mask_positions))
+    lengths = [len(sample.target) for sample, _ in drawn]
+    none = [np.empty(0, dtype=np.intp)]
+    targets = np.concatenate([sample.target for sample, _ in drawn] + none)
+    masked = np.concatenate([start + m for start, (_, m) in zip(np.cumsum([0] + lengths), drawn)] + none)
+    counts = np.concatenate([np.full(len(m), len(m)) for _, m in drawn] + none)
+    corrupted = targets.copy()
+    corrupted[masked] = cfg.vocab.mask_id
+    return Batch(size, [sample.source for sample, _ in drawn], lengths, targets, corrupted, masked, counts)
+
+
+def batch_loss(params: TalkerParams, cfg: TalkerConfig, batch: Batch, tea: TeacherTargets = None,
+               distill_cfg: DistillConfig = None):
+    """Sum over the batch of the per-sample losses of :func:`distill_loss`
+    (masked-CE alone without teacher targets), from one forward pass over
+    the stacked rows. Returns ``(loss, kd_value, mdm_value)``."""
+    aligned = talker.align_batch(params, cfg, batch.sources, batch.lengths)
+    logits = talker.forward(params, cfg, batch.corrupted, aligned, lengths=batch.lengths)
+    return distill_loss(logits, batch.targets, batch.masked, tea, distill_cfg, batch.counts)
 
 
 @dataclass
@@ -166,6 +221,43 @@ def _check_finite(value, params, step):
         raise TrainingDivergedError(f"non-finite loss at step {step}", params=params, step=step)
 
 
+def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: MaskingConfig,
+           opt: OptimizerConfig, steps: int, rng, log_cb, targets_fn=None,
+           distill_cfg: DistillConfig = None) -> TrainResult:
+    """The optimizer loop both stages share: per step one batch, one forward
+    and one backward pass over its stacked rows, one AdamW update.
+
+    ``targets_fn(batch)`` gives the teacher targets for distillation.
+    ``log_cb`` receives per step the curve row plus ``step_ms``,
+    ``masked`` (positions), ``rows`` (stacked rows) and ``grad_norm``
+    (global L2 norm of the gradient).
+    """
+    plist = params.ordered()
+    curve = []
+    for step in range(1, steps + 1):
+        t0 = time.perf_counter()
+        batch = draw_batch(dataset, cfg, masking_cfg, rng, opt.batch_size)
+        nd.zero_grads(plist)
+        loss = kd = mdm = 0.0
+        if batch.masked.size:
+            tea = targets_fn(batch) if targets_fn is not None else None
+            total, kd, mdm = batch_loss(params, cfg, batch, tea, distill_cfg)
+            total.backward()
+            loss = total.item()
+        _check_finite(loss, params, step)
+        for p in plist:
+            p.value.grad /= batch.size
+        nd.adamw_step(plist, opt.lr, step, betas=opt.betas, eps=opt.eps, weight_decay=opt.weight_decay)
+        row = {"step": step, "loss": loss / batch.size, "kd_loss": kd / batch.size,
+               "mdm_loss": mdm / batch.size}
+        curve.append(row)
+        if log_cb:
+            grad_sq = sum(float(np.vdot(p.grad, p.grad)) for p in plist)
+            log_cb({**row, "step_ms": (time.perf_counter() - t0) * 1e3, "masked": int(batch.masked.size),
+                    "rows": int(sum(batch.lengths)), "grad_norm": math.sqrt(grad_sq)})
+    return TrainResult(params=params, curve=curve)
+
+
 def train_mdm(cfg: TalkerConfig, dataset, masking_cfg: MaskingConfig, opt: OptimizerConfig,
               steps: int, seed: int, params: TalkerParams = None, log_cb=None) -> TrainResult:
     """Masked-prediction training from scratch (or from ``params``).
@@ -179,31 +271,7 @@ def train_mdm(cfg: TalkerConfig, dataset, masking_cfg: MaskingConfig, opt: Optim
     rng = nd.make_rng(seed)
     if params is None:
         params = talker.init_params(cfg, rng)
-    plist = params.ordered()
-    curve = []
-    for step in range(1, steps + 1):
-        nd.zero_grads(plist)
-        losses = []
-        for _ in range(opt.batch_size):
-            sample = dataset[int(rng.integers(len(dataset)))]
-            part = partition(len(sample.target), cfg.B)
-            mask_positions = sample_mask(part, masking_cfg, rng)
-            if mask_positions.size == 0:
-                losses.append(0.0)
-                continue
-            loss = mdm_sample_loss(params, cfg, sample, mask_positions)
-            loss.backward()
-            losses.append(loss.item())
-        mean_loss = float(np.mean(losses))
-        _check_finite(mean_loss, params, step)
-        for p in plist:
-            p.value.grad /= opt.batch_size
-        nd.adamw_step(plist, opt.lr, step, betas=opt.betas, eps=opt.eps, weight_decay=opt.weight_decay)
-        row = {"step": step, "loss": mean_loss, "kd_loss": 0.0, "mdm_loss": mean_loss}
-        curve.append(row)
-        if log_cb:
-            log_cb(row)
-    return TrainResult(params=params, curve=curve)
+    return _train(params, cfg, dataset, masking_cfg, opt, steps, rng, log_cb)
 
 
 def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
@@ -211,58 +279,23 @@ def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
                   steps: int, seed: int, log_cb=None) -> TrainResult:
     """Self-distillation fine-tuning against a frozen copy of the start
     parameters. The teacher never receives gradient updates; the student
-    starts from the same checkpoint."""
+    starts from the same checkpoint. The teacher rolls out the whole batch
+    at once: ``K`` forward passes per step."""
     if not dataset:
         raise ParameterError("dataset must be nonempty")
     rng = nd.make_rng(seed)
     teacher = start_params.copy()
     student = start_params.copy()
-    plist = student.ordered()
-    curve = []
-    for step in range(1, steps + 1):
-        nd.zero_grads(plist)
-        losses, kds, mdms = [], [], []
-        for _ in range(opt.batch_size):
-            sample = dataset[int(rng.integers(len(dataset)))]
-            target = sample.target
-            T = len(target)
-            part = partition(T, cfg.B)
-            mask_positions = sample_mask(part, masking_cfg, rng)
-            if mask_positions.size == 0:
-                losses.append(0.0)
-                kds.append(0.0)
-                mdms.append(0.0)
-                continue
-            corrupted0 = target.copy()
-            corrupted0[mask_positions] = cfg.vocab.mask_id
 
-            aligned_stu = talker.align_for_canvas(student, cfg, sample.source, T)
-            logits = talker.forward(student, cfg, corrupted0, aligned_stu)
-            if distill_cfg.alpha == 0.0:
-                # pure masked-CE; the teacher trajectory would carry zero weight
-                loss = nd.scale(nd.masked_cross_entropy(logits, target, mask_positions),
-                                1.0 / len(mask_positions))
-                kd_v, mdm_v = 0.0, loss.item()
-            else:
-                with nd.no_grad():
-                    aligned_tea = talker.align_for_canvas(teacher, cfg, sample.source, T)
-                tea, _, _ = teacher_rollout(
-                    corrupted0, mask_positions,
-                    lambda toks: talker.forward_array(teacher, cfg, toks, aligned_tea),
-                    B=cfg.B, K=distill_cfg.K)
-                loss, kd_v, mdm_v = distill_loss(logits, target, mask_positions, tea, distill_cfg)
-            loss.backward()
-            losses.append(loss.item())
-            kds.append(kd_v)
-            mdms.append(mdm_v)
-        mean_loss = float(np.mean(losses))
-        _check_finite(mean_loss, student, step)
-        for p in plist:
-            p.value.grad /= opt.batch_size
-        nd.adamw_step(plist, opt.lr, step, betas=opt.betas, eps=opt.eps, weight_decay=opt.weight_decay)
-        row = {"step": step, "loss": mean_loss,
-               "kd_loss": float(np.mean(kds)), "mdm_loss": float(np.mean(mdms))}
-        curve.append(row)
-        if log_cb:
-            log_cb(row)
-    return TrainResult(params=student, curve=curve)
+    def targets_fn(batch):
+        with nd.no_grad():
+            aligned = talker.align_batch(teacher, cfg, batch.sources, batch.lengths)
+        tea, _, _ = teacher_rollout(
+            batch.corrupted, batch.masked,
+            lambda toks: talker.forward_array(teacher, cfg, toks, aligned, lengths=batch.lengths),
+            B=cfg.B, K=distill_cfg.K, lengths=batch.lengths)
+        return tea
+
+    # with alpha = 0 the teacher targets would carry zero weight: pure masked-CE
+    return _train(student, cfg, dataset, masking_cfg, opt, steps, rng, log_cb,
+                  targets_fn=targets_fn if distill_cfg.alpha else None, distill_cfg=distill_cfg)

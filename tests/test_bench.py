@@ -80,6 +80,8 @@ class TestFirstChunkBreakdown:
         rep = reps[3]
         for stage in ("semantics", "talker", "post"):
             assert rep[f"{stage}_mean"] >= 0.0
+            assert rep[f"{stage}_median"] >= 0.0
+            assert f"{stage}_median" in bench.TIMING_FIELDS
         assert rep["forwards_first_block"] == 3.0
         assert rep["total_mean"] == pytest.approx(
             rep["semantics_mean"] + rep["talker_mean"] + rep["post_mean"])
@@ -92,13 +94,13 @@ class TestFirstChunkBreakdown:
 
     def test_non_talker_stages_stable_across_k(self, model, pairs):
         # conditioning build and post-processing do not depend on K; their
-        # means (over enough repetitions to tame microsecond jitter) agree
+        # medians (over enough repetitions to tame microsecond jitter) agree
         # within 10% between K=1 and K=8
         sources = [p.source for p in pairs] * 25  # 300 measurements
         reps = bench.first_chunk_breakdown(model, CFG, sources, [1, 8], max_blocks=4)
         lo, hi = reps[1], reps[8]
         for stage in ("semantics", "post"):
-            a, b = lo[f"{stage}_mean"], hi[f"{stage}_mean"]
+            a, b = lo[f"{stage}_median"], hi[f"{stage}_median"]
             assert abs(a - b) / max(a, b) < 0.10, (stage, a, b)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -92,6 +93,30 @@ class TestTrainAndDistill:
         cfg, params = talker.load_checkpoint(out)
         _, start = talker.load_checkpoint(checkpoint)
         assert params.digest() != start.digest()
+
+    @pytest.mark.parametrize("command", ["train", "distill"])
+    def test_log_jsonl_one_event_per_step(self, command, corpus, checkpoint, tmp_path):
+        events, curve = tmp_path / "events.jsonl", tmp_path / "curve.csv"
+        if command == "train":
+            argv = ["train"] + SMALL_MODEL_ARGS
+        else:
+            argv = ["distill", "--checkpoint", str(checkpoint), "--teacher-steps", "2"]
+        rc = main(argv + ["--data", str(corpus), "--out", str(tmp_path / "m.ckpt"), "--curve", str(curve),
+                          "--steps", "4", "--seed", "0", "--batch-size", "3", "--log-jsonl", str(events)])
+        assert rc == 0
+        rows = [json.loads(line) for line in events.read_text().splitlines()]
+        with open(curve, newline="") as f:
+            want = list(csv.DictReader(f))
+        assert [row["step"] for row in rows] == [1, 2, 3, 4]
+        for row, w in zip(rows, want):
+            assert set(row) == {"step", "loss", "kd_loss", "mdm_loss", "step_ms", "masked", "rows",
+                                "grad_norm"}
+            for key in ("loss", "kd_loss", "mdm_loss"):
+                assert row[key] == float(w[key])
+            assert isinstance(row["masked"], int) and isinstance(row["rows"], int)
+            assert 0 < row["masked"] <= row["rows"] <= 3 * 11  # 3 targets of at most 5 * 2 + 1 tokens
+            assert row["step_ms"] > 0 and row["grad_norm"] > 0
+            assert (row["kd_loss"] > 0) == (command == "distill")
 
     def test_config_file_with_flag_override(self, corpus, tmp_path):
         cfg_path = tmp_path / "train.json"
@@ -199,6 +224,9 @@ MALFORMED_INPUTS = {
                            lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt, "--input", f]),
     "config_json": ("{bad json", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
     "config_not_object": ("[]", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
+    "config_value_type": ('{"T": "32"}', lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
+    "negative_seed": ("", lambda f, ckpt, corpus: ["gradcheck", "--seed", "-1"]),
+    "maskstats_range": ("", lambda f, ckpt, corpus: ["maskstats", "--gamma-g", "0.3"]),
     "bench_steps": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}",
                                                  "--eval", corpus, "--steps", "4,x"]),
 }

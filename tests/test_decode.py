@@ -272,9 +272,9 @@ class TestKVCacheDecode:
         full_forward = talker.forward
         calls = []
 
-        def spy(params, cfg, tokens, aligned, cache=None):
+        def spy(params, cfg, tokens, aligned, cache=None, lengths=None):
             offset = cache.rows if cache is not None else 0
-            out = full_forward(params, cfg, tokens, aligned, cache=cache)
+            out = full_forward(params, cfg, tokens, aligned, cache=cache, lengths=lengths)
             calls.append((offset, np.array(tokens), out.data.copy()))
             return out
 
@@ -297,9 +297,9 @@ class TestKVCacheDecode:
         rows = []
         full_forward = talker.forward
 
-        def count_rows(params, cfg, tokens, aligned, cache=None):
+        def count_rows(params, cfg, tokens, aligned, cache=None, lengths=None):
             rows.append(len(tokens))
-            return full_forward(params, cfg, tokens, aligned, cache=cache)
+            return full_forward(params, cfg, tokens, aligned, cache=cache, lengths=lengths)
 
         monkeypatch.setattr(talker, "forward", count_rows)
         dcfg = DecodeConfig(B=4, K=4, max_blocks=5, eos_id=CFG.vocab.eos_id)

@@ -12,6 +12,11 @@ def tensors(*arrays):
     return [nd.constant(a) for a in arrays]
 
 
+def softmax_rows(z):
+    """Row softmax of a Tensor, through the stable softmax the package uses."""
+    return nd.constant(nd.softmax_array(z.data))
+
+
 class TestMatmul:
     def test_identity(self):
         a = nd.constant(np.arange(9.0).reshape(3, 3))
@@ -46,7 +51,7 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_uniform(self):
-        out = nd.softmax_rows(nd.constant([[0.0, 0.0, 0.0]]))
+        out = softmax_rows(nd.constant([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_derived_scalar_oracle(self):
@@ -55,7 +60,7 @@ class TestSoftmaxRows:
         exps = [math.exp(v) for v in row]
         expected = [e / sum(exps) for e in exps]
         assert abs(expected[0] - 0.78699) < 1e-5
-        out = nd.softmax_rows(nd.constant([row]))
+        out = softmax_rows(nd.constant([row]))
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_shift_invariance_bit_exact(self):
@@ -64,20 +69,20 @@ class TestSoftmaxRows:
         rng = nd.make_rng(1)
         z = np.round(rng.normal(size=(4, 8)) * 2**20) / 2**20
         for c in (1.0, 64.0, -512.0):
-            a = nd.softmax_rows(nd.constant(z)).data
-            b = nd.softmax_rows(nd.constant(z + c)).data
+            a = softmax_rows(nd.constant(z)).data
+            b = softmax_rows(nd.constant(z + c)).data
             np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_rows_sum_to_one_and_nonnegative(self, seed):
         z = nd.make_rng(seed).normal(scale=30.0, size=(5, 9))
-        p = nd.softmax_rows(nd.constant(z)).data
+        p = softmax_rows(nd.constant(z)).data
         assert (p >= 0).all()
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_extreme_logits_stable(self):
-        p = nd.softmax_rows(nd.constant([[1e4, 0.0, -1e4]])).data
+        p = softmax_rows(nd.constant([[1e4, 0.0, -1e4]])).data
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
 
@@ -253,6 +258,83 @@ class TestMaskedAttention:
             nd.masked_attention(*tensors(k, q, q), np.ones((5, 3), bool))
         with pytest.raises(DimensionError):  # keys and values disagree
             nd.masked_attention(*tensors(q, k, np.ones((4, 2))), np.ones((3, 5), bool))
+
+
+class TestBatchedMultiHeadAttention:
+    """One op over several sequences and heads, against plain single-head,
+    single-sequence attention as the oracle."""
+
+    LENGTHS = (5, 8, 3)  # block-causal with B=3: every sequence ends in a ragged block
+
+    def inputs(self, seed, d=4):
+        rng = nd.make_rng(seed)
+        masks = [(np.arange(n)[None, :] // 3) <= (np.arange(n)[:, None] // 3) for n in self.LENGTHS]
+        q, k, v = (rng.normal(size=(sum(self.LENGTHS), d)) for _ in range(3))
+        return q, k, v, masks
+
+    def test_equals_attention_per_sequence_and_head(self):
+        q, k, v, masks = self.inputs(15, d=6)
+        out = nd.masked_attention(*tensors(q, k, v), masks, n_heads=3).data
+        starts = np.cumsum((0,) + self.LENGTHS)
+        for s, mask in enumerate(masks):
+            rows = slice(starts[s], starts[s + 1])
+            for h in range(3):
+                cols = slice(2 * h, 2 * h + 2)
+                one = nd.masked_attention(*tensors(q[rows, cols], k[rows, cols], v[rows, cols]), mask).data
+                np.testing.assert_allclose(out[rows, cols], one, rtol=0, atol=1e-15)
+
+    def test_gradcheck_two_heads_three_sequences(self):
+        q, k, v, masks = self.inputs(16)
+        q, k, v = nd.param("q", q), nd.param("k", k), nd.param("v", v)
+        tgt = nd.make_rng(17).integers(0, 4, sum(self.LENGTHS))
+
+        def loss():
+            out = nd.masked_attention(q.value, k.value, v.value, masks, n_heads=2)
+            return nd.masked_cross_entropy(out, tgt, np.arange(len(tgt)))
+
+        report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=64)
+        assert report.max_rel_err < 1e-5, str(report)
+
+    def test_masks_must_split_the_rows(self):
+        q, k, v, masks = self.inputs(18)
+        with pytest.raises(DimensionError):
+            nd.masked_attention(*tensors(q, k, v), masks[:2])
+        with pytest.raises(DimensionError):
+            nd.masked_attention(*tensors(q, k, v), masks, n_heads=3)  # 4 columns, 3 heads
+
+
+class TestSequences:
+    """Inside ``nd.sequences``, stacked rows give bit for bit what one pass
+    per sequence gives, gradients summed in sequence order."""
+
+    LENGTHS = (17, 33, 37, 45, 29, 21, 25, 41)
+
+    def test_matmul_add_embedding_match_one_pass_per_sequence(self):
+        rng = nd.make_rng(19)
+        T = sum(self.LENGTHS)
+        table = nd.param("table", rng.normal(size=(11, 64)))
+        # 67 columns, like the model's head: BLAS may round the last columns
+        # of a product differently when other rows share the call
+        w = nd.param("w", rng.normal(size=(64, 67)))
+        bias = nd.param("bias", rng.normal(size=67))
+        ids, tgt = rng.integers(0, 11, T), rng.integers(0, 67, T)
+        params = [table, w, bias]
+
+        def loss(rows):
+            logits = nd.add(nd.matmul(nd.embedding(table.value, ids[rows]), w.value), bias.value)
+            return nd.masked_cross_entropy(logits, tgt[rows], np.arange(len(ids[rows])))
+
+        nd.zero_grads(params)
+        with nd.sequences(self.LENGTHS):
+            stacked = loss(slice(0, T))
+        stacked.backward()
+        got = [p.grad.copy() for p in params]
+        nd.zero_grads(params)
+        starts = np.cumsum((0,) + self.LENGTHS)
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            loss(slice(lo, hi)).backward()
+        for p, g in zip(params, got):
+            np.testing.assert_array_equal(g, p.grad, err_msg=p.name)
 
 
 class TestAdamW:

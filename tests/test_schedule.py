@@ -4,7 +4,24 @@ import numpy as np
 import pytest
 
 from blockmdm.errors import ParameterError
-from blockmdm.schedule import confidence, pick_reveal, row_entropy, schedule_counts, schedule_step
+from blockmdm.nd import softmax_array
+from blockmdm.schedule import pick_reveal, row_entropy, schedule_step
+
+
+def schedule_counts(R: int, K: int) -> list:
+    """The full reveal plan ``[n_1, ..., n_K]`` starting from ``R`` masked."""
+    counts = []
+    remaining = R
+    for j in range(1, K + 1):
+        n = schedule_step(remaining, j, K)
+        counts.append(n)
+        remaining -= n
+    return counts
+
+
+def confidence(logits_row) -> float:
+    """Maximum softmax probability of one logits row."""
+    return float(softmax_array(np.asarray(logits_row, dtype=np.float64)).max())
 
 
 class TestScheduleStep:

@@ -188,6 +188,53 @@ class TestKVCache:
             talker.forward_array(params, SMALL, np.zeros(8, dtype=int), aligned, cache=cache)
 
 
+class TestBatchedForward:
+    """The stacked-rows forward against its oracle, one plain forward per sequence."""
+
+    LENGTHS = (5, 12, 9, 16)  # ragged last blocks at B=4, and a sequence of T_max/2
+
+    def batch(self, seed=0):
+        rng = nd.make_rng(seed)
+        params = init_params(SMALL, rng)
+        tokens = [rng.integers(0, SMALL.V, T) for T in self.LENGTHS]
+        sources = [rng.integers(0, SMALL.src_vocab, n) for n in (1, 3, 2, 5)]
+        return params, tokens, sources
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stacked_logits_equal_per_sample_forward(self, seed):
+        params, tokens, sources = self.batch(seed)
+        aligned = talker.align_batch(params, SMALL, sources, self.LENGTHS)
+        stacked = talker.forward_array(params, SMALL, np.concatenate(tokens), aligned,
+                                       lengths=self.LENGTHS)
+        starts = np.cumsum((0,) + self.LENGTHS)
+        for i, (toks, source) in enumerate(zip(tokens, sources)):
+            one = talker.forward_array(params, SMALL, toks,
+                                       talker.align_for_canvas(params, SMALL, source, len(toks)))
+            np.testing.assert_array_equal(stacked[starts[i]:starts[i + 1]], one)
+
+    def test_batch_of_one_is_the_plain_forward(self):
+        params, tokens, sources = self.batch()
+        aligned = talker.align_for_canvas(params, SMALL, sources[1], 12)
+        np.testing.assert_array_equal(
+            talker.forward_array(params, SMALL, tokens[1], aligned, lengths=[12]),
+            talker.forward_array(params, SMALL, tokens[1], aligned))
+
+    def test_lengths_checked(self):
+        params, tokens, sources = self.batch()
+        aligned = talker.align_batch(params, SMALL, sources, self.LENGTHS)
+        stacked = np.concatenate(tokens)
+        with pytest.raises(InputError):  # lengths do not cover the rows
+            talker.forward_array(params, SMALL, stacked, aligned, lengths=[5, 12, 9, 15])
+        with pytest.raises(InputError):  # a sequence longer than T_max
+            talker.forward_array(params, SMALL, np.zeros(40, dtype=int),
+                                 talker.align_batch(params, SMALL, sources[:2], [33, 7]), lengths=[33, 7])
+        with pytest.raises(InputError):  # the stream covers other rows than the tokens
+            talker.forward_array(params, SMALL, stacked[:26], aligned, lengths=[5, 12, 9])
+        with pytest.raises(ContractError):
+            talker.forward_array(params, SMALL, stacked, aligned, lengths=self.LENGTHS,
+                                 cache=KVCache(SMALL, 64))
+
+
 class TestParams:
     def test_shapes_reproducible_from_config(self):
         p1 = init_params(SMALL, nd.make_rng(0))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from blockmdm import nd, talker
+from blockmdm import nd, talker, training
 from blockmdm.errors import ContractError, ParameterError, TrainingDivergedError
 from blockmdm.masking import MaskingConfig
 from blockmdm.synthtask import TaskSpec, gen_dataset
-from blockmdm.training import (DistillConfig, OptimizerConfig, TeacherTargets, distill_loss,
-                               teacher_rollout, train_distill, train_mdm)
+from blockmdm.training import (DistillConfig, OptimizerConfig, TeacherTargets, batch_loss,
+                               distill_loss, draw_batch, teacher_rollout, train_distill, train_mdm)
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                           B=4, Q=2, T_max=32)
@@ -230,6 +230,116 @@ class TestTrainDistill:
         a = train_distill(CFG, start, ds, DistillConfig(K=2), HIER, OPT, steps=10, seed=11)
         b = train_distill(CFG, start, ds, DistillConfig(K=2), HIER, OPT, steps=10, seed=11)
         assert a.params.digest() == b.params.digest()
+
+
+def scripted_batch(monkeypatch, masks, seed=0):
+    """A batch of ``len(masks)`` samples whose mask draws are ``masks``."""
+    draws = iter(masks)
+    monkeypatch.setattr(training, "sample_mask", lambda part, cfg, rng: np.array(next(draws), dtype=np.intp))
+    dataset = tiny_dataset(seed=seed)
+    batch = draw_batch(dataset, CFG, GLOBAL, nd.make_rng(seed), len(masks))
+    rng = nd.make_rng(seed)  # the same draws again, for the per-sample oracle
+    samples = [dataset[int(rng.integers(len(dataset)))] for _ in masks]
+    return batch, samples
+
+
+class TestBatchedStep:
+    """One forward/backward over the stacked batch against its oracle: one
+    plain forward and backward per sample, gradients summed in sample order.
+    The batch takes each sample's rows through the same arithmetic, so the
+    two agree bit for bit."""
+
+    MASKS = ([0, 2, 3], [], [1, 4, 5, 6, 8], [3])  # the second sample's mask came up empty
+
+    def rollout(self, teacher, batch, K=2):
+        aligned = talker.align_batch(teacher, CFG, batch.sources, batch.lengths)
+        return teacher_rollout(batch.corrupted, batch.masked,
+                               lambda toks: talker.forward_array(teacher, CFG, toks, aligned,
+                                                                 lengths=batch.lengths),
+                               B=CFG.B, K=K, lengths=batch.lengths)
+
+    def test_batch_layout(self, monkeypatch):
+        batch, samples = scripted_batch(monkeypatch, self.MASKS)
+        kept = [s for s, m in zip(samples, self.MASKS) if m]
+        assert batch.size == 4 and batch.lengths == [len(s.target) for s in kept]
+        np.testing.assert_array_equal(batch.targets, np.concatenate([s.target for s in kept]))
+        starts = np.cumsum([0] + batch.lengths)
+        want = np.concatenate([start + np.array(m) for start, m in zip(starts, [m for m in self.MASKS if m])])
+        np.testing.assert_array_equal(batch.masked, want)
+        assert (batch.corrupted[batch.masked] == CFG.vocab.mask_id).all()
+        np.testing.assert_array_equal(batch.counts, [3] * 3 + [5] * 5 + [1])
+
+    @pytest.mark.parametrize("distill", [False, True])
+    def test_gradients_equal_sum_of_per_sample_gradients(self, monkeypatch, distill):
+        batch, samples = scripted_batch(monkeypatch, self.MASKS, seed=1)
+        params = talker.init_params(CFG, nd.make_rng(2))
+        plist = params.ordered()
+        dcfg = DistillConfig(K=2, alpha=0.7)
+        tea = self.rollout(talker.init_params(CFG, nd.make_rng(3)), batch)[0] if distill else None
+
+        nd.zero_grads(plist)
+        total, kd, mdm = batch_loss(params, CFG, batch, tea, dcfg)
+        total.backward()
+        got = {p.name: p.grad.copy() for p in plist}
+
+        nd.zero_grads(plist)
+        losses, kds, start = [], [], 0
+        for sample, mask in zip(samples, self.MASKS):
+            if not mask:
+                losses.append(0.0)
+                kds.append(0.0)
+                continue
+            T = len(sample.target)
+            corrupted = sample.target.copy()
+            corrupted[mask] = CFG.vocab.mask_id
+            logits = talker.forward(params, CFG, corrupted,
+                                    talker.align_for_canvas(params, CFG, sample.source, T))
+            tea_i = (TeacherTargets(z_tea=tea.z_tea[start:start + T], valid=tea.valid[start:start + T])
+                     if distill else None)
+            loss_i, kd_i, _ = distill_loss(logits, sample.target, mask, tea_i, dcfg)
+            loss_i.backward()
+            losses.append(loss_i.item())
+            kds.append(kd_i)
+            start += T
+        assert total.item() == pytest.approx(np.sum(losses), rel=1e-12)
+        assert kd == pytest.approx(np.sum(kds), rel=1e-12, abs=0.0)
+        assert (kd > 0) == distill
+        for p in plist:
+            assert np.abs(p.grad).max() > 0, p.name
+            np.testing.assert_array_equal(got[p.name], p.grad, err_msg=p.name)
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_batched_rollout_equals_per_sample_rollout(self, monkeypatch, K):
+        batch, samples = scripted_batch(monkeypatch, self.MASKS, seed=4)
+        teacher = talker.init_params(CFG, nd.make_rng(5))
+        tea, final, n_fwd = self.rollout(teacher, batch, K=K)
+        assert n_fwd == K
+        starts = np.cumsum([0] + batch.lengths)
+        kept = [(s, m) for s, m in zip(samples, self.MASKS) if m]
+        for (sample, mask), lo, hi in zip(kept, starts[:-1], starts[1:]):
+            corrupted = batch.corrupted[lo:hi]
+            aligned = talker.align_for_canvas(teacher, CFG, sample.source, hi - lo)
+            one, one_final, _ = teacher_rollout(
+                corrupted, np.array(mask),
+                lambda toks: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K)
+            np.testing.assert_array_equal(tea.valid[lo:hi], one.valid)
+            np.testing.assert_array_equal(tea.z_tea[lo:hi], one.z_tea)
+            np.testing.assert_array_equal(final[lo:hi], one_final)
+
+    def test_rollout_blocks_are_per_sequence(self):
+        # two sequences of 6 rows at B=4: rows 4-5 end the first sequence and
+        # rows 6-7 start the second, so they are two blocks of R=2, not one
+        # block of R=4; at K=4 each reveals one row per step and is done in 2
+        T, V = 12, 7
+        teacher = ScriptedTeacher(T, V, seed=6)
+        mask = np.array([4, 5, 6, 7])
+        targets, _, n_fwd = teacher_rollout(np.zeros(T, int), mask, teacher, B=4, K=4, lengths=[6, 6])
+        assert n_fwd == 2
+        step1 = teacher.history[0]
+        assert sum(np.array_equal(targets.z_tea[t], step1[t]) for t in (4, 5)) == 1
+        assert sum(np.array_equal(targets.z_tea[t], step1[t]) for t in (6, 7)) == 1
+        with pytest.raises(ParameterError):
+            teacher_rollout(np.zeros(T, int), mask, teacher, B=4, K=2, lengths=[6, 5])
 
 
 class TestKLGradientDirections:
