@@ -8,10 +8,11 @@ real-time-factor analog divides wall time by a nominal output duration
 (``tokens * seconds_per_token``), a labeling convention for comparing
 trends, not a measured audio property.
 
-Confidence and entropy per reveal step come from the traces of the eval
-decodes themselves: the decoder records them for every revealed position
-as :func:`decode.reveal_step` picks it, so no measurement replays a
-decode.
+Confidence and entropy per reveal step, and the talker stage of the
+first-chunk latency, come from the traces of the eval decodes themselves:
+the decoder records confidence and entropy for every revealed position as
+:func:`decode.reveal_step` picks it, and the wall time and forward passes
+of every block. A sweep runs no model forward outside its eval decodes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class Metrics:
     mean_confidence_per_step: list
     mean_entropy_per_step: list
     forwards_per_block: float
+    # per eval source: its first emitted chunk and the trace of its first block
+    first_blocks: list = field(default_factory=list, repr=False)
 
     @property
     def conf_step1(self):
@@ -92,70 +95,77 @@ def _timed(fn, inputs):
     return results, times
 
 
-def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, Ks,
+def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, evals,
                           max_blocks: int = 8, warmup: int = 2) -> dict:
     """Mean, median and standard deviation of per-stage first-chunk
-    latency, as ``{K: report}`` for each step count in ``Ks``.
+    latency, as ``{K: report}`` for each step count among ``evals``: the
+    :func:`decode_eval` results over ``sources`` (in order, same
+    ``max_blocks``; any number per K).
 
     Stages: building the aligned conditioning stream, the talker's
     diffusion steps for the first block, and post-processing (EOS scan and
-    emission). Sources are taken in rounds of ``STAGE_ROUND``, with the
-    garbage collector paused. Within a round each stage runs over the
-    round's sources in its own back-to-back loop, every source once per K,
-    the K values alternating from call to call (and their order reversed
-    every other round). So a microsecond stage is never timed right after
-    the K-dependent talker stage or across a collection, every K sees the
-    same drift in processor speed, and the memory held while the collector
-    is paused stays bounded. A stage takes microseconds per call, so one
-    preempted call can move its mean by more than 10%; the median is the
-    figure to compare across K, and the sweep reports it.
+    emission). The talker stage is read from the eval decodes' traces of
+    each source's first block, pooled over the results of a K; no model
+    forward runs here. The two microsecond stages are timed here, post on
+    each source's first chunk as its K's first eval decode emitted it.
+    Sources are taken in rounds of ``STAGE_ROUND``, with the garbage
+    collector paused. Within a round each stage runs over the round's
+    sources in its own back-to-back loop, every source once per K, the K
+    values alternating from call to call (and their order reversed every
+    other round). So a stage is never timed right after a K-dependent
+    decode or across a collection, every K sees the same drift in
+    processor speed, and the memory held while the collector is paused
+    stays bounded. One preempted call can move a stage's mean by more than
+    10%; the median is the figure to compare across K, and the sweep
+    reports it.
     """
-    dcfgs = {K: DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
-             for K in Ks}
-    Ks = list(dcfgs)
-    canvas_T = decode_mod.canvas_length(tcfg, dcfgs[Ks[0]])
-    empty = np.empty(0, dtype=np.intp)
+    by_K = {}
+    for m in evals:
+        if len(m.first_blocks) != len(sources):
+            raise ParameterError(f"K={m.K} eval decoded {len(m.first_blocks)} sources, "
+                                 f"expected {len(sources)}")
+        by_K.setdefault(m.K, []).append(m)
+    Ks = list(by_K)
+    chunks = {K: [chunk for chunk, _ in ms[0].first_blocks] for K, ms in by_K.items()}
+    canvas_T = decode_mod.canvas_length(tcfg, DecodeConfig(B=tcfg.B, max_blocks=max_blocks))
 
     def semantics(source):
         with nd.no_grad():
             return talker.align_for_canvas(params, tcfg, source, canvas_T)
 
-    def talker_steps(job):
-        K, aligned = job
-        return decode_mod.decode_block(empty, aligned, params, tcfg, dcfgs[K])
-
     def post(block):
         hits = np.nonzero(block == tcfg.vocab.eos_id)[0]
         return (block[:int(hits[0]) + 1] if hits.size else block).tolist()
 
-    def run_round(inputs, order):
-        """Each stage over ``inputs`` in its own loop, alternating between
-        the K values of ``order`` from call to call; returns per call its K,
-        three stage times and forward passes."""
-        Ks_by_call = [K for _ in inputs for K in order]
-        aligned, t_sem = _timed(semantics, [x for x in inputs for _ in order])
-        decoded, t_talker = _timed(talker_steps, zip(Ks_by_call, aligned))
-        _, t_post = _timed(post, [block for block, _ in decoded])
-        return zip(Ks_by_call, t_sem, t_talker, t_post, [btrace.forward_passes for _, btrace in decoded])
+    def run_round(indices, order):
+        """Both stages over the sources at ``indices`` in their own loops,
+        alternating between the K values of ``order`` from call to call;
+        returns per call its K and two stage times."""
+        jobs = [(K, i) for i in indices for K in order]
+        _, t_sem = _timed(semantics, [sources[i] for _, i in jobs])
+        _, t_post = _timed(post, [chunks[K][i] for K, i in jobs])
+        return zip([K for K, _ in jobs], t_sem, t_post)
 
-    stages = {K: {"semantics": [], "talker": [], "post": []} for K in Ks}
-    forwards = {K: [] for K in Ks}
-    run_round(sources[:warmup], Ks)
+    first = {K: [btrace for m in ms for _, btrace in m.first_blocks] for K, ms in by_K.items()}
+    stages = {K: {"semantics": [], "talker": [btrace.wall_time for btrace in first[K]], "post": []}
+              for K in Ks}
+    indices = range(len(sources))
+    run_round(indices[:warmup], Ks)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for r, lo in enumerate(range(0, len(sources), STAGE_ROUND)):
             order = Ks if r % 2 == 0 else Ks[::-1]
-            for K, *times, n_forwards in run_round(sources[lo:lo + STAGE_ROUND], order):
-                for values, t in zip(stages[K].values(), times):
-                    values.append(t)
-                forwards[K].append(n_forwards)
+            for K, t_sem, t_post in run_round(indices[lo:lo + STAGE_ROUND], order):
+                stages[K]["semantics"].append(t_sem)
+                stages[K]["post"].append(t_post)
     finally:
         if gc_was_enabled:
             gc.enable()
     reports = {}
     for K, by_stage in stages.items():
-        report = {"K": K, "n_inputs": len(sources), "forwards_first_block": float(np.mean(forwards[K]))}
+        report = {"K": K, "n_inputs": len(sources),
+                  "forwards_first_block": float(np.mean([btrace.forward_passes for btrace in first[K]]))}
         for name, values in by_stage.items():
             report[f"{name}_mean"] = float(np.mean(values))
             report[f"{name}_median"] = float(np.median(values))
@@ -192,8 +202,10 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
     wall = 0.0
     errs = []
     traces = []
+    first_blocks = []
     for p in pairs:
         result = decode_mod.decode_source(p.source, params, tcfg, dcfg)
+        first_blocks.append((result.tokens[:dcfg.B], result.trace.blocks[0]))
         tokens += len(result.tokens)
         wall += result.trace.wall_time
         hyp = synthtask.strip_eos(result.tokens, vocab.eos_id)
@@ -213,6 +225,7 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
         mean_confidence_per_step=mean_conf,
         mean_entropy_per_step=mean_ent,
         forwards_per_block=float(np.mean(forwards)) if forwards else 0.0,
+        first_blocks=first_blocks,
     )
 
 
@@ -236,7 +249,8 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
     """Run the full (checkpoint, K) grid and aggregate over repetitions.
 
     Each cell decodes the eval set once per repetition (after warm-up);
-    its confidence and entropy columns come from those decodes' traces.
+    its confidence and entropy columns and its talker stage come from those
+    decodes' traces, so the sweep runs no other model forward.
     """
     if pairs is None:
         if cfg.eval_path is None:
@@ -252,18 +266,17 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
             talker.check_compatible(ref_cfg, tcfg, path=path)
         loaded[label] = (tcfg, params)
 
+    sources = [p.source for p in pairs]
     rows = []
     for label, (tcfg, params) in loaded.items():
-        sources = [p.source for p in pairs]
-        breakdown = first_chunk_breakdown(params, tcfg, sources, cfg.steps,
+        evals = {K: [decode_eval(params, tcfg, pairs, K, max_blocks=cfg.max_blocks, warmup=cfg.warmup,
+                                 checkpoint_label=label, seconds_per_token=cfg.seconds_per_token)
+                     for _ in range(cfg.repetitions)]
+                 for K in cfg.steps}
+        breakdown = first_chunk_breakdown(params, tcfg, sources, [m for ms in evals.values() for m in ms],
                                           max_blocks=cfg.max_blocks, warmup=cfg.warmup)
         for K in cfg.steps:
-            reps = []
-            for rep in range(cfg.repetitions):
-                m = decode_eval(params, tcfg, pairs, K, max_blocks=cfg.max_blocks,
-                                warmup=cfg.warmup, checkpoint_label=label,
-                                seconds_per_token=cfg.seconds_per_token)
-                reps.append(m)
+            reps = evals[K]
             rows.append({
                 "checkpoint": label,
                 "K": K,

@@ -24,6 +24,9 @@ from .errors import BlockMDMError, ParameterError, TrainingDivergedError
 
 # config keys whose default is None but whose value is not a path
 _NONE_DEFAULT_TYPES = {("decode", "block_size"): int, ("bench", "checkpoint"): (str, list, dict)}
+# options with a fixed set of values, as flags and as config keys
+_CHOICES = {"masking": ("hierarchical", "global_bernoulli"), "mode": ("hierarchical", "global_bernoulli"),
+            "kl": ("reverse", "forward")}
 
 
 def _config_type(command, key, default):
@@ -52,6 +55,9 @@ def _merge(args, config_path, defaults):
             want = _config_type(args.command, key, defaults[key])
             if isinstance(value, bool) or not isinstance(value, want):
                 raise ParameterError(f"{config_path}: config key {key!r} has the wrong type: {value!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ParameterError(f"{config_path}: config key {key!r} must be one of "
+                                     f"{list(_CHOICES[key])}, got {value!r}")
     out = {}
     for key, default in defaults.items():
         cli_val = getattr(args, key, None)
@@ -121,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--alpha", type=float)
     pd.add_argument("--tau", type=float)
     pd.add_argument("--teacher-steps", type=int)
-    pd.add_argument("--kl", choices=["reverse", "forward"])
-    pd.add_argument("--masking", choices=["hierarchical", "global_bernoulli"])
+    pd.add_argument("--kl", choices=_CHOICES["kl"])
+    pd.add_argument("--masking", choices=_CHOICES["masking"])
     pd.add_argument("--gamma-c-min", type=float)
     pd.add_argument("--gamma-c-max", type=float)
     pd.add_argument("--gamma-t-min", type=float)
@@ -137,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="conditioning file: corpus file or one source sequence per line")
     pc.add_argument("--output")
     pc.add_argument("--trace")
+    pc.add_argument("--log-jsonl", help="write one JSON object per decoded block to this file")
     pc.add_argument("--steps", type=int)
     pc.add_argument("--block-size", type=int)
     pc.add_argument("--max-blocks", type=int)
@@ -155,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("maskstats", help="masking sampler statistics report")
     pm.add_argument("--config")
-    pm.add_argument("--mode", choices=["hierarchical", "global_bernoulli"])
+    pm.add_argument("--mode", choices=_CHOICES["mode"])
     pm.add_argument("--T", type=int)
     pm.add_argument("--block-size", type=int)
     pm.add_argument("--samples", type=int)
@@ -254,12 +261,9 @@ def cmd_distill(args) -> int:
     })
     cfg, start = talker.load_checkpoint(ns.checkpoint)
     _, pairs = synthtask.read_corpus(ns.data)
-    if ns.masking == "hierarchical":
-        mcfg = masking.MaskingConfig(mode="hierarchical",
-                                     gamma_c=(ns.gamma_c_min, ns.gamma_c_max),
-                                     gamma_t=(ns.gamma_t_min, ns.gamma_t_max))
-    else:
-        mcfg = masking.MaskingConfig(mode="global_bernoulli", gamma_g=(ns.gamma_g_min, ns.gamma_g_max))
+    mcfg = masking.MaskingConfig(mode=ns.masking, gamma_g=(ns.gamma_g_min, ns.gamma_g_max),
+                                 gamma_c=(ns.gamma_c_min, ns.gamma_c_max),
+                                 gamma_t=(ns.gamma_t_min, ns.gamma_t_max))
     dcfg = training.DistillConfig(K=ns.teacher_steps, tau=ns.tau, alpha=ns.alpha, kl_direction=ns.kl)
     opt = training.OptimizerConfig(lr=ns.lr, batch_size=ns.batch_size, weight_decay=ns.weight_decay)
     try:
@@ -291,9 +295,21 @@ def _read_conditioning(path):
     return sources
 
 
+def _block_events(traces, B: int):
+    """One event per decoded block of ``B`` positions, read from the decode traces."""
+    for i, trace in enumerate(traces):
+        for btrace in trace.blocks:
+            conf = [c for step in btrace.steps for c in step.confidences]
+            entropy = [h for step in btrace.steps for h in step.entropies]
+            yield {"input_index": i, "block": btrace.block_index, "forwards": btrace.forward_passes,
+                   "tokens": min(B, trace.tokens_emitted - btrace.block_index * B),
+                   "wall_ms": btrace.wall_time * 1e3,
+                   "mean_confidence": float(np.mean(conf)), "mean_entropy": float(np.mean(entropy))}
+
+
 def cmd_decode(args) -> int:
     ns = _merge(args, args.config, {
-        "checkpoint": None, "input": None, "output": None, "trace": None,
+        "checkpoint": None, "input": None, "output": None, "trace": None, "log_jsonl": None,
         "steps": 4, "block_size": None, "max_blocks": 8, "seed": 0,
     })
     if ns.steps < 1:
@@ -312,13 +328,18 @@ def cmd_decode(args) -> int:
                 out.write("\n")
             for tok in result.tokens:
                 out.write(f"{int(tok)}\n")
-            traces.append({"input_index": i, **asdict(result.trace)})
+            traces.append(result.trace)
     finally:
         if out is not sys.stdout:
             out.close()
     if ns.trace:
         with open(ns.trace, "w", encoding="utf-8") as f:
-            f.write(bench.report_to_json({"seed": ns.seed, "K": ns.steps, "traces": traces}))
+            f.write(bench.report_to_json({"seed": ns.seed, "K": ns.steps, "traces": [
+                {"input_index": i, **asdict(trace)} for i, trace in enumerate(traces)]}))
+    if ns.log_jsonl:
+        with open(ns.log_jsonl, "w", encoding="utf-8") as f:
+            for event in _block_events(traces, dcfg.B):
+                f.write(json.dumps(event) + "\n")
     return 0
 
 

@@ -256,10 +256,16 @@ def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: 
 def align_batch(params: TalkerParams, cfg: TalkerConfig, sources, lengths) -> AlignedSemantics:
     """One conditioning stream for sequences stacked sample-major: sample
     ``i``'s stream for a canvas of ``lengths[i]`` rows, at its rows."""
-    parts = [align_for_canvas(params, cfg, source, T) for source, T in zip(sources, lengths)]
-    anchors = [a.anchor_positions + start for a, start in zip(parts, np.cumsum([0] + list(lengths)))]
-    return AlignedSemantics(T=sum(lengths), d=cfg.d, h_prime=nd.concat_rows([a.h_prime for a in parts]),
-                            anchor_positions=np.concatenate(anchors),
+    return stack_aligned([align_for_canvas(params, cfg, source, T) for source, T in zip(sources, lengths)])
+
+
+def stack_aligned(parts) -> AlignedSemantics:
+    """Conditioning streams of single sequences stacked sample-major, as
+    :func:`forward` takes them for a batch of those sequences."""
+    starts = np.cumsum([0] + [a.T for a in parts])
+    return AlignedSemantics(T=int(starts[-1]), d=parts[0].d, h_prime=nd.concat_rows([a.h_prime for a in parts]),
+                            anchor_positions=np.concatenate([a.anchor_positions + start
+                                                             for a, start in zip(parts, starts)]),
                             n_assigned=sum(a.n_assigned for a in parts))
 
 

@@ -12,7 +12,8 @@ input, which is what compresses multi-step refinement into few steps.
 
 Both stages take one forward and one backward pass per optimizer step:
 a batch's sequences are stacked row by row without padding
-(:class:`Batch`), and the teacher rolls out the whole batch at once.
+(:class:`Batch`), and the teacher rolls out the whole batch at once, each
+forward pass over the sequences it has not finished.
 """
 
 from __future__ import annotations
@@ -71,13 +72,16 @@ class TeacherTargets:
 def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, lengths=None):
     """Reveal all masked positions in ``K`` confidence-ranked steps.
 
-    ``forward_fn(tokens) -> logits array`` is the frozen teacher bound to
-    its conditioning. ``lengths`` splits the rows into sequences stacked
-    sample-major (default: one sequence), and blocks are counted within
-    each sequence. Each step runs one forward pass over all rows and
-    updates every block of every sequence in parallel: per block, the
-    ``n_j`` still-masked positions with highest confidence (ties to lowest
-    index) are recorded into the target tensor and replaced by their argmax
+    ``lengths`` splits the rows into sequences stacked sample-major
+    (default: one sequence), and blocks are counted within each sequence.
+    ``forward_fn(tokens, seqs) -> logits array`` is the frozen teacher bound
+    to its conditioning: ``tokens`` stacks the rows of the sequences with
+    indices ``seqs`` (ascending), and the logits cover those rows. Each step
+    runs one forward pass over the sequences that still have masked
+    positions (a sequence's logits do not depend on the others) and updates
+    every block of those sequences in parallel: per block, the ``n_j``
+    still-masked positions with highest confidence (ties to lowest index)
+    are recorded into the target tensor and replaced by their argmax
     tokens. Returns ``(targets, final_sequence, n_forward_passes)``.
     """
     corrupted0 = np.asarray(corrupted0)
@@ -89,24 +93,27 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
     if sum(lengths) != T:
         raise ParameterError(f"sequence lengths {lengths} do not cover the {T} rows")
     # (sequence, block) of every row as one key, ascending sample-major
-    starts = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
-    block_key = np.repeat(np.arange(len(lengths)), lengths) * T + (np.arange(T) - starts) // B
+    seq_of = np.repeat(np.arange(len(lengths)), lengths)
+    block_key = seq_of * T + (np.arange(T) - np.repeat(np.cumsum([0] + lengths[:-1]), lengths)) // B
     seq = corrupted0.copy()
     remaining = {}
     for t in np.sort(mask_positions):
         remaining.setdefault(int(block_key[t]), []).append(int(t))
     remaining = {k: np.array(v, dtype=np.intp) for k, v in remaining.items()}
 
-    z_tea = None
+    z_tea = logits = None
     valid = np.zeros(T, dtype=bool)
     n_forwards = 0
     for j in range(1, K + 1):
         if not remaining:
             break
-        logits = forward_fn(seq)
+        active = sorted({k // T for k in remaining})
+        rows = np.nonzero(np.isin(seq_of, active))[0]
+        out = forward_fn(seq[rows], active)
         n_forwards += 1
         if z_tea is None:
-            z_tea = np.zeros((T, logits.shape[1]))
+            z_tea, logits = np.zeros((T, out.shape[1])), np.zeros((T, out.shape[1]))
+        logits[rows] = out
         for k in sorted(remaining):
             pos = remaining[k]
             reveal, _, _ = reveal_step(logits, pos, j, K)
@@ -280,7 +287,7 @@ def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
     """Self-distillation fine-tuning against a frozen copy of the start
     parameters. The teacher never receives gradient updates; the student
     starts from the same checkpoint. The teacher rolls out the whole batch
-    at once: ``K`` forward passes per step."""
+    at once: at most ``K`` forward passes per step."""
     if not dataset:
         raise ParameterError("dataset must be nonempty")
     rng = nd.make_rng(seed)
@@ -289,11 +296,15 @@ def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
 
     def targets_fn(batch):
         with nd.no_grad():
-            aligned = talker.align_batch(teacher, cfg, batch.sources, batch.lengths)
-        tea, _, _ = teacher_rollout(
-            batch.corrupted, batch.masked,
-            lambda toks: talker.forward_array(teacher, cfg, toks, aligned, lengths=batch.lengths),
-            B=cfg.B, K=distill_cfg.K, lengths=batch.lengths)
+            parts = [talker.align_for_canvas(teacher, cfg, source, n)
+                     for source, n in zip(batch.sources, batch.lengths)]
+
+        def forward_fn(tokens, seqs):
+            return talker.forward_array(teacher, cfg, tokens, talker.stack_aligned([parts[i] for i in seqs]),
+                                        lengths=[batch.lengths[i] for i in seqs])
+
+        tea, _, _ = teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=cfg.B, K=distill_cfg.K,
+                                    lengths=batch.lengths)
         return tea
 
     # with alpha = 0 the teacher targets would carry zero weight: pure masked-CE

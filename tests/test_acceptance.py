@@ -20,6 +20,8 @@ from blockmdm.schedule import schedule_step
 from blockmdm.synthtask import TaskSpec, gen_dataset, strip_eos, token_error_rate
 from blockmdm.training import DistillConfig, OptimizerConfig, train_distill, train_mdm
 
+pytestmark = pytest.mark.acceptance
+
 # ---------------------------------------------------------------------------
 # shared desk-scale recipe (criteria 6-11)
 # ---------------------------------------------------------------------------
@@ -350,15 +352,13 @@ def test_criterion_11_efficiency_trend(stage2, datasets):
     _, eval_ = datasets
     pairs = eval_[:60]
     sources = [p.source for p in pairs]
-    tps = {}
-    forwards_ok = True
-    for K in (16, 8, 4, 2, 1):
-        m = bench.decode_eval(params, MODEL_CFG, pairs, K=K, max_blocks=4, warmup=2)
-        tps[K] = m.tps
-        if m.forwards_per_block != K:
-            forwards_ok = False
+    evals = {K: bench.decode_eval(params, MODEL_CFG, pairs, K=K, max_blocks=4, warmup=2)
+             for K in (16, 8, 4, 2, 1)}
+    tps = {K: m.tps for K, m in evals.items()}
+    forwards_ok = all(m.forwards_per_block == K for K, m in evals.items())
     increasing = all(tps[a] < tps[b] for a, b in ((16, 8), (8, 4), (4, 2), (2, 1)))
-    stages = bench.first_chunk_breakdown(params, MODEL_CFG, sources, [1, 16], max_blocks=4, warmup=2)
+    stages = bench.first_chunk_breakdown(params, MODEL_CFG, sources, [evals[1], evals[16]],
+                                         max_blocks=4, warmup=2)
     lo, hi = stages[1], stages[16]
     talker_ratio = hi["talker_mean"] / lo["talker_mean"]
     report(11, increasing and forwards_ok and talker_ratio >= 4.0,

@@ -72,9 +72,15 @@ class TestUncertaintyProfile:
             bench.uncertainty_profile(model, CFG, [p.source for p in pairs], K=0)
 
 
+def evals_at(model, pairs, Ks, max_blocks=4, warmup=2):
+    """decode_eval results over ``pairs``, one per K."""
+    return [bench.decode_eval(model, CFG, pairs, K, max_blocks=max_blocks, warmup=warmup) for K in Ks]
+
+
 class TestFirstChunkBreakdown:
     def test_stage_fields_and_forward_count(self, model, pairs):
-        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs], [3],
+        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs],
+                                           evals_at(model, pairs, [3], warmup=1),
                                            max_blocks=4, warmup=1)
         assert list(reps) == [3]
         rep = reps[3]
@@ -86,9 +92,32 @@ class TestFirstChunkBreakdown:
         assert rep["total_mean"] == pytest.approx(
             rep["semantics_mean"] + rep["talker_mean"] + rep["post_mean"])
 
+    def test_talker_stage_is_the_eval_first_blocks(self, model, pairs):
+        # the talker figures are those of the eval decodes' first blocks,
+        # pooled over every result of a K, exactly
+        evals = evals_at(model, pairs, [2, 1, 2])
+        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs], evals, max_blocks=4)
+        for K in (1, 2):
+            times = [btrace.wall_time for m in evals if m.K == K for _, btrace in m.first_blocks]
+            assert len(times) == len(pairs) * (2 if K == 2 else 1)
+            assert reps[K]["talker_median"] == float(np.median(times))
+            assert reps[K]["talker_mean"] == float(np.mean(times))
+
+    def test_runs_no_forward_and_checks_source_count(self, model, pairs, monkeypatch):
+        evals = evals_at(model, pairs, [2])
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("first_chunk_breakdown ran a model forward")
+
+        monkeypatch.setattr(talker, "forward", no_forward)
+        bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs], evals, max_blocks=4)
+        with pytest.raises(ParameterError):
+            bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs[:-1]], evals, max_blocks=4)
+
     def test_talker_stage_scales_with_k(self, model, pairs):
-        sources = [p.source for p in pairs] * 3
-        reps = bench.first_chunk_breakdown(model, CFG, sources, [1, 8], max_blocks=4)
+        pairs = pairs * 3
+        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs],
+                                           evals_at(model, pairs, [1, 8]), max_blocks=4)
         lo, hi = reps[1], reps[8]
         assert hi["talker_mean"] > 3.0 * lo["talker_mean"]
 
@@ -96,8 +125,9 @@ class TestFirstChunkBreakdown:
         # conditioning build and post-processing do not depend on K; their
         # medians (over enough repetitions to tame microsecond jitter) agree
         # within 10% between K=1 and K=8
-        sources = [p.source for p in pairs] * 25  # 300 measurements
-        reps = bench.first_chunk_breakdown(model, CFG, sources, [1, 8], max_blocks=4)
+        pairs = pairs * 25  # 300 measurements
+        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs],
+                                           evals_at(model, pairs, [1, 8]), max_blocks=4)
         lo, hi = reps[1], reps[8]
         for stage in ("semantics", "post"):
             a, b = lo[f"{stage}_median"], hi[f"{stage}_median"]
@@ -147,10 +177,10 @@ class TestSweep:
         report = bench.bench_sweep(ecfg, pairs=pairs)
         per_cell = ecfg.repetitions * (len(pairs) + ecfg.warmup)
         assert calls == {(label, K): per_cell for label in models for K in ecfg.steps}
-        # besides those decodes, only the first-chunk timing runs the model:
-        # K forwards per source and warm-up source
-        first_chunks = len(models) * sum(K * (len(pairs) + ecfg.warmup) for K in ecfg.steps)
-        assert forwards["all"] == forwards["decodes"] + first_chunks
+        # the first-chunk timing reads its talker stage from those decodes:
+        # the sweep runs no model forward besides them
+        assert forwards["decodes"] > 0
+        assert forwards["all"] == forwards["decodes"]
         monkeypatch.undo()
         sources = [p.source for p in pairs]
         for row in report["rows"]:

@@ -180,6 +180,30 @@ class TestDecodeCommand:
         assert first["blocks"][0]["forward_passes"] <= 2
         assert first["wall_time"]["nondeterministic"] is True
 
+    def test_log_jsonl_one_event_per_block(self, checkpoint, corpus, tmp_path):
+        out, trace, events = tmp_path / "tokens.txt", tmp_path / "trace.json", tmp_path / "events.jsonl"
+        rc = main(["decode", "--checkpoint", str(checkpoint), "--input", str(corpus), "--steps", "2",
+                   "--max-blocks", "4", "--output", str(out), "--trace", str(trace),
+                   "--log-jsonl", str(events)])
+        assert rc == 0
+        rows = [json.loads(line) for line in events.read_text().splitlines()]
+        traces = json.loads(trace.read_text())["traces"]
+        want = [(t["input_index"], b) for t in traces for b in t["blocks"]]
+        assert [(row["input_index"], row["block"]) for row in rows] == [(i, b["block_index"]) for i, b in want]
+        for row, (i, b) in zip(rows, want):
+            assert set(row) == {"input_index", "block", "forwards", "tokens", "wall_ms",
+                                "mean_confidence", "mean_entropy"}
+            assert row["forwards"] == b["forward_passes"]
+            assert row["wall_ms"] == b["wall_time"]["value"] * 1e3
+            steps = b["steps"]
+            assert row["mean_confidence"] == float(np.mean([c for s in steps for c in s["confidences"]]))
+            assert row["mean_entropy"] == float(np.mean([h for s in steps for h in s["entropies"]]))
+        chunks = out.read_text().strip().split("\n\n")
+        for i, t in enumerate(traces):
+            tokens = [row["tokens"] for row in rows if row["input_index"] == i]
+            assert sum(tokens) == t["tokens_emitted"] == len(chunks[i].splitlines())
+            assert all(n == 4 for n in tokens[:-1]) and 1 <= tokens[-1] <= 4
+
     def test_plain_line_conditioning_file(self, checkpoint, tmp_path):
         cond = tmp_path / "sources.txt"
         cond.write_text("# two inputs\n1 2 3\n4 5\n")
@@ -225,6 +249,10 @@ MALFORMED_INPUTS = {
     "config_json": ("{bad json", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
     "config_not_object": ("[]", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
     "config_value_type": ('{"T": "32"}', lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
+    "distill_masking_typo": ('{"masking": "hierarchal"}',
+                             lambda f, ckpt, corpus: ["distill", "--config", f, "--checkpoint", ckpt,
+                                                      "--data", corpus, "--out", f + ".ckpt",
+                                                      "--steps", "1", "--batch-size", "2"]),
     "negative_seed": ("", lambda f, ckpt, corpus: ["gradcheck", "--seed", "-1"]),
     "maskstats_range": ("", lambda f, ckpt, corpus: ["maskstats", "--gamma-g", "0.3"]),
     "bench_steps": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}",

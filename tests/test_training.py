@@ -27,7 +27,8 @@ class ScriptedTeacher:
         self.calls = 0
         self.history = []
 
-    def __call__(self, tokens):
+    def __call__(self, tokens, seqs):
+        assert len(tokens) == self.T  # every sequence still has masked positions
         self.calls += 1
         logits = self.rng.normal(size=(self.T, self.V)) + self.calls  # distinct per step
         self.history.append(logits.copy())
@@ -102,7 +103,7 @@ class TestTeacherRollout:
         T, V, B = 4, 5, 4
         uniform = np.zeros((T, V))
 
-        def flat_teacher(tokens):
+        def flat_teacher(tokens, seqs):
             return uniform
 
         targets, final, _ = teacher_rollout(np.full(T, 3), np.arange(T), flat_teacher, B=B, K=2)
@@ -251,12 +252,18 @@ class TestBatchedStep:
 
     MASKS = ([0, 2, 3], [], [1, 4, 5, 6, 8], [3])  # the second sample's mask came up empty
 
-    def rollout(self, teacher, batch, K=2):
-        aligned = talker.align_batch(teacher, CFG, batch.sources, batch.lengths)
-        return teacher_rollout(batch.corrupted, batch.masked,
-                               lambda toks: talker.forward_array(teacher, CFG, toks, aligned,
-                                                                 lengths=batch.lengths),
-                               B=CFG.B, K=K, lengths=batch.lengths)
+    def rollout(self, teacher, batch, K=2, rows_per_forward=None):
+        parts = [talker.align_for_canvas(teacher, CFG, source, n)
+                 for source, n in zip(batch.sources, batch.lengths)]
+
+        def forward_fn(tokens, seqs):
+            if rows_per_forward is not None:
+                rows_per_forward.append(len(tokens))
+            return talker.forward_array(teacher, CFG, tokens, talker.stack_aligned([parts[i] for i in seqs]),
+                                        lengths=[batch.lengths[i] for i in seqs])
+
+        return teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=CFG.B, K=K,
+                               lengths=batch.lengths)
 
     def test_batch_layout(self, monkeypatch):
         batch, samples = scripted_batch(monkeypatch, self.MASKS)
@@ -308,20 +315,30 @@ class TestBatchedStep:
             assert np.abs(p.grad).max() > 0, p.name
             np.testing.assert_array_equal(got[p.name], p.grad, err_msg=p.name)
 
-    @pytest.mark.parametrize("K", [1, 3])
-    def test_batched_rollout_equals_per_sample_rollout(self, monkeypatch, K):
-        batch, samples = scripted_batch(monkeypatch, self.MASKS, seed=4)
+    # samples of 5, 7 and 9 rows; the last one's only masked row is alone in
+    # its ragged last block (R=1 < K), so at K=3 that sample is done after
+    # the first forward and later forwards leave its rows out
+    EARLY = ([0, 2, 3], [1, 4, 5, 6], [8])
+
+    @pytest.mark.parametrize("K, early", [(1, False), (3, False), (3, True)], ids=["1", "3", "3-early"])
+    def test_batched_rollout_equals_per_sample_rollout(self, monkeypatch, K, early):
+        masks = self.EARLY if early else self.MASKS
+        batch, samples = scripted_batch(monkeypatch, masks, seed=4)
         teacher = talker.init_params(CFG, nd.make_rng(5))
-        tea, final, n_fwd = self.rollout(teacher, batch, K=K)
+        rows_per_forward = []
+        tea, final, n_fwd = self.rollout(teacher, batch, K=K, rows_per_forward=rows_per_forward)
         assert n_fwd == K
+        if early:
+            assert batch.lengths == [5, 7, 9]
+            assert rows_per_forward == [21, 12, 12]
         starts = np.cumsum([0] + batch.lengths)
-        kept = [(s, m) for s, m in zip(samples, self.MASKS) if m]
+        kept = [(s, m) for s, m in zip(samples, masks) if m]
         for (sample, mask), lo, hi in zip(kept, starts[:-1], starts[1:]):
             corrupted = batch.corrupted[lo:hi]
             aligned = talker.align_for_canvas(teacher, CFG, sample.source, hi - lo)
             one, one_final, _ = teacher_rollout(
                 corrupted, np.array(mask),
-                lambda toks: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K)
+                lambda toks, seqs: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K)
             np.testing.assert_array_equal(tea.valid[lo:hi], one.valid)
             np.testing.assert_array_equal(tea.z_tea[lo:hi], one.z_tea)
             np.testing.assert_array_equal(final[lo:hi], one_final)
