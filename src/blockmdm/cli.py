@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import bench, decode as decode_mod, masking, nd, synthtask, talker, training
-from .errors import BlockMDMError, ParameterError, TrainingDivergedError
+from .errors import BlockMDMError, InputError, ParameterError, TrainingDivergedError
 
 
 # config keys whose default is None but whose value is not a path
@@ -226,14 +226,23 @@ def _step_log(path, progress: bool):
         yield log if progress or events else None
 
 
+def _read_training_corpus(path, cfg: talker.TalkerConfig) -> list:
+    """The corpus's pairs, each of whose targets fits the model's ``T_max``."""
+    _, pairs = synthtask.read_corpus(path)
+    longest = max((len(p.target) for p in pairs), default=0)
+    if longest > cfg.T_max:
+        raise InputError(f"{path}: longest target has {longest} tokens, more than the model's T_max={cfg.T_max}")
+    return pairs
+
+
 def cmd_train(args) -> int:
     defaults = dict(MODEL_DEFAULTS)
     defaults.update({"data": None, "out": None, "curve": None, "log_jsonl": None,
                      "steps": 3000, "seed": 0, "lr": 1e-3, "batch_size": 8, "weight_decay": 0.01,
                      "gamma_g_min": 0.3, "gamma_g_max": 0.8})
     ns = _merge(args, args.config, defaults)
-    _, pairs = synthtask.read_corpus(ns.data)
     cfg = _model_config(ns)
+    pairs = _read_training_corpus(ns.data, cfg)
     mcfg = masking.MaskingConfig(mode="global_bernoulli", gamma_g=(ns.gamma_g_min, ns.gamma_g_max))
     opt = training.OptimizerConfig(lr=ns.lr, batch_size=ns.batch_size, weight_decay=ns.weight_decay)
     try:
@@ -260,7 +269,7 @@ def cmd_distill(args) -> int:
         "gamma_g_min": 0.3, "gamma_g_max": 0.8,
     })
     cfg, start = talker.load_checkpoint(ns.checkpoint)
-    _, pairs = synthtask.read_corpus(ns.data)
+    pairs = _read_training_corpus(ns.data, cfg)
     mcfg = masking.MaskingConfig(mode=ns.masking, gamma_g=(ns.gamma_g_min, ns.gamma_g_max),
                                  gamma_c=(ns.gamma_c_min, ns.gamma_c_max),
                                  gamma_t=(ns.gamma_t_min, ns.gamma_t_max))
@@ -303,7 +312,7 @@ def _block_events(traces, B: int):
             entropy = [h for step in btrace.steps for h in step.entropies]
             yield {"input_index": i, "block": btrace.block_index, "forwards": btrace.forward_passes,
                    "tokens": min(B, trace.tokens_emitted - btrace.block_index * B),
-                   "wall_ms": btrace.wall_time * 1e3,
+                   "wall_ms": btrace.wall_time * 1e3, "dropped_rows": trace.dropped_rows,
                    "mean_confidence": float(np.mean(conf)), "mean_entropy": float(np.mean(entropy))}
 
 

@@ -74,6 +74,7 @@ class DecodeTrace:
     wall_time: float = 0.0
     stopped_on_eos: bool = False
     truncated_by_limit: bool = False
+    dropped_rows: int = 0  # surplus conditioning rows the alignment dropped
 
 
 @dataclass
@@ -105,11 +106,14 @@ def reveal_step(logits, masked, j: int, K: int) -> tuple:
     their confidences (maximum softmax probability) and softmax entropies
     in nats. Their tokens are ``logits[positions].argmax(1)``.
     """
-    probs = nd.softmax_array(logits[masked])
-    conf = probs.max(axis=1)
+    e = logits[masked]  # the softmax of nd.softmax_array, divided out only where it is used
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    total = e.sum(axis=1)
+    conf = 1.0 / total  # exp(0) / total: the largest probability, bit for bit
     reveal = pick_reveal(masked, conf, schedule_step(len(masked), j, K))
     idx = np.searchsorted(masked, reveal)
-    p = probs[idx]
+    p = e[idx] / total[idx, None]
     entropy = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
     return reveal, conf[idx], entropy
 
@@ -169,6 +173,7 @@ def stream_blocks(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerC
     if aligned.T < dcfg.B:
         raise ParameterError(f"conditioning stream length {aligned.T} is shorter than one block ({dcfg.B})")
     eos = dcfg.eos_id if dcfg.eos_id is not None else tcfg.vocab.eos_id
+    trace.dropped_rows = aligned.n_dropped
     capacity = min(dcfg.max_blocks, aligned.T // dcfg.B)
     prefix = np.empty(0, dtype=np.intp)
     t0 = time.perf_counter()

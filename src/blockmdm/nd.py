@@ -14,6 +14,15 @@ sequence and splits columns into heads internally, on a
 sum over rows do so one sequence at a time, in order, so a stacked batch
 gives bit for bit the parameter gradients of one pass per sequence.
 
+Under :func:`no_grad` no op records parents or a backward function, and
+the ops of a model forward (:func:`matmul`, :func:`add`, :func:`relu`,
+:func:`rmsnorm_rows`, :func:`embedding`, :func:`masked_attention`) return
+as soon as they have their output: they build no backward closure and
+keep nothing for a backward pass. Every inference forward runs this way
+(streaming decode, the bench's eval decodes, the distillation teacher).
+An op's arithmetic is the same with and without the tape, so its output
+is the same bit for bit.
+
 Determinism: all randomness flows through numpy ``Generator`` objects
 created by :func:`make_rng` (PCG64, seeded explicitly), so identical seeds
 give identical streams run to run. No op uses hidden global state.
@@ -67,8 +76,10 @@ def sequences(lengths):
     """
     global _ROW_BLOCKS
     prev = _ROW_BLOCKS
-    ends = np.cumsum(lengths)
-    _ROW_BLOCKS = (int(ends[-1]), [slice(int(e) - int(n), int(e)) for e, n in zip(ends, lengths)])
+    _ROW_BLOCKS = None  # one sequence is one block
+    if len(lengths) > 1:
+        ends = np.cumsum(lengths)
+        _ROW_BLOCKS = (int(ends[-1]), [slice(int(e) - int(n), int(e)) for e, n in zip(ends, lengths)])
     try:
         yield
     finally:
@@ -165,14 +176,20 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _wrap(data):
+    """A Tensor around an op's float64 array, without ``Tensor.__init__``'s
+    conversion; it records nothing."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad, out._parents, out._backward = data, None, False, (), None
+    return out
+
+
 def _result(data, parents, backward):
     # Intermediate nodes keep grad=None; only leaf Tensors created with
     # requires_grad=True retain accumulated gradients after backward().
-    out = Tensor(data)
+    out = _wrap(data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64))
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out.requires_grad, out._parents, out._backward = True, tuple(parents), backward
     return out
 
 
@@ -194,9 +211,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     blocks = _row_blocks(a.data.shape[0])
-    out = np.empty((a.data.shape[0], b.data.shape[1]))
-    for rows in blocks:
-        np.matmul(a.data[rows], b.data, out=out[rows])
+    if len(blocks) == 1:
+        out = a.data @ b.data
+    else:
+        out = np.empty((a.data.shape[0], b.data.shape[1]))
+        for rows in blocks:
+            np.matmul(a.data[rows], b.data, out=out[rows])
+    if not _GRAD_ENABLED:
+        return _wrap(out)
 
     def backward(g):
         ga = np.empty_like(a.data)
@@ -209,18 +231,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may be a row vector broadcast over ``a``'s rows."""
-    if a.data.shape == b.data.shape:
+    same = a.data.shape == b.data.shape
+    if not (same or b.data.ndim == 1 and a.data.ndim == 2 and b.data.shape[0] == a.data.shape[1]):
+        raise DimensionError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    out = a.data + b.data
+    if not _GRAD_ENABLED:
+        return _wrap(out)
+    if same:
         def backward(g):
             # the second copy keeps the two parents' accumulators unaliased
             return ((a, g), (b, g.copy()))
-    elif b.data.ndim == 1 and a.data.ndim == 2 and b.data.shape[0] == a.data.shape[1]:
+    else:
         blocks = _row_blocks(a.data.shape[0])
 
         def backward(g):
             return ((a, g), (b, _sum_in_order(g[rows].sum(axis=0) for rows in blocks)))
-    else:
-        raise DimensionError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
-    return _result(a.data + b.data, (a, b), backward)
+    return _result(out, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -233,13 +259,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    # exactly np.where(mask, a, 0.0), NaN and -0.0 included, and several times faster
+    # exactly np.where(a > 0, a, 0.0), NaN and -0.0 included, and several times faster
     out = np.fmax(a.data, 0.0)
     out += 0.0
+    if not _GRAD_ENABLED:
+        return _wrap(out)
 
     def backward(g):
-        return ((a, g * mask),)
+        return ((a, g * (a.data > 0)),)
 
     return _result(out, (a,), backward)
 
@@ -247,7 +274,14 @@ def relu(a: Tensor) -> Tensor:
 def rmsnorm_rows(a: Tensor, eps: float = 1e-6) -> Tensor:
     """Row-wise RMS normalization, no learnable parameters."""
     x = a.data
-    inv = 1.0 / np.sqrt((x * x).mean(axis=1, keepdims=True) + eps)
+    # in place, bit for bit 1 / sqrt(mean(x * x) + eps): np.mean is the sum divided by the count
+    inv = (x * x).sum(axis=1, keepdims=True)
+    inv /= x.shape[1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    if not _GRAD_ENABLED:
+        return _wrap(x * inv)
 
     def backward(g):
         d = x.shape[1]
@@ -264,7 +298,9 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise DimensionError(f"embedding ids must be 1-D, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise DimensionError(f"embedding id out of range [0, {table.data.shape[0]})")
-
+    out = table.data[ids]
+    if not _GRAD_ENABLED:
+        return _wrap(out)
     blocks = _row_blocks(len(ids))
 
     def backward(g):
@@ -275,16 +311,20 @@ def embedding(table: Tensor, ids) -> Tensor:
             parts.append(gt)
         return ((table, _sum_in_order(parts)),)
 
-    return _result(table.data[ids], (table,), backward)
+    return _result(out, (table,), backward)
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
-    """Gather a subset of rows by index."""
-    rows = np.asarray(rows, dtype=np.intp)
+    """Gather a subset of rows by index, or a ``slice`` of them as a view."""
+    if not isinstance(rows, slice):
+        rows = np.asarray(rows, dtype=np.intp)
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, rows, g)
+        if isinstance(rows, slice):
+            ga[rows] += g
+        else:
+            np.add.at(ga, rows, g)
         return ((a, ga),)
 
     return _result(a.data[rows], (a,), backward)
@@ -428,31 +468,52 @@ def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str =
     return _result(np.float64(loss), (student_logits,), backward)
 
 
+class AttentionMask:
+    """Visibility grids for :func:`masked_attention`, one per sequence,
+    checked once.
+
+    Each grid is boolean ``Tq_s x Tk_s``; every row must see at least one
+    position. A forward pass builds one and passes it to the attention of
+    every layer, so the grids are checked once per forward pass. A grid
+    that shows every key (each later step of a cached block) needs no fill.
+    """
+
+    __slots__ = ("grids", "hidden")
+
+    def __init__(self, grids):
+        self.grids = [np.asarray(m, dtype=bool) for m in ([grids] if isinstance(grids, np.ndarray) else grids)]
+        if any(m.ndim != 2 for m in self.grids):
+            raise DimensionError(f"mask grids must be 2-D, got {[m.shape for m in self.grids]}")
+        self.hidden = [None if m.all() else ~m for m in self.grids]
+        if not all(h is None or m.any(axis=1).all() for m, h in zip(self.grids, self.hidden)):
+            raise ContractError("attention row with no visible positions")
+
+
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention within each of a batch's sequences.
 
-    ``mask`` is a boolean ``Tq x Tk`` grid, or a list of them, one per
-    sequence stacked sample-major: sequence ``s`` takes the next ``Tq_s``
-    rows of ``q`` and the next ``Tk_s >= Tq_s`` rows of ``k``/``v`` (queries
-    for the last rows of a sequence whose earlier keys are cached) and sees
-    no other sequence's rows. ``mask[t, t']`` gates visibility: positions
-    with ``mask`` False contribute exactly zero weight, and every row must
-    see at least one position. Columns split into ``n_heads`` equal heads,
-    each scaled by ``1/sqrt(d / n_heads)``, and the output puts the heads
-    back side by side; the whole batch is one tape node.
+    ``mask`` is an :class:`AttentionMask`, a boolean ``Tq x Tk`` grid, or a
+    list of them, one per sequence stacked sample-major: sequence ``s``
+    takes the next ``Tq_s`` rows of ``q`` and the next ``Tk_s >= Tq_s``
+    rows of ``k``/``v`` (queries for the last rows of a sequence whose
+    earlier keys are cached) and sees no other sequence's rows.
+    ``mask[t, t']`` gates visibility: positions with ``mask`` False
+    contribute exactly zero weight, and every row must see at least one
+    position. Columns split into ``n_heads`` equal heads, each scaled by
+    ``1/sqrt(d / n_heads)``, and the output puts the heads back side by
+    side; the whole batch is one tape node.
     """
-    masks = [np.asarray(m, dtype=bool) for m in ([mask] if isinstance(mask, np.ndarray) else mask)]
+    vis = mask if isinstance(mask, AttentionMask) else AttentionMask(mask)
+    masks = vis.grids
     Tq, d = q.data.shape
     Tk = k.data.shape[0]
     if Tk < Tq or k.data.shape != (Tk, d) or v.data.shape != (Tk, d):
         raise DimensionError(f"q/k/v shapes differ: {q.data.shape}, {k.data.shape}, {v.data.shape}")
     if n_heads < 1 or d % n_heads:
         raise DimensionError(f"width {d} does not split into {n_heads} heads")
-    if (any(m.ndim != 2 or m.shape[1] < m.shape[0] for m in masks)
+    if (any(m.shape[1] < m.shape[0] for m in masks)
             or sum(m.shape[0] for m in masks) != Tq or sum(m.shape[1] for m in masks) != Tk):
         raise DimensionError(f"mask must be {Tq}x{Tk}, one grid per sequence, got {[m.shape for m in masks]}")
-    if not all(m.any(axis=1).all() for m in masks):
-        raise ContractError("attention row with no visible positions")
     inv_sqrt_d = 1.0 / math.sqrt(d // n_heads)
 
     def split(x):  # rows x d -> heads x rows x head width, a view
@@ -462,18 +523,28 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) ->
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    out = np.empty_like(qh)
+    out = np.empty_like(qh) if len(masks) > 1 else None
     segments = []
     q0 = k0 = 0
-    for m in masks:
+    for m, hidden in zip(masks, vis.hidden):
         sq, sk = slice(q0, q0 + m.shape[0]), slice(k0, k0 + m.shape[1])
-        scores = qh[:, sq] @ kh[:, sk].transpose(0, 2, 1)
-        scores *= inv_sqrt_d
-        np.copyto(scores, -np.inf, where=~m)
-        w = softmax_array(scores)
-        out[:, sq] = w @ vh[:, sk]
+        w = qh[:, sq] @ kh[:, sk].transpose(0, 2, 1)
+        w *= inv_sqrt_d
+        if hidden is not None:
+            np.copyto(w, -np.inf, where=hidden)
+        # softmax_array in place; fmax is max without NaN propagation, and a
+        # NaN score still turns its whole row NaN through the sum
+        w -= np.fmax.reduce(w, axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        if out is None:
+            out = w @ vh[:, sk]
+        else:
+            out[:, sq] = w @ vh[:, sk]
         segments.append((sq, sk, w))
         q0, k0 = sq.stop, sk.stop
+    if not _GRAD_ENABLED:
+        return _wrap(merge(out))
 
     def backward(g):
         gh = split(g)

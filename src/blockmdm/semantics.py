@@ -42,21 +42,26 @@ def build_anchors(part: BlockPartition, Q: int) -> np.ndarray:
 
 @dataclass
 class AlignedSemantics:
-    """Length-``T`` conditioning matrix, nonzero only at anchor rows."""
+    """Length-``T`` conditioning matrix, nonzero only at anchor rows.
+
+    ``n_dropped`` counts the surplus conditioning rows that found no anchor.
+    """
 
     T: int
     d: int
     h_prime: nd.Tensor
     anchor_positions: np.ndarray
     n_assigned: int
+    n_dropped: int = 0
 
 
 def align(h, anchors: np.ndarray, T: int) -> AlignedSemantics:
     """Assign conditioning rows to anchors in order: row ``m`` to anchor ``m``.
 
     Anchors beyond the number of available rows stay zero. Surplus rows
-    (more rows than anchors) are dropped with a warning; the assignment is
-    order-preserving, so earlier rows always land at earlier anchors.
+    (more rows than anchors) are dropped with a warning and counted in
+    ``n_dropped``; the assignment is order-preserving, so earlier rows
+    always land at earlier anchors.
     """
     ht = h if isinstance(h, nd.Tensor) else nd.constant(np.asarray(h, dtype=np.float64))
     if ht.data.ndim != 2:
@@ -70,7 +75,8 @@ def align(h, anchors: np.ndarray, T: int) -> AlignedSemantics:
     row_for_pos = np.full(T, -1, dtype=np.intp)
     row_for_pos[anchors[:n_assigned]] = np.arange(n_assigned)
     h_prime = nd.place_rows(ht, row_for_pos, T)
-    return AlignedSemantics(T=T, d=d, h_prime=h_prime, anchor_positions=anchors, n_assigned=n_assigned)
+    return AlignedSemantics(T=T, d=d, h_prime=h_prime, anchor_positions=anchors, n_assigned=n_assigned,
+                            n_dropped=N - n_assigned)
 
 
 @dataclass

@@ -266,7 +266,8 @@ def stack_aligned(parts) -> AlignedSemantics:
     return AlignedSemantics(T=int(starts[-1]), d=parts[0].d, h_prime=nd.concat_rows([a.h_prime for a in parts]),
                             anchor_positions=np.concatenate([a.anchor_positions + start
                                                              for a, start in zip(parts, starts)]),
-                            n_assigned=sum(a.n_assigned for a in parts))
+                            n_assigned=sum(a.n_assigned for a in parts),
+                            n_dropped=sum(a.n_dropped for a in parts))
 
 
 def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
@@ -305,14 +306,17 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
         raise InputError(f"conditioning stream covers {aligned.T} positions, need {end}")
     if cache is not None and cache.capacity < end:
         raise InputError(f"K/V cache holds {cache.capacity} rows, need {end}")
-    positions = np.concatenate([np.arange(offset, offset + n) for n in lengths])
-    masks = [build_block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths]
+    if len(lengths) == 1:
+        positions = np.arange(offset, end)
+    else:
+        positions = np.concatenate([np.arange(n) for n in lengths])  # no cache: offset 0
+    masks = nd.AttentionMask([build_block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths])
     h_prime = aligned
-    if aligned.T > T:
+    if aligned.T > T:  # one sequence: its rows are positions offset..end-1
         h_prime = AlignedSemantics(T=T, d=aligned.d,
-                                   h_prime=nd.take_rows(aligned.h_prime, positions),
+                                   h_prime=nd.take_rows(aligned.h_prime, slice(offset, end)),
                                    anchor_positions=aligned.anchor_positions,
-                                   n_assigned=aligned.n_assigned)
+                                   n_assigned=aligned.n_assigned, n_dropped=aligned.n_dropped)
 
     with nd.sequences(lengths):
         emb = nd.embedding(params.tok_embed.value, tokens)

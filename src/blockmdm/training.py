@@ -54,11 +54,25 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """AdamW settings and the number of samples per step."""
+
     lr: float = 1e-3
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
     weight_decay: float = 0.01
     batch_size: int = 8
+
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        if not self.batch_size >= 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.weight_decay >= 0:
+            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ParameterError(f"betas must be two values in [0, 1), got {self.betas}")
+        if not self.eps > 0:
+            raise ParameterError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -239,6 +253,8 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
     ``masked`` (positions), ``rows`` (stacked rows) and ``grad_norm``
     (global L2 norm of the gradient).
     """
+    if steps < 1:
+        raise ParameterError(f"steps must be >= 1, got {steps}")
     plist = params.ordered()
     curve = []
     for step in range(1, steps + 1):

@@ -91,6 +91,14 @@ def distilled_hier_fwd(stage2, datasets):
                          HIER_MASKING, STAGE3_OPT, steps=STAGE3_STEPS, seed=STAGE3_SEED).params
 
 
+@pytest.fixture(scope="module")
+def hier_rev_step1_error(distilled_hier_rev, datasets):
+    """Step-1 (K=1) eval token error of the hierarchical reverse-KL model,
+    which criteria 7, 8 and 9 each compare: decoded once, not three times."""
+    _, eval_ = datasets
+    return decode_error(distilled_hier_rev, eval_, K=1)[0]
+
+
 def decode_error(params, pairs, K, max_blocks=4):
     dcfg = DecodeConfig(B=MODEL_CFG.B, K=K, max_blocks=max_blocks,
                         eos_id=MODEL_CFG.vocab.eos_id)
@@ -281,10 +289,10 @@ def test_criterion_6_learnability(stage2, datasets):
 # criterion 7: distillation effect at step 1
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_distillation_effect(stage2, distilled_hier_rev, datasets):
+def test_criterion_7_distillation_effect(stage2, distilled_hier_rev, hier_rev_step1_error, datasets):
     _, eval_ = datasets
     base_err, _ = decode_error(stage2[0], eval_, K=1)
-    dist_err1, _ = decode_error(distilled_hier_rev, eval_, K=1)
+    dist_err1 = hier_rev_step1_error
     dist_err4, _ = decode_error(distilled_hier_rev, eval_, K=4)
     rel_drop = (base_err - dist_err1) / max(base_err, 1e-12)
     ratio = dist_err1 / max(dist_err4, 1e-12) if dist_err4 > 0 else (1.0 if dist_err1 == 0 else math.inf)
@@ -297,9 +305,9 @@ def test_criterion_7_distillation_effect(stage2, distilled_hier_rev, datasets):
 # criterion 8: masking-strategy ablation direction
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_masking_ablation(distilled_hier_rev, distilled_glob_rev, datasets):
+def test_criterion_8_masking_ablation(hier_rev_step1_error, distilled_glob_rev, datasets):
     _, eval_ = datasets
-    hier_err, _ = decode_error(distilled_hier_rev, eval_, K=1)
+    hier_err = hier_rev_step1_error
     glob_err, _ = decode_error(distilled_glob_rev, eval_, K=1)
     report(8, hier_err < glob_err,
            f"step-1 error hierarchical {hier_err:.4f} < global {glob_err:.4f} "
@@ -310,9 +318,9 @@ def test_criterion_8_masking_ablation(distilled_hier_rev, distilled_glob_rev, da
 # criterion 9: KL-direction ablation
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_kl_direction(distilled_hier_rev, distilled_hier_fwd, datasets):
+def test_criterion_9_kl_direction(hier_rev_step1_error, distilled_hier_fwd, datasets):
     _, eval_ = datasets
-    rev_err, _ = decode_error(distilled_hier_rev, eval_, K=1)
+    rev_err = hier_rev_step1_error
     fwd_err, _ = decode_error(distilled_hier_fwd, eval_, K=1)
     configs = {
         "reverse": {"K": 4, "tau": 2.0, "alpha": 0.7, "kl_direction": "reverse",

@@ -191,8 +191,9 @@ class TestDecodeCommand:
         want = [(t["input_index"], b) for t in traces for b in t["blocks"]]
         assert [(row["input_index"], row["block"]) for row in rows] == [(i, b["block_index"]) for i, b in want]
         for row, (i, b) in zip(rows, want):
-            assert set(row) == {"input_index", "block", "forwards", "tokens", "wall_ms",
+            assert set(row) == {"input_index", "block", "forwards", "tokens", "wall_ms", "dropped_rows",
                                 "mean_confidence", "mean_entropy"}
+            assert row["dropped_rows"] == traces[i]["dropped_rows"] == 0
             assert row["forwards"] == b["forward_passes"]
             assert row["wall_ms"] == b["wall_time"]["value"] * 1e3
             steps = b["steps"]
@@ -212,6 +213,18 @@ class TestDecodeCommand:
                    "--steps", "1", "--max-blocks", "2", "--output", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().split("\n\n")) == 2
+
+    def test_dropped_conditioning_rows_in_trace_and_events(self, checkpoint, tmp_path):
+        cond = tmp_path / "sources.txt"
+        cond.write_text("1 2 3\n1 2 3 4 5 6 7\n")  # 2 blocks of 2 anchors: the second drops 3 rows
+        trace, events = tmp_path / "trace.json", tmp_path / "events.jsonl"
+        rc = main(["decode", "--checkpoint", str(checkpoint), "--input", str(cond), "--steps", "1",
+                   "--max-blocks", "2", "--output", str(tmp_path / "tokens.txt"), "--trace", str(trace),
+                   "--log-jsonl", str(events)])
+        assert rc == 0
+        assert [t["dropped_rows"] for t in json.loads(trace.read_text())["traces"]] == [0, 3]
+        rows = [json.loads(line) for line in events.read_text().splitlines()]
+        assert {(row["input_index"], row["dropped_rows"]) for row in rows} == {(0, 0), (1, 3)}
 
     def test_missing_checkpoint_exit_1(self, corpus):
         assert main(["decode", "--checkpoint", "/nonexistent.ckpt", "--input", str(corpus),
@@ -237,6 +250,10 @@ class TestDecodeCommand:
             assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
 
 
+def TRAIN_ARGV(data, f):
+    return ["train", "--data", data, "--out", f + ".ckpt", "--steps", "1", "--batch-size", "2"] + SMALL_MODEL_ARGS
+
+
 MALFORMED_INPUTS = {
     # case: (file contents, argv builder taking the file, checkpoint and corpus)
     "corpus_header_json": (synthtask.CORPUS_MAGIC + "{bad json\n",
@@ -257,9 +274,17 @@ MALFORMED_INPUTS = {
     "maskstats_range": ("", lambda f, ckpt, corpus: ["maskstats", "--gamma-g", "0.3"]),
     "bench_steps": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}",
                                                  "--eval", corpus, "--steps", "4,x"]),
+    "train_batch_size_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--batch-size", "0"]),
+    "train_steps_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--steps", "0"]),
+    "train_negative_lr": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--lr", "-1"]),
+    "distill_steps_zero": ("", lambda f, ckpt, corpus: ["distill", "--checkpoint", ckpt, "--data", corpus,
+                                                        "--out", f + ".ckpt", "--steps", "0"]),
+    "train_target_over_t_max": (synthtask.CORPUS_MAGIC + '{"count": 1, "spec": {}}\n1 2\n1 2 3 4 5 6 7 8 9\n',
+                                lambda f, ckpt, corpus: TRAIN_ARGV(f, f) + ["--t-max", "8"]),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second stderr line
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_one_error_line(case, checkpoint, corpus, tmp_path, capsys):
     text, argv = MALFORMED_INPUTS[case]

@@ -3,7 +3,7 @@ import pytest
 
 from blockmdm import nd, talker
 from blockmdm.decode import (DecodeConfig, DecodeTrace, canvas_length, decode, decode_block,
-                             decode_source, stream_blocks)
+                             decode_source, reveal_step, stream_blocks)
 from blockmdm.errors import DecodeError, ParameterError
 from blockmdm.schedule import pick_reveal, row_entropy, schedule_step
 
@@ -28,6 +28,25 @@ class TestDecodeConfig:
             DecodeConfig(B=4, K=0)
         with pytest.raises(ParameterError):
             DecodeConfig(B=4, K=1, max_blocks=0)
+
+
+class TestRevealStep:
+    def test_the_softmax_formulas_bit_for_bit(self):
+        # confidence: the largest softmax probability; entropy in nats of the
+        # revealed rows; logit scales up to 500 make probabilities underflow to 0
+        rng = nd.make_rng(23)
+        for _ in range(300):
+            logits = rng.normal(size=(16, 67)) * 10.0 ** rng.uniform(-1, 2.7)
+            masked = np.sort(rng.choice(16, int(rng.integers(1, 17)), replace=False))
+            K = int(rng.integers(1, 5))
+            j = int(rng.integers(1, K + 1))
+            probs = nd.softmax_array(logits[masked])
+            conf = probs.max(axis=1)
+            want = pick_reveal(masked, conf, schedule_step(len(masked), j, K))
+            p = probs[np.searchsorted(masked, want)]
+            entropy = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+            for got, w in zip(reveal_step(logits, masked, j, K), (want, conf[np.searchsorted(masked, want)], entropy)):
+                np.testing.assert_array_equal(got, w)
 
 
 class TestDecodeBlock:
@@ -204,6 +223,15 @@ class TestDecodeSource:
         dcfg = DecodeConfig(B=4, K=2, max_blocks=3, eos_id=CFG.vocab.eos_id)
         result = decode_source(source, params, CFG, dcfg)
         assert len(result.tokens) <= 3 * 4
+
+    def test_dropped_conditioning_rows_counted(self):
+        # 3 blocks of Q=2 anchors: a 9-row source drops 3 rows, a 6-row one none
+        params, _, _ = setup_model(seed=7)
+        dcfg = DecodeConfig(B=4, K=2, max_blocks=3, eos_id=CFG.vocab.eos_id)
+        long, short = np.arange(9) % CFG.src_vocab, np.arange(6) % CFG.src_vocab
+        assert decode_source(long, params, CFG, dcfg).trace.dropped_rows == 3
+        assert decode_source(short, params, CFG, dcfg).trace.dropped_rows == 0
+        assert talker.align_batch(params, CFG, [long, short, long], [12, 12, 8]).n_dropped == 3 + 0 + 5
 
 
 def uncached_reference_decode(aligned, params, cfg, dcfg):

@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import plain_ops
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockmdm import nd
+from blockmdm import nd, talker
 from blockmdm.errors import ContractError, DimensionError, NonFiniteError, ParameterError
 
 
@@ -337,6 +338,42 @@ class TestSequences:
             np.testing.assert_array_equal(g, p.grad, err_msg=p.name)
 
 
+class TestPlainFormulas:
+    """The tuned ops against their plain formulas (``tests/plain_ops.py``), bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 16, 32, 64, 256])
+    @pytest.mark.parametrize("width", [64, 7])
+    def test_rmsnorm_is_the_mean_formula(self, rows, width):
+        rng = nd.make_rng(rows, width)
+        # rows of widely different scale
+        x = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-100, 100, size=(rows, 1))
+        want = x * (1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + 1e-6))
+        p = nd.param("x", x)
+        np.testing.assert_array_equal(nd.rmsnorm_rows(p.value).data, want)
+        with nd.no_grad():
+            np.testing.assert_array_equal(nd.rmsnorm_rows(p.value).data, want)
+
+    @pytest.mark.parametrize("rows,keys", [(16, 64), (32, 64), (16, 16), (5, 5)])
+    def test_attention_skipping_the_fill_is_the_filled_path(self, rows, keys):
+        # an all-visible grid skips the -inf fill; a partial one is filled
+        rng = nd.make_rng(rows, keys)
+        q, k, v = rng.normal(size=(rows, 64)), rng.normal(size=(keys, 64)), rng.normal(size=(keys, 64))
+        tgt = rng.integers(0, 64, rows)
+        for mask in (np.ones((rows, keys), bool),
+                     talker.build_block_causal_mask(keys, 4)[keys - rows:]):
+            got, want = [], []
+            for attend, out in ((lambda *t: nd.masked_attention(*t, [mask], n_heads=4), got),
+                                (lambda *t: plain_ops.attention(*t, [mask], 4), want)):
+                params = [nd.param(name, a) for name, a in (("q", q), ("k", k), ("v", v))]
+                y = attend(*(p.value for p in params))
+                nd.masked_cross_entropy(y, tgt, np.arange(rows)).backward()
+                out.extend([y.data] + [p.grad for p in params])
+                with nd.no_grad():
+                    out.append(attend(*(p.value for p in params)).data)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_unchanged(self):
         p = nd.param("p", np.array([[1.0, -2.0]]))
@@ -431,6 +468,21 @@ class TestTapeMechanics:
         with nd.no_grad():
             y = nd.matmul(x.value, x.value)
         assert y._backward is None and not y.requires_grad
+        # every op, on inputs that require gradients, records no parents and no backward
+        a, b, row = nd.param("a", np.ones((3, 4))), nd.param("b", np.ones((4, 4))), nd.param("row", np.ones(4))
+        ops = [lambda: nd.matmul(a.value, b.value), lambda: nd.add(a.value, a.value),
+               lambda: nd.add(a.value, row.value), lambda: nd.scale(a.value, 2.0), lambda: nd.relu(a.value),
+               lambda: nd.rmsnorm_rows(a.value), lambda: nd.embedding(b.value, [0, 3]),
+               lambda: nd.take_rows(a.value, [2, 0]), lambda: nd.place_rows(a.value, [1, -1], 2),
+               lambda: nd.concat_rows([a.value, a.value]),
+               lambda: nd.masked_attention(a.value, a.value, a.value, np.ones((3, 3), bool), n_heads=2),
+               lambda: nd.masked_cross_entropy(a.value, [0, 1, 2], [0, 2]),
+               lambda: nd.kl_rows(a.value, np.zeros((3, 4)), 2.0)]
+        with nd.no_grad():
+            for op in ops:
+                y = op()
+                assert y._parents == () and y._backward is None and not y.requires_grad
+        assert all(op().requires_grad for op in ops)
 
     def test_backward_requires_scalar(self):
         x = nd.param("x", np.ones((2, 2)))

@@ -55,7 +55,7 @@ class TestAlign:
         anchors = build_anchors(partition(16, 16), Q=2)  # 2 anchors
         with caplog.at_level(logging.WARNING, logger="blockmdm.semantics"):
             out = align(np.ones((5, 3)), anchors, 16)
-        assert out.n_assigned == 2
+        assert out.n_assigned == 2 and out.n_dropped == 3
         assert any("surplus" in r.message for r in caplog.records)
 
     def test_no_future_leakage(self):

@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import plain_ops
 import pytest
 
-from blockmdm import nd, talker
+from blockmdm import decode, nd, talker
 from blockmdm.errors import CheckpointError, ContractError, InputError, ParameterError
 from blockmdm.talker import (KVCache, TalkerConfig, Vocabulary, build_block_causal_mask,
                              check_compatible, init_params, load_checkpoint, param_shapes,
@@ -233,6 +234,100 @@ class TestBatchedForward:
         with pytest.raises(ContractError):
             talker.forward_array(params, SMALL, stacked, aligned, lengths=self.LENGTHS,
                                  cache=KVCache(SMALL, 64))
+
+
+class TestPlainOracle:
+    """``talker.forward`` against the forward in plain formulas
+    (``tests/plain_ops.py``): bit-identical logits on the full canvas, on
+    every step of a cached stream and on a stacked batch, and bit-identical
+    parameter gradients of a stacked training batch."""
+
+    # the 67-column head and the 16-row blocks of the desk-scale model, fewer layers
+    CFG = TalkerConfig(data_tokens=64, src_vocab=32, d=32, d_ff=64, n_layers=2, n_heads=4,
+                       B=16, Q=4, T_max=128)
+    LENGTHS = (5, 16, 33, 20)
+
+    def params(self, seed=0):
+        params = init_params(self.CFG, nd.make_rng(seed), std=0.3)
+        eos = self.CFG.vocab.eos_id  # tie EOS with token 0, so decodes run to the block budget
+        params.head.value.data[:, eos] = params.head.value.data[:, 0]
+        return params
+
+    def tokens(self, rng, T):
+        tokens = rng.integers(0, self.CFG.V, T)
+        tokens[rng.random(T) < 0.4] = self.CFG.vocab.mask_id
+        return tokens
+
+    @pytest.mark.parametrize("T", [1, 57, 64, 128])
+    def test_full_canvas(self, T):
+        rng = nd.make_rng(T)
+        params = self.params(1)
+        tokens = self.tokens(rng, T)
+        aligned = talker.align_for_canvas(params, self.CFG, rng.integers(0, 32, 9), T)
+        with nd.no_grad():
+            want = plain_ops.reference_forward(params, self.CFG, tokens, aligned)[0].data
+        np.testing.assert_array_equal(talker.forward_array(params, self.CFG, tokens, aligned), want)
+        longer = talker.align_for_canvas(params, self.CFG, rng.integers(0, 32, 9), 128)
+        with nd.no_grad():
+            want = plain_ops.reference_forward(params, self.CFG, tokens, longer)[0].data
+        np.testing.assert_array_equal(talker.forward_array(params, self.CFG, tokens, longer), want)
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_every_step_of_a_cached_stream(self, monkeypatch, K):
+        params = self.params(2)
+        forward, calls = talker.forward, []
+
+        def spy(params, cfg, tokens, aligned, cache=None, lengths=None):
+            offset = cache.rows
+            out = forward(params, cfg, tokens, aligned, cache=cache, lengths=lengths)
+            calls.append((offset, np.array(tokens), out.data.copy()))
+            return out
+
+        monkeypatch.setattr(talker, "forward", spy)
+        aligned = talker.align_for_canvas(params, self.CFG, np.arange(11), 128)
+        dcfg = decode.DecodeConfig(B=16, K=K, max_blocks=8, eos_id=self.CFG.vocab.eos_id)
+        decode.decode(aligned, params, self.CFG, dcfg)
+        assert len(calls) == 8 * K
+        assert {len(tokens) for _, tokens, _ in calls} == {16, 32}  # 32: a block after the first, at its first step
+        kv = None
+        with nd.no_grad():
+            for offset, tokens, logits in calls:
+                prefix = None if offset == 0 else [(k[:offset], v[:offset]) for k, v in kv]
+                want, kv = plain_ops.reference_forward(params, self.CFG, tokens, aligned, prefix=prefix)
+                np.testing.assert_array_equal(logits, want.data)
+
+    def batch(self, seed):
+        rng = nd.make_rng(seed)
+        tokens = np.concatenate([self.tokens(rng, T) for T in self.LENGTHS])
+        sources = [rng.integers(0, 32, n) for n in (2, 5, 13, 8)]
+        return tokens, sources
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stacked_batch(self, seed):
+        params = self.params(seed)
+        tokens, sources = self.batch(seed)
+        aligned = talker.align_batch(params, self.CFG, sources, self.LENGTHS)
+        with nd.no_grad():
+            want = plain_ops.reference_forward(params, self.CFG, tokens, aligned, lengths=self.LENGTHS)[0].data
+        np.testing.assert_array_equal(
+            talker.forward_array(params, self.CFG, tokens, aligned, lengths=self.LENGTHS), want)
+
+    def test_stacked_batch_gradients(self):
+        params = self.params(3)
+        plist = params.ordered()
+        tokens, sources = self.batch(3)
+        targets = nd.make_rng(4).integers(0, self.CFG.V, len(tokens))
+        masked = np.nonzero(tokens == self.CFG.vocab.mask_id)[0]
+        grads = []
+        for fwd in (talker.forward, lambda *args, **kw: plain_ops.reference_forward(*args, **kw)[0]):
+            nd.zero_grads(plist)
+            logits = fwd(params, self.CFG, tokens, talker.align_batch(params, self.CFG, sources, self.LENGTHS),
+                         lengths=self.LENGTHS)
+            nd.masked_cross_entropy(logits, targets, masked).backward()
+            grads.append({p.name: p.grad.copy() for p in plist})
+        for p in plist:
+            np.testing.assert_array_equal(grads[0][p.name], grads[1][p.name], err_msg=p.name)
+            assert np.abs(grads[0][p.name]).sum() > 0, p.name
 
 
 class TestParams:
