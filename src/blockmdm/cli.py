@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``gen-data``, ``train``, ``distill``, ``decode``, ``bench``,
-``maskstats``, ``gradcheck``. Every subcommand accepts ``--config FILE``
-pointing at a JSON document whose keys are the long option names with
-underscores; explicit command-line flags override config values, which
-override built-in defaults. Exit codes: 0 on success, 1 on any domain
-error (bad parameter, malformed file, diverged run), 2 on usage errors.
+``maskstats``, ``gradcheck``, each declared once in :data:`OPTIONS`. Every
+subcommand accepts ``--config FILE`` pointing at a JSON document whose keys
+are the long option names with underscores; explicit command-line flags
+override config values, which override built-in defaults. Value ranges are
+checked by the domain types the values go into. Exit codes: 0 on success,
+1 on any domain error (bad parameter, malformed file, diverged run), 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -21,46 +23,103 @@ import numpy as np
 from . import bench, decode as decode_mod, masking, nd, synthtask, talker, training
 from .errors import BlockMDMError, InputError, ParameterError, TrainingDivergedError
 
+REQUIRED = object()  # the default of a flag that must be given on the command line
 
-# config keys whose default is None but whose value is not a path
-_NONE_DEFAULT_TYPES = {("decode", "block_size"): int, ("bench", "checkpoint"): (str, list, dict)}
-# options with a fixed set of values, as flags and as config keys
-_CHOICES = {"masking": ("hierarchical", "global_bernoulli"), "mode": ("hierarchical", "global_bernoulli"),
-            "kl": ("reverse", "forward")}
+_TRAINING_IO = [("data", str, REQUIRED), ("out", str, REQUIRED), ("curve", str, None),
+                ("log-jsonl", str, None, "write one JSON object per training step to this file")]
+_OPTIMIZER = [("lr", float, 1e-3), ("batch-size", int, 8), ("weight-decay", float, 0.01)]
+_GAMMA_G = [("gamma-g-min", float, 0.3), ("gamma-g-max", float, 0.8)]
+_MODEL = [("data-tokens", int, 64), ("source-vocab", int, 256), ("d", int, 64), ("d-ff", int, 256),
+          ("layers", int, 4), ("heads", int, 4), ("block-size", int, 16), ("anchors", int, 4),
+          ("t-max", int, 256)]
+_MASKING_MODES = ("hierarchical", "global_bernoulli")
+
+# Per subcommand: its help line and its options as (flag, type, default[, help]).
+# The config key is the flag with "-" turned into "_". A type is int, float,
+# str, a tuple of choices, or list (bench's repeatable --checkpoint LABEL=PATH).
+OPTIONS = {
+    "gen-data": ("generate a synthetic corpus file", [
+        ("out", str, REQUIRED), ("count", int, 2000), ("n-min", int, 4), ("n-max", int, 12),
+        ("seed", int, 0), ("source-vocab", int, 256), ("data-tokens", int, 64), ("upsample", int, 4),
+        ("grammar-seed", int, 0), ("noise", float, 0.0)]),
+    "train": ("masked-prediction training (stage one)", [
+        *_TRAINING_IO, ("steps", int, 3000), ("seed", int, 0), *_OPTIMIZER, *_GAMMA_G, *_MODEL]),
+    "distill": ("self-distillation fine-tuning (stage two)", [
+        ("checkpoint", str, REQUIRED), *_TRAINING_IO, ("steps", int, 1500), ("seed", int, 0), *_OPTIMIZER,
+        ("alpha", float, 0.7), ("tau", float, 2.0), ("teacher-steps", int, 4),
+        ("kl", ("reverse", "forward"), "reverse"), ("masking", _MASKING_MODES, "hierarchical"),
+        ("gamma-c-min", float, 0.5), ("gamma-c-max", float, 1.0),
+        ("gamma-t-min", float, 0.3), ("gamma-t-max", float, 1.0), *_GAMMA_G]),
+    "decode": ("stream blocks for each conditioning input", [
+        ("checkpoint", str, REQUIRED),
+        ("input", str, REQUIRED, "conditioning file: corpus file or one source sequence per line"),
+        ("output", str, None), ("trace", str, None),
+        ("log-jsonl", str, None, "write one JSON object per decoded block to this file"),
+        ("steps", int, 4), ("block-size", int, None), ("max-blocks", int, 8), ("seed", int, 0)]),
+    "bench": ("step-sweep benchmark over checkpoints", [
+        ("checkpoint", list, None), ("eval", str, None),
+        ("steps", str, "16,8,4,2,1", "comma-separated step counts, e.g. 16,8,4,2,1"),
+        ("repetitions", int, 1), ("seed", int, 0), ("max-blocks", int, 8),
+        ("out-json", str, None), ("out-csv", str, None)]),
+    "maskstats": ("masking sampler statistics report", [
+        ("mode", _MASKING_MODES, "hierarchical"), ("T", int, 256), ("block-size", int, 16),
+        ("samples", int, 10000), ("seed", int, 0), ("delta", float, 0.2),
+        ("gamma-g", str, "0.3,0.8", "min,max"), ("gamma-c", str, "0.5,1.0", "min,max"),
+        ("gamma-t", str, "0.3,1.0", "min,max"), ("out-json", str, None), ("out-csv", str, None)]),
+    "gradcheck": ("finite-difference gradient verification", [
+        ("seed", int, 0), ("d", int, 16), ("layers", int, 2), ("T", int, 32), ("epsilon", float, 1e-6),
+        ("coords", int, 12), ("tolerance", float, 1e-5)]),
+}
 
 
-def _config_type(command, key, default):
-    """The JSON types a config value may take: the default's type (an int
-    also serves for a float), a path string where the default is None."""
-    if default is None:
-        return _NONE_DEFAULT_TYPES.get((command, key), str)
-    return (int, float) if type(default) is float else type(default)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="blockmdm",
+                                     description="Masked diffusion training and block-wise decoding")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, rows) in OPTIONS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config")
+        for flag, kind, default, *help_text in rows:
+            if isinstance(kind, tuple):
+                kw = {"choices": kind}
+            elif kind is list:
+                kw = {"action": "append", "metavar": "LABEL=PATH"}
+            else:
+                kw = {"type": kind}
+            p.add_argument("--" + flag, required=default is REQUIRED,
+                           help=help_text[0] if help_text else None, **kw)
+    return parser
 
 
-def _merge(args, config_path, defaults):
+def _merge(args) -> argparse.Namespace:
     """Resolve option values: explicit flag > config file > default."""
+    table = {flag.replace("-", "_"): (kind, default) for flag, kind, default, *_ in OPTIONS[args.command][1]}
     cfg = {}
-    if config_path:
-        with open(config_path, "rb") as f:
+    if args.config:
+        with open(args.config, "rb") as f:
             try:
                 cfg = json.loads(f.read().decode("utf-8"))
             except ValueError as e:  # bad UTF-8 or bad JSON
-                raise ParameterError(f"{config_path}: malformed config JSON: {e}") from None
+                raise ParameterError(f"{args.config}: malformed config JSON: {e}") from None
         if not isinstance(cfg, dict):
-            raise ParameterError(f"{config_path}: config must be a JSON object")
-        unknown = set(cfg) - set(defaults)
+            raise ParameterError(f"{args.config}: config must be a JSON object")
+        unknown = set(cfg) - set(table)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         for key, value in cfg.items():
-            want = _config_type(args.command, key, defaults[key])
+            kind = table[key][0]
+            # an int also serves for a float; bench's checkpoints may be one
+            # LABEL=PATH string, a list of them or a {label: path} object
+            want = {float: (int, float), list: (str, list, dict)}.get(
+                kind, str if isinstance(kind, tuple) else kind)
             if isinstance(value, bool) or not isinstance(value, want):
-                raise ParameterError(f"{config_path}: config key {key!r} has the wrong type: {value!r}")
-            if key in _CHOICES and value not in _CHOICES[key]:
-                raise ParameterError(f"{config_path}: config key {key!r} must be one of "
-                                     f"{list(_CHOICES[key])}, got {value!r}")
+                raise ParameterError(f"{args.config}: config key {key!r} has the wrong type: {value!r}")
+            if isinstance(kind, tuple) and value not in kind:
+                raise ParameterError(f"{args.config}: config key {key!r} must be one of "
+                                     f"{list(kind)}, got {value!r}")
     out = {}
-    for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
+    for key, (_, default) in table.items():
+        cli_val = getattr(args, key)
         out[key] = cli_val if cli_val is not None else cfg.get(key, default)
     return argparse.Namespace(**out)
 
@@ -71,122 +130,6 @@ def _model_config(ns) -> talker.TalkerConfig:
         n_layers=ns.layers, n_heads=ns.heads, B=ns.block_size, Q=ns.anchors, T_max=ns.t_max)
 
 
-MODEL_DEFAULTS = {
-    "data_tokens": 64, "source_vocab": 256, "d": 64, "d_ff": 256,
-    "layers": 4, "heads": 4, "block_size": 16, "anchors": 4, "t_max": 256,
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="blockmdm",
-                                     description="Masked diffusion training and block-wise decoding")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pg = sub.add_parser("gen-data", help="generate a synthetic corpus file")
-    pg.add_argument("--config")
-    pg.add_argument("--out", required=True)
-    pg.add_argument("--count", type=int)
-    pg.add_argument("--n-min", type=int)
-    pg.add_argument("--n-max", type=int)
-    pg.add_argument("--seed", type=int)
-    pg.add_argument("--source-vocab", type=int)
-    pg.add_argument("--data-tokens", type=int)
-    pg.add_argument("--upsample", type=int)
-    pg.add_argument("--grammar-seed", type=int)
-    pg.add_argument("--noise", type=float)
-
-    pt = sub.add_parser("train", help="masked-prediction training (stage one)")
-    pt.add_argument("--config")
-    pt.add_argument("--data", required=True)
-    pt.add_argument("--out", required=True)
-    pt.add_argument("--curve")
-    pt.add_argument("--log-jsonl", help="write one JSON object per training step to this file")
-    pt.add_argument("--steps", type=int)
-    pt.add_argument("--seed", type=int)
-    pt.add_argument("--lr", type=float)
-    pt.add_argument("--batch-size", type=int)
-    pt.add_argument("--weight-decay", type=float)
-    pt.add_argument("--gamma-g-min", type=float)
-    pt.add_argument("--gamma-g-max", type=float)
-    for flag in ("--data-tokens", "--source-vocab", "--d", "--d-ff", "--layers",
-                 "--heads", "--block-size", "--anchors", "--t-max"):
-        pt.add_argument(flag, type=int)
-
-    pd = sub.add_parser("distill", help="self-distillation fine-tuning (stage two)")
-    pd.add_argument("--config")
-    pd.add_argument("--checkpoint", required=True)
-    pd.add_argument("--data", required=True)
-    pd.add_argument("--out", required=True)
-    pd.add_argument("--curve")
-    pd.add_argument("--log-jsonl", help="write one JSON object per training step to this file")
-    pd.add_argument("--steps", type=int)
-    pd.add_argument("--seed", type=int)
-    pd.add_argument("--lr", type=float)
-    pd.add_argument("--batch-size", type=int)
-    pd.add_argument("--weight-decay", type=float)
-    pd.add_argument("--alpha", type=float)
-    pd.add_argument("--tau", type=float)
-    pd.add_argument("--teacher-steps", type=int)
-    pd.add_argument("--kl", choices=_CHOICES["kl"])
-    pd.add_argument("--masking", choices=_CHOICES["masking"])
-    pd.add_argument("--gamma-c-min", type=float)
-    pd.add_argument("--gamma-c-max", type=float)
-    pd.add_argument("--gamma-t-min", type=float)
-    pd.add_argument("--gamma-t-max", type=float)
-    pd.add_argument("--gamma-g-min", type=float)
-    pd.add_argument("--gamma-g-max", type=float)
-
-    pc = sub.add_parser("decode", help="stream blocks for each conditioning input")
-    pc.add_argument("--config")
-    pc.add_argument("--checkpoint", required=True)
-    pc.add_argument("--input", required=True,
-                    help="conditioning file: corpus file or one source sequence per line")
-    pc.add_argument("--output")
-    pc.add_argument("--trace")
-    pc.add_argument("--log-jsonl", help="write one JSON object per decoded block to this file")
-    pc.add_argument("--steps", type=int)
-    pc.add_argument("--block-size", type=int)
-    pc.add_argument("--max-blocks", type=int)
-    pc.add_argument("--seed", type=int)
-
-    pb = sub.add_parser("bench", help="step-sweep benchmark over checkpoints")
-    pb.add_argument("--config")
-    pb.add_argument("--checkpoint", action="append", metavar="LABEL=PATH")
-    pb.add_argument("--eval", dest="eval_path")
-    pb.add_argument("--steps", help="comma-separated step counts, e.g. 16,8,4,2,1")
-    pb.add_argument("--repetitions", type=int)
-    pb.add_argument("--seed", type=int)
-    pb.add_argument("--max-blocks", type=int)
-    pb.add_argument("--out-json")
-    pb.add_argument("--out-csv")
-
-    pm = sub.add_parser("maskstats", help="masking sampler statistics report")
-    pm.add_argument("--config")
-    pm.add_argument("--mode", choices=_CHOICES["mode"])
-    pm.add_argument("--T", type=int)
-    pm.add_argument("--block-size", type=int)
-    pm.add_argument("--samples", type=int)
-    pm.add_argument("--seed", type=int)
-    pm.add_argument("--delta", type=float)
-    pm.add_argument("--gamma-g", help="min,max")
-    pm.add_argument("--gamma-c", help="min,max")
-    pm.add_argument("--gamma-t", help="min,max")
-    pm.add_argument("--out-json")
-    pm.add_argument("--out-csv")
-
-    pk = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    pk.add_argument("--config")
-    pk.add_argument("--seed", type=int)
-    pk.add_argument("--d", type=int)
-    pk.add_argument("--layers", type=int)
-    pk.add_argument("--T", type=int)
-    pk.add_argument("--epsilon", type=float)
-    pk.add_argument("--coords", type=int)
-    pk.add_argument("--tolerance", type=float)
-
-    return parser
-
-
 def _pair(text):
     try:
         lo, hi = (float(x) for x in str(text).split(","))
@@ -195,11 +138,7 @@ def _pair(text):
     return (lo, hi)
 
 
-def cmd_gen_data(args) -> int:
-    ns = _merge(args, args.config, {
-        "out": None, "count": 2000, "n_min": 4, "n_max": 12, "seed": 0,
-        "source_vocab": 256, "data_tokens": 64, "upsample": 4, "grammar_seed": 0, "noise": 0.0,
-    })
+def cmd_gen_data(ns) -> int:
     spec = synthtask.TaskSpec(source_vocab=ns.source_vocab, data_tokens=ns.data_tokens,
                               upsample=ns.upsample, grammar_seed=ns.grammar_seed, noise_rho=ns.noise)
     eos_id = talker.Vocabulary.with_specials(ns.data_tokens).eos_id
@@ -235,19 +174,12 @@ def _read_training_corpus(path, cfg: talker.TalkerConfig) -> list:
     return pairs
 
 
-def cmd_train(args) -> int:
-    defaults = dict(MODEL_DEFAULTS)
-    defaults.update({"data": None, "out": None, "curve": None, "log_jsonl": None,
-                     "steps": 3000, "seed": 0, "lr": 1e-3, "batch_size": 8, "weight_decay": 0.01,
-                     "gamma_g_min": 0.3, "gamma_g_max": 0.8})
-    ns = _merge(args, args.config, defaults)
-    cfg = _model_config(ns)
-    pairs = _read_training_corpus(ns.data, cfg)
-    mcfg = masking.MaskingConfig(mode="global_bernoulli", gamma_g=(ns.gamma_g_min, ns.gamma_g_max))
-    opt = training.OptimizerConfig(lr=ns.lr, batch_size=ns.batch_size, weight_decay=ns.weight_decay)
+def _run_training(ns, cfg, verb: str, progress: bool, train) -> int:
+    """Run ``train(log_cb)`` and save its checkpoint, curve and summary line;
+    on divergence, save the last good parameters and report the error."""
     try:
-        with _step_log(ns.log_jsonl, progress=True) as log:
-            result = training.train_mdm(cfg, pairs, mcfg, opt, steps=ns.steps, seed=ns.seed, log_cb=log)
+        with _step_log(ns.log_jsonl, progress) as log:
+            result = train(log)
     except TrainingDivergedError as e:
         talker.save_checkpoint(ns.out, cfg, e.params)
         print(f"error: {e}; last good parameters saved to {ns.out}", file=sys.stderr)
@@ -255,19 +187,20 @@ def cmd_train(args) -> int:
     talker.save_checkpoint(ns.out, cfg, result.params)
     if ns.curve:
         training.write_curve_csv(ns.curve, result.curve)
-    print(f"trained {ns.steps} steps, final loss {result.final_loss:.4f}, checkpoint {ns.out}")
+    print(f"{verb} {ns.steps} steps, final loss {result.final_loss:.4f}, checkpoint {ns.out}")
     return 0
 
 
-def cmd_distill(args) -> int:
-    ns = _merge(args, args.config, {
-        "checkpoint": None, "data": None, "out": None, "curve": None, "log_jsonl": None,
-        "steps": 1500, "seed": 0,
-        "lr": 1e-3, "batch_size": 8, "weight_decay": 0.01,
-        "alpha": 0.7, "tau": 2.0, "teacher_steps": 4, "kl": "reverse", "masking": "hierarchical",
-        "gamma_c_min": 0.5, "gamma_c_max": 1.0, "gamma_t_min": 0.3, "gamma_t_max": 1.0,
-        "gamma_g_min": 0.3, "gamma_g_max": 0.8,
-    })
+def cmd_train(ns) -> int:
+    cfg = _model_config(ns)
+    pairs = _read_training_corpus(ns.data, cfg)
+    mcfg = masking.MaskingConfig(mode="global_bernoulli", gamma_g=(ns.gamma_g_min, ns.gamma_g_max))
+    opt = training.OptimizerConfig(lr=ns.lr, batch_size=ns.batch_size, weight_decay=ns.weight_decay)
+    return _run_training(ns, cfg, "trained", True, lambda log: training.train_mdm(
+        cfg, pairs, mcfg, opt, steps=ns.steps, seed=ns.seed, log_cb=log))
+
+
+def cmd_distill(ns) -> int:
     cfg, start = talker.load_checkpoint(ns.checkpoint)
     pairs = _read_training_corpus(ns.data, cfg)
     mcfg = masking.MaskingConfig(mode=ns.masking, gamma_g=(ns.gamma_g_min, ns.gamma_g_max),
@@ -275,19 +208,8 @@ def cmd_distill(args) -> int:
                                  gamma_t=(ns.gamma_t_min, ns.gamma_t_max))
     dcfg = training.DistillConfig(K=ns.teacher_steps, tau=ns.tau, alpha=ns.alpha, kl_direction=ns.kl)
     opt = training.OptimizerConfig(lr=ns.lr, batch_size=ns.batch_size, weight_decay=ns.weight_decay)
-    try:
-        with _step_log(ns.log_jsonl, progress=False) as log:
-            result = training.train_distill(cfg, start, pairs, dcfg, mcfg, opt, steps=ns.steps,
-                                            seed=ns.seed, log_cb=log)
-    except TrainingDivergedError as e:
-        talker.save_checkpoint(ns.out, cfg, e.params)
-        print(f"error: {e}; last good parameters saved to {ns.out}", file=sys.stderr)
-        return 1
-    talker.save_checkpoint(ns.out, cfg, result.params)
-    if ns.curve:
-        training.write_curve_csv(ns.curve, result.curve)
-    print(f"distilled {ns.steps} steps, final loss {result.final_loss:.4f}, checkpoint {ns.out}")
-    return 0
+    return _run_training(ns, cfg, "distilled", False, lambda log: training.train_distill(
+        cfg, start, pairs, dcfg, mcfg, opt, steps=ns.steps, seed=ns.seed, log_cb=log))
 
 
 def _read_conditioning(path):
@@ -316,13 +238,7 @@ def _block_events(traces, B: int):
                    "mean_confidence": float(np.mean(conf)), "mean_entropy": float(np.mean(entropy))}
 
 
-def cmd_decode(args) -> int:
-    ns = _merge(args, args.config, {
-        "checkpoint": None, "input": None, "output": None, "trace": None, "log_jsonl": None,
-        "steps": 4, "block_size": None, "max_blocks": 8, "seed": 0,
-    })
-    if ns.steps < 1:
-        raise ParameterError(f"--steps must be >= 1, got {ns.steps}")
+def cmd_decode(ns) -> int:
     cfg, params = talker.load_checkpoint(ns.checkpoint)
     block_size = ns.block_size if ns.block_size is not None else cfg.B
     dcfg = decode_mod.DecodeConfig(B=block_size, K=ns.steps, max_blocks=ns.max_blocks,
@@ -352,11 +268,7 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    ns = _merge(args, args.config, {
-        "checkpoint": None, "eval_path": None, "steps": "16,8,4,2,1",
-        "repetitions": 1, "seed": 0, "max_blocks": 8, "out_json": None, "out_csv": None,
-    })
+def cmd_bench(ns) -> int:
     if not ns.checkpoint:
         raise ParameterError("bench needs at least one --checkpoint LABEL=PATH")
     checkpoints = {}
@@ -375,7 +287,7 @@ def cmd_bench(args) -> int:
         steps = [int(s) for s in str(ns.steps).split(",")]
     except ValueError:
         raise ParameterError(f"--steps must be comma-separated integers, got {ns.steps!r}") from None
-    ecfg = bench.ExperimentConfig(checkpoints=checkpoints, steps=steps, eval_path=ns.eval_path,
+    ecfg = bench.ExperimentConfig(checkpoints=checkpoints, steps=steps, eval_path=ns.eval,
                                   seed=ns.seed, repetitions=ns.repetitions, max_blocks=ns.max_blocks)
     report = bench.bench_sweep(ecfg)
     if ns.out_json:
@@ -389,12 +301,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_maskstats(args) -> int:
-    ns = _merge(args, args.config, {
-        "mode": "hierarchical", "T": 256, "block_size": 16, "samples": 10000, "seed": 0,
-        "delta": 0.2, "gamma_g": "0.3,0.8", "gamma_c": "0.5,1.0", "gamma_t": "0.3,1.0",
-        "out_json": None, "out_csv": None,
-    })
+def cmd_maskstats(ns) -> int:
     part = masking.partition(ns.T, ns.block_size)
     mcfg = masking.MaskingConfig(mode=ns.mode, gamma_g=_pair(ns.gamma_g),
                                  gamma_c=_pair(ns.gamma_c), gamma_t=_pair(ns.gamma_t))
@@ -415,10 +322,11 @@ def cmd_maskstats(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    ns = _merge(args, args.config, {
-        "seed": 0, "d": 16, "layers": 2, "T": 32, "epsilon": 1e-6, "coords": 12, "tolerance": 1e-5,
-    })
+def cmd_gradcheck(ns) -> int:
+    if ns.T < 1:
+        raise ParameterError(f"--T must be >= 1, got {ns.T}")
+    if not 0 < ns.tolerance < np.inf:
+        raise ParameterError(f"--tolerance must be finite and > 0, got {ns.tolerance}")
     cfg = talker.TalkerConfig(data_tokens=16, src_vocab=8, d=ns.d, d_ff=2 * ns.d,
                               n_layers=ns.layers, n_heads=2, B=8, Q=2, T_max=max(64, ns.T))
     rng = nd.make_rng(ns.seed)
@@ -455,17 +363,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return COMMANDS[args.command](args)
-    except BlockMDMError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+        return COMMANDS[args.command](_merge(args))
+    except (BlockMDMError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

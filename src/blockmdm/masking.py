@@ -160,6 +160,8 @@ def mask_stats(part: BlockPartition, cfg: MaskingConfig, rng, samples: int,
     """
     if samples < 1000:
         raise ParameterError(f"mask_stats requires samples >= 1000, got {samples}")
+    if not 0 < hoeffding_delta < 1:
+        raise ParameterError(f"hoeffding_delta must lie in (0, 1), got {hoeffding_delta}")
     T, B, K_blk = part.T, part.B, part.n_blocks
     report = {
         "mode": cfg.mode,

@@ -654,6 +654,8 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None,
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ParameterError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    if max_coords_per_param < 1:
+        raise ParameterError(f"max_coords_per_param must be >= 1, got {max_coords_per_param}")
     if rng is None:
         rng = make_rng(0)
     zero_grads(params)

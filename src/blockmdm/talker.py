@@ -73,6 +73,9 @@ class TalkerConfig:
     T_max: int = 256
 
     def __post_init__(self):
+        for name in ("data_tokens", "src_vocab", "d", "d_ff", "n_layers", "n_heads", "T_max"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.n_heads != 0:
             raise ParameterError(f"d={self.d} must be divisible by n_heads={self.n_heads}")
         if not (1 <= self.Q <= self.B):

@@ -44,8 +44,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ParameterError(f"K must be >= 1, got {self.K}")
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ParameterError(f"tau must be finite and > 0, got {self.tau}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.kl_direction not in ("reverse", "forward"):
@@ -63,12 +63,12 @@ class OptimizerConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         if not self.batch_size >= 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.weight_decay >= 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
             raise ParameterError(f"betas must be two values in [0, 1), got {self.betas}")
         if not self.eps > 0:
@@ -242,6 +242,8 @@ def _check_finite(value, params, step):
         raise TrainingDivergedError(f"non-finite loss at step {step}", params=params, step=step)
 
 
+# a diverging step overflows; the finite-loss check reports it as one error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: MaskingConfig,
            opt: OptimizerConfig, steps: int, rng, log_cb, targets_fn=None,
            distill_cfg: DistillConfig = None) -> TrainResult:

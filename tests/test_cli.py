@@ -230,7 +230,7 @@ class TestDecodeCommand:
         assert main(["decode", "--checkpoint", "/nonexistent.ckpt", "--input", str(corpus),
                      "--steps", "1"]) == 1
 
-    @pytest.mark.parametrize("defect", ["no_params", "transposed", "trailing"])
+    @pytest.mark.parametrize("defect", ["no_params", "transposed", "trailing", "zero_heads"])
     def test_malformed_checkpoint_one_error_line(self, checkpoint, corpus, tmp_path, capsys, defect):
         magic, header, body = checkpoint.read_bytes().split(b"\n", 2)
         header = json.loads(header)
@@ -238,6 +238,8 @@ class TestDecodeCommand:
             del header["params"]
         elif defect == "transposed":
             header["params"][0]["shape"].reverse()
+        elif defect == "zero_heads":
+            header["config"]["n_heads"] = 0
         else:
             body += b"\0" * 8
         bad = tmp_path / "bad.ckpt"
@@ -252,6 +254,11 @@ class TestDecodeCommand:
 
 def TRAIN_ARGV(data, f):
     return ["train", "--data", data, "--out", f + ".ckpt", "--steps", "1", "--batch-size", "2"] + SMALL_MODEL_ARGS
+
+
+def DISTILL_ARGV(ckpt, data, f):
+    return ["distill", "--checkpoint", ckpt, "--data", data, "--out", f + ".ckpt", "--steps", "1",
+            "--batch-size", "2", "--teacher-steps", "2"]
 
 
 MALFORMED_INPUTS = {
@@ -281,6 +288,24 @@ MALFORMED_INPUTS = {
                                                         "--out", f + ".ckpt", "--steps", "0"]),
     "train_target_over_t_max": (synthtask.CORPUS_MAGIC + '{"count": 1, "spec": {}}\n1 2\n1 2 3 4 5 6 7 8 9\n',
                                 lambda f, ckpt, corpus: TRAIN_ARGV(f, f) + ["--t-max", "8"]),
+    "train_heads_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--heads", "0"]),
+    "train_d_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--d", "0"]),
+    "train_d_negative": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--d", "-16"]),
+    "train_layers_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--layers", "0"]),
+    "gradcheck_d_zero": ("", lambda f, ckpt, corpus: ["gradcheck", "--d", "0"]),
+    "gradcheck_layers_negative": ("", lambda f, ckpt, corpus: ["gradcheck", "--layers", "-1"]),
+    "train_lr_inf": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--lr", "inf"]),
+    "train_weight_decay_inf": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--weight-decay", "inf"]),
+    "train_data_directory": ("", lambda f, ckpt, corpus: TRAIN_ARGV(os.path.dirname(f), f)),
+    "train_huge_lr": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--lr", "1e300", "--steps", "3"]),
+    "distill_tau_nan": ("", lambda f, ckpt, corpus: DISTILL_ARGV(ckpt, corpus, f) + ["--tau", "nan"]),
+    "distill_tau_inf": ("", lambda f, ckpt, corpus: DISTILL_ARGV(ckpt, corpus, f) + ["--tau", "inf"]),
+    "gradcheck_tolerance_nan": ("", lambda f, ckpt, corpus: ["gradcheck", "--tolerance", "nan"]),
+    "gradcheck_coords_zero": ("", lambda f, ckpt, corpus: ["gradcheck", "--coords", "0"]),
+    "gradcheck_coords_negative": ("", lambda f, ckpt, corpus: ["gradcheck", "--coords", "-1"]),
+    "gradcheck_T_zero": ("", lambda f, ckpt, corpus: ["gradcheck", "--T", "0"]),
+    "maskstats_delta_nan": ("", lambda f, ckpt, corpus: ["maskstats", "--mode", "global_bernoulli", "--T", "64",
+                                                         "--samples", "1000", "--delta", "nan"]),
 }
 
 
@@ -326,6 +351,18 @@ class TestBenchCommand:
         assert data["rows"][0]["tps"]["nondeterministic"] is True
         header = oc.read_text().splitlines()[0]
         assert header.startswith("checkpoint,K,tps,rtf_analog,err_rate")
+
+    def test_eval_config_key(self, checkpoint, corpus, tmp_path, capsys):
+        """The config key of --eval is ``eval``, like every other long option name."""
+        cfg_path = tmp_path / "bench.json"
+        argv = ["bench", "--config", str(cfg_path), "--checkpoint", f"base={checkpoint}", "--steps", "1",
+                "--max-blocks", "1"]
+        cfg_path.write_text(json.dumps({"eval": str(corpus)}))
+        assert main(argv) == 0
+        cfg_path.write_text(json.dumps({"eval_path": str(corpus)}))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['eval_path']\n"
 
     def test_bad_checkpoint_spec_exit_1(self, corpus):
         assert main(["bench", "--checkpoint", "nolabel", "--eval", str(corpus)]) == 1

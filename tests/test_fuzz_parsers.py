@@ -8,17 +8,23 @@ traceback (a warning line may precede the error). The valid files use a
 tiny model and small values, so a mutation (at most three edits of up to
 three bytes) cannot ask for a long run. Examples are derandomized, so
 every run checks the same inputs.
+
+Each flag of each subcommand is also given an edge value (zero, negative,
+NaN, infinite or not a number) on top of a tiny valid command line: the
+exit must be 0, 2 (usage) or 1 with exactly one ``error:`` line.
 """
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blockmdm import nd, synthtask, talker
-from blockmdm.cli import main
+from blockmdm.cli import OPTIONS, main
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=8, d=8, d_ff=8, n_layers=1, n_heads=2,
                           B=4, Q=2, T_max=32)
@@ -117,3 +123,55 @@ def test_mutated_valid_file(kind, files, edits, near_start):
 def test_token_edge_cases(files, text):
     # a negative id, an id beyond any integer type, a non-ASCII digit
     check_clean_exit("sources", text.encode(), files)
+
+
+def tiny_argv(command, root):
+    """A valid, quick invocation of ``command`` on the fixture files; outputs go to the working directory."""
+    ckpt, corpus = str(root / "model.ckpt"), str(root / "corpus.txt")
+    return {
+        "gen-data": ["gen-data", "--out", "gen.txt", "--count", "3", "--n-min", "2", "--n-max", "3",
+                     "--source-vocab", "8", "--data-tokens", "12", "--upsample", "2"],
+        "train": ["train", "--data", corpus, "--out", "out.ckpt", "--steps", "1", "--batch-size", "2",
+                  *MODEL_ARGS],
+        "distill": ["distill", "--checkpoint", ckpt, "--data", corpus, "--out", "out.ckpt", "--steps", "1",
+                    "--batch-size", "2", "--teacher-steps", "2"],
+        "decode": ["decode", "--checkpoint", ckpt, "--input", corpus, "--steps", "1", "--max-blocks", "2",
+                   "--output", "tokens.txt"],
+        "bench": ["bench", "--checkpoint", f"base={ckpt}", "--eval", corpus, "--steps", "1",
+                  "--max-blocks", "2"],
+        "maskstats": ["maskstats", "--T", "16", "--block-size", "4", "--samples", "1000"],
+        "gradcheck": ["gradcheck", "--d", "4", "--layers", "1", "--T", "8", "--coords", "2"],
+    }[command]
+
+
+def run_in_fresh_dir(argv):
+    """``main(argv)`` in a new empty working directory; returns the exit code and stderr."""
+    home, err = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                return main(argv), err.getvalue()
+        finally:
+            os.chdir(home)
+
+
+# no large values: a huge --T or --count asks for gigabytes or a long run
+EDGE_VALUES = ["0", "-1", "nan", "inf", "x"]
+FLAGS = [(command, flag) for command, (_, rows) in OPTIONS.items() for flag in ["config"] + [r[0] for r in rows]]
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_tiny_argv_exit_0(command, files):
+    assert run_in_fresh_dir(tiny_argv(command, files)) == (0, "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second stderr line
+@pytest.mark.parametrize("command, flag", FLAGS)
+@settings(FUZZ, max_examples=len(EDGE_VALUES))
+@given(value=st.sampled_from(EDGE_VALUES))
+def test_edge_flag_value(command, flag, files, value):
+    code, err = run_in_fresh_dir(tiny_argv(command, files) + ["--" + flag, value])
+    assert code in (0, 1, 2), code
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -46,6 +46,11 @@ class TestDistillConfig:
         with pytest.raises(ParameterError):
             DistillConfig(kl_direction="diagonal")
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_tau_must_be_finite(self, tau):
+        with pytest.raises(ParameterError):
+            DistillConfig(tau=tau)
+
 
 class TestTeacherRollout:
     def test_k1_records_single_pass_logits_everywhere(self):
