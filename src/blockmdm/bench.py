@@ -28,7 +28,7 @@ import numpy as np
 from . import decode as decode_mod
 from . import nd, synthtask, talker
 from .decode import DecodeConfig
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .talker import TalkerConfig, TalkerParams
 
 NOMINAL_SECONDS_PER_TOKEN = 0.04
@@ -76,7 +76,6 @@ class ExperimentConfig:
     repetitions: int = 1
     max_blocks: int = 8
     warmup: int = 2
-    seconds_per_token: float = NOMINAL_SECONDS_PER_TOKEN
 
     def __post_init__(self):
         if not self.steps or any(k < 1 for k in self.steps):
@@ -190,8 +189,7 @@ def _step_means(traces, K: int) -> list:
 
 
 def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
-                max_blocks: int = 8, warmup: int = 2, checkpoint_label: str = "model",
-                seconds_per_token: float = NOMINAL_SECONDS_PER_TOKEN) -> Metrics:
+                max_blocks: int = 8, warmup: int = 2, checkpoint_label: str = "model") -> Metrics:
     """Decode an eval set at ``K`` steps per block and aggregate metrics."""
     vocab = tcfg.vocab
     dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=vocab.eos_id)
@@ -220,7 +218,7 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
         tokens=tokens,
         wall_time=wall,
         tps=tokens / wall if wall > 0 else float("inf"),
-        rtf_analog=wall / (tokens * seconds_per_token) if tokens else float("inf"),
+        rtf_analog=wall / (tokens * NOMINAL_SECONDS_PER_TOKEN) if tokens else float("inf"),
         err_rate=float(np.mean(errs)),
         mean_confidence_per_step=mean_conf,
         mean_entropy_per_step=mean_ent,
@@ -256,6 +254,10 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
         if cfg.eval_path is None:
             raise ParameterError("bench_sweep needs an eval corpus (eval_path) or explicit pairs")
         _, pairs = synthtask.read_corpus(cfg.eval_path)
+        if not pairs:
+            raise InputError(f"{cfg.eval_path}: eval corpus has no pairs")
+    elif not pairs:
+        raise InputError("bench_sweep needs at least one eval pair")
     loaded = {}
     ref_cfg = None
     for label, path in cfg.checkpoints.items():
@@ -270,7 +272,7 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
     rows = []
     for label, (tcfg, params) in loaded.items():
         evals = {K: [decode_eval(params, tcfg, pairs, K, max_blocks=cfg.max_blocks, warmup=cfg.warmup,
-                                 checkpoint_label=label, seconds_per_token=cfg.seconds_per_token)
+                                 checkpoint_label=label)
                      for _ in range(cfg.repetitions)]
                  for K in cfg.steps}
         breakdown = first_chunk_breakdown(params, tcfg, sources, [m for ms in evals.values() for m in ms],
@@ -295,7 +297,7 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
                 "latency_stage_post": breakdown[K]["post_median"],
             })
     return {
-        "seconds_per_token": cfg.seconds_per_token,
+        "seconds_per_token": NOMINAL_SECONDS_PER_TOKEN,
         "repetitions": cfg.repetitions,
         "seed": cfg.seed,
         "rows": rows,

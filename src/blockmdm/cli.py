@@ -55,7 +55,7 @@ OPTIONS = {
         ("input", str, REQUIRED, "conditioning file: corpus file or one source sequence per line"),
         ("output", str, None), ("trace", str, None),
         ("log-jsonl", str, None, "write one JSON object per decoded block to this file"),
-        ("steps", int, 4), ("block-size", int, None), ("max-blocks", int, 8), ("seed", int, 0)]),
+        ("steps", int, 4), ("max-blocks", int, 8)]),
     "bench": ("step-sweep benchmark over checkpoints", [
         ("checkpoint", list, None), ("eval", str, None),
         ("steps", str, "16,8,4,2,1", "comma-separated step counts, e.g. 16,8,4,2,1"),
@@ -240,9 +240,7 @@ def _block_events(traces, B: int):
 
 def cmd_decode(ns) -> int:
     cfg, params = talker.load_checkpoint(ns.checkpoint)
-    block_size = ns.block_size if ns.block_size is not None else cfg.B
-    dcfg = decode_mod.DecodeConfig(B=block_size, K=ns.steps, max_blocks=ns.max_blocks,
-                                   eos_id=cfg.vocab.eos_id)
+    dcfg = decode_mod.DecodeConfig(B=cfg.B, K=ns.steps, max_blocks=ns.max_blocks, eos_id=cfg.vocab.eos_id)
     sources = _read_conditioning(ns.input)
     out = open(ns.output, "w", encoding="utf-8") if ns.output else sys.stdout
     traces = []
@@ -259,7 +257,7 @@ def cmd_decode(ns) -> int:
             out.close()
     if ns.trace:
         with open(ns.trace, "w", encoding="utf-8") as f:
-            f.write(bench.report_to_json({"seed": ns.seed, "K": ns.steps, "traces": [
+            f.write(bench.report_to_json({"K": ns.steps, "traces": [
                 {"input_index": i, **asdict(trace)} for i, trace in enumerate(traces)]}))
     if ns.log_jsonl:
         with open(ns.log_jsonl, "w", encoding="utf-8") as f:

@@ -3,10 +3,15 @@
 Each block starts fully masked and is denoised in ``K`` steps: every step
 runs one forward pass conditioned on the committed prefix and the
 conditioning stream, then reveals the scheduled number of highest
-confidence positions with their argmax tokens. That reveal rule is
-:func:`reveal_step`; the self-distillation teacher uses it too, and the
-confidences and entropies it reports are what the bench aggregates, read
-from the decode traces. Completed blocks are final:
+confidence positions with their argmax tokens. With ``R_j`` positions
+still masked at step ``j``, the even schedule reveals
+``n_j = ceil(R_j / (K - j + 1))`` of them (:func:`schedule_step`), so every
+position is revealed within ``K`` steps. Confidence is the largest softmax
+probability of a position's logits; the ``n_j`` most confident positions
+are revealed, ties to the lowest position (:func:`pick_reveal`). That
+reveal rule is :func:`reveal_step`; the self-distillation teacher uses it
+too, and the confidences and entropies it reports are what the bench
+aggregates, read from the decode traces. Completed blocks are final:
 they are emitted immediately and never change. Generation stops at the
 first block containing an end-of-sequence token (output truncated at the
 earliest one) or when the block budget runs out.
@@ -30,7 +35,6 @@ import numpy as np
 
 from . import nd, talker
 from .errors import DecodeError, ParameterError
-from .schedule import pick_reveal, schedule_step
 from .semantics import AlignedSemantics
 from .talker import TalkerConfig, TalkerParams
 
@@ -97,6 +101,23 @@ def canvas_length(tcfg: TalkerConfig, dcfg: DecodeConfig) -> int:
     return min(dcfg.max_blocks * dcfg.B, (tcfg.T_max // dcfg.B) * dcfg.B)
 
 
+def schedule_step(R: int, j: int, K: int) -> int:
+    """Number of positions to reveal at step ``j`` (1-based) of ``K`` with
+    ``R`` still masked: ``ceil(R / (K - j + 1))``, zero only when ``R`` is."""
+    if K < 1 or not (1 <= j <= K):
+        raise ParameterError(f"step index must satisfy 1 <= j <= K, got j={j}, K={K}")
+    if R < 0:
+        raise ParameterError(f"remaining count must be >= 0, got {R}")
+    return -(-R // (K - j + 1))
+
+
+def pick_reveal(positions, confidences, n: int) -> np.ndarray:
+    """The ``n`` positions with highest confidence, ties to lowest index."""
+    positions = np.asarray(positions)
+    order = np.lexsort((positions, -np.asarray(confidences)))
+    return positions[order[:n]]
+
+
 def reveal_step(logits, masked, j: int, K: int) -> tuple:
     """The confidence-ranked reveal at step ``j`` of ``K``.
 
@@ -106,7 +127,7 @@ def reveal_step(logits, masked, j: int, K: int) -> tuple:
     their confidences (maximum softmax probability) and softmax entropies
     in nats. Their tokens are ``logits[positions].argmax(1)``.
     """
-    e = logits[masked]  # the softmax of nd.softmax_array, divided out only where it is used
+    e = logits[masked]  # a row softmax, divided out only where it is used
     e -= e.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     total = e.sum(axis=1)

@@ -49,9 +49,6 @@ class BlockPartition:
         s = self.block_slice(k)
         return np.arange(s.start, s.stop)
 
-    def block_of(self, t: int) -> int:
-        return t // self.B
-
     def block_size(self, k: int) -> int:
         s = self.block_slice(k)
         return s.stop - s.start
@@ -240,35 +237,20 @@ def expected_fraction_hierarchical(part: BlockPartition, cfg: MaskingConfig) -> 
     """
     K_blk = part.n_blocks
     e_blocks = _expected_floor_uniform(cfg.gamma_c[0] * K_blk, cfg.gamma_c[1] * K_blk)
-    e_nk = _expected_max1_floor_uniform(cfg.gamma_t[0] * part.B, cfg.gamma_t[1] * part.B)
+    e_nk = _expected_floor_uniform(cfg.gamma_t[0] * part.B, cfg.gamma_t[1] * part.B, at_least=1)
     return e_blocks * e_nk / part.T
 
 
-def _expected_floor_uniform(lo: float, hi: float) -> float:
-    """E[floor(X)] for X ~ U(lo, hi)."""
+def _expected_floor_uniform(lo: float, hi: float, at_least: int = 0) -> float:
+    """E[max(at_least, floor(X))] for X ~ U(lo, hi), with X >= 0."""
     if hi == lo:
-        return float(math.floor(lo))
+        return float(max(at_least, math.floor(lo)))
     total = 0.0
     m = math.floor(lo)
     while m < hi:
         seg_lo = max(lo, m)
         seg_hi = min(hi, m + 1)
         if seg_hi > seg_lo:
-            total += m * (seg_hi - seg_lo)
-        m += 1
-    return total / (hi - lo)
-
-
-def _expected_max1_floor_uniform(lo: float, hi: float) -> float:
-    """E[max(1, floor(X))] for X ~ U(lo, hi)."""
-    if hi == lo:
-        return float(max(1, math.floor(lo)))
-    total = 0.0
-    m = math.floor(lo)
-    while m < hi:
-        seg_lo = max(lo, m)
-        seg_hi = min(hi, m + 1)
-        if seg_hi > seg_lo:
-            total += max(1, m) * (seg_hi - seg_lo)
+            total += max(at_least, m) * (seg_hi - seg_lo)
         m += 1
     return total / (hi - lo)

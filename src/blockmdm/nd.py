@@ -373,15 +373,6 @@ def _log_softmax(z):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_array(z):
-    """Stable row softmax on a plain array (log-sum-exp shifted)."""
-    z = np.asarray(z, dtype=np.float64)
-    e = z - z.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
 def masked_cross_entropy(logits: Tensor, targets, mask_positions, counts=None) -> Tensor:
     """Summed negative log-likelihood over the masked positions only.
 
@@ -532,7 +523,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) ->
         w *= inv_sqrt_d
         if hidden is not None:
             np.copyto(w, -np.inf, where=hidden)
-        # softmax_array in place; fmax is max without NaN propagation, and a
+        # a row softmax in place; fmax is max without NaN propagation, and a
         # NaN score still turns its whole row NaN through the sum
         w -= np.fmax.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
@@ -636,8 +627,7 @@ class GradCheckReport:
                 f"(worst {name}[{idx}]: analytic {a:.6e}, numeric {n:.6e})")
 
 
-def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None,
-               floor_scale=1e-4) -> GradCheckReport:
+def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
     ``loss_fn`` must rebuild the forward pass from the current parameter
@@ -645,7 +635,7 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None,
     coordinates are sampled per parameter (all of them when small).
 
     The per-coordinate error is ``|a - n| / max(|a|, |n|, floor)`` with
-    ``floor = floor_scale * max(1, |loss|)``: below the floor, differences
+    ``floor = 1e-4 * max(1, |loss|)``: below the floor, differences
     are indistinguishable from float64 finite-difference roundoff, so
     near-zero gradients are compared absolutely at that scale. Coordinates
     whose two one-sided differences disagree strongly sit on a ReLU kink
@@ -663,7 +653,7 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None,
     loss.backward()
     f0 = loss.item()
     analytic = {p.name: p.value.grad.copy() for p in params}
-    floor = floor_scale * max(1.0, abs(f0))
+    floor = 1e-4 * max(1.0, abs(f0))
 
     max_rel = 0.0
     worst = (params[0].name, 0, 0.0, 0.0)

@@ -48,10 +48,7 @@ class AlignedSemantics:
     """
 
     T: int
-    d: int
     h_prime: nd.Tensor
-    anchor_positions: np.ndarray
-    n_assigned: int
     n_dropped: int = 0
 
 
@@ -66,17 +63,16 @@ def align(h, anchors: np.ndarray, T: int) -> AlignedSemantics:
     ht = h if isinstance(h, nd.Tensor) else nd.constant(np.asarray(h, dtype=np.float64))
     if ht.data.ndim != 2:
         raise DimensionError(f"conditioning states must be N x d, got shape {ht.data.shape}")
-    N, d = ht.data.shape
+    N = ht.data.shape[0]
     anchors = np.asarray(anchors, dtype=np.intp)
-    n_assigned = min(N, len(anchors))
+    n_placed = min(N, len(anchors))
     if N > len(anchors):
         log.warning("dropping %d surplus conditioning rows (%d rows, %d anchors)",
                     N - len(anchors), N, len(anchors))
     row_for_pos = np.full(T, -1, dtype=np.intp)
-    row_for_pos[anchors[:n_assigned]] = np.arange(n_assigned)
+    row_for_pos[anchors[:n_placed]] = np.arange(n_placed)
     h_prime = nd.place_rows(ht, row_for_pos, T)
-    return AlignedSemantics(T=T, d=d, h_prime=h_prime, anchor_positions=anchors, n_assigned=n_assigned,
-                            n_dropped=N - n_assigned)
+    return AlignedSemantics(T=T, h_prime=h_prime, n_dropped=N - n_placed)
 
 
 @dataclass
@@ -88,27 +84,19 @@ class FusionParams:
     W2: nd.Param
     b2: nd.Param
 
-    @classmethod
-    def init(cls, d: int, d_ff: int, rng, std: float = 0.02) -> "FusionParams":
-        return cls(
-            W1=nd.param("fusion.W1", rng.normal(0.0, std, size=(d, d_ff))),
-            b1=nd.param("fusion.b1", np.zeros(d_ff)),
-            W2=nd.param("fusion.W2", rng.normal(0.0, std, size=(d_ff, d))),
-            b2=nd.param("fusion.b2", np.zeros(d)),
-        )
-
     def params(self):
         return [self.W1, self.b1, self.W2, self.b2]
 
 
-def fuse(tok_emb: nd.Tensor, aligned: AlignedSemantics, fp: FusionParams) -> nd.Tensor:
-    """Two-layer feed-forward over the sum of embeddings and aligned stream."""
-    if tok_emb.data.shape != aligned.h_prime.data.shape:
+def fuse(tok_emb: nd.Tensor, h_prime: nd.Tensor, fp: FusionParams) -> nd.Tensor:
+    """Two-layer feed-forward over the sum of embeddings and the aligned
+    stream's rows ``h_prime`` at the same positions."""
+    if tok_emb.data.shape != h_prime.data.shape:
         raise DimensionError(
-            f"embedding/conditioning width mismatch: {tok_emb.data.shape} vs {aligned.h_prime.data.shape}")
+            f"embedding/conditioning width mismatch: {tok_emb.data.shape} vs {h_prime.data.shape}")
     if tok_emb.data.shape[1] != fp.W1.data.shape[0]:
         raise DimensionError(
             f"fusion W1 expects width {fp.W1.data.shape[0]}, inputs have {tok_emb.data.shape[1]}")
-    x = nd.add(tok_emb, aligned.h_prime)
+    x = nd.add(tok_emb, h_prime)
     u = nd.relu(nd.add(nd.matmul(x, fp.W1.value), fp.b1.value))
     return nd.add(nd.matmul(u, fp.W2.value), fp.b2.value)

@@ -150,9 +150,6 @@ class TalkerParams:
             h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
         return h.hexdigest()
 
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.ordered())
-
 
 def _params_from_ordered(plist, n_layers):
     src, w1, b1, w2, b2, tok, pos = plist[:7]
@@ -165,33 +162,18 @@ def _params_from_ordered(plist, n_layers):
 
 
 def init_params(cfg: TalkerConfig, rng, std: float = 0.02) -> TalkerParams:
-    """Fresh normally-initialized parameters; shapes depend only on ``cfg``."""
-    def mat(name, r, c):
-        return nd.param(name, rng.normal(0.0, std, size=(r, c)))
-
-    layers = []
-    for i in range(cfg.n_layers):
-        layers.append(LayerParams(
-            wq=mat(f"layer{i}.wq", cfg.d, cfg.d),
-            wk=mat(f"layer{i}.wk", cfg.d, cfg.d),
-            wv=mat(f"layer{i}.wv", cfg.d, cfg.d),
-            wo=mat(f"layer{i}.wo", cfg.d, cfg.d),
-            ffn_in=mat(f"layer{i}.ffn_in", cfg.d, cfg.d_ff),
-            ffn_out=mat(f"layer{i}.ffn_out", cfg.d_ff, cfg.d),
-        ))
-    return TalkerParams(
-        src_embed=mat("src_embed", cfg.src_vocab, cfg.d),
-        fusion=FusionParams.init(cfg.d, cfg.d_ff, rng, std=std),
-        tok_embed=mat("tok_embed", cfg.V, cfg.d),
-        pos_embed=mat("pos_embed", cfg.T_max, cfg.d),
-        layers=layers,
-        head=mat("head", cfg.d, cfg.V),
-    )
+    """Fresh parameters for every entry of :func:`param_shapes`: matrices
+    drawn from N(0, std^2), vectors zero. The layer weights are drawn
+    first, then the other matrices in table order."""
+    table = param_shapes(cfg)
+    values = {}
+    for name, shape in sorted(table, key=lambda entry: not entry[0].startswith("layer")):
+        values[name] = rng.normal(0.0, std, size=shape) if len(shape) == 2 else np.zeros(shape)
+    return _params_from_ordered([nd.param(name, values[name]) for name, _ in table], n_layers=cfg.n_layers)
 
 
 def param_shapes(cfg: TalkerConfig) -> list:
-    """``(name, shape)`` of every parameter in checkpoint order, as
-    :func:`init_params` builds them."""
+    """``(name, shape)`` of every parameter in checkpoint order."""
     d, d_ff = cfg.d, cfg.d_ff
     layer = [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
              ("ffn_in", (d, d_ff)), ("ffn_out", (d_ff, d))]
@@ -265,11 +247,7 @@ def align_batch(params: TalkerParams, cfg: TalkerConfig, sources, lengths) -> Al
 def stack_aligned(parts) -> AlignedSemantics:
     """Conditioning streams of single sequences stacked sample-major, as
     :func:`forward` takes them for a batch of those sequences."""
-    starts = np.cumsum([0] + [a.T for a in parts])
-    return AlignedSemantics(T=int(starts[-1]), d=parts[0].d, h_prime=nd.concat_rows([a.h_prime for a in parts]),
-                            anchor_positions=np.concatenate([a.anchor_positions + start
-                                                             for a, start in zip(parts, starts)]),
-                            n_assigned=sum(a.n_assigned for a in parts),
+    return AlignedSemantics(T=sum(a.T for a in parts), h_prime=nd.concat_rows([a.h_prime for a in parts]),
                             n_dropped=sum(a.n_dropped for a in parts))
 
 
@@ -314,12 +292,9 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
     else:
         positions = np.concatenate([np.arange(n) for n in lengths])  # no cache: offset 0
     masks = nd.AttentionMask([build_block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths])
-    h_prime = aligned
+    h_prime = aligned.h_prime
     if aligned.T > T:  # one sequence: its rows are positions offset..end-1
-        h_prime = AlignedSemantics(T=T, d=aligned.d,
-                                   h_prime=nd.take_rows(aligned.h_prime, slice(offset, end)),
-                                   anchor_positions=aligned.anchor_positions,
-                                   n_assigned=aligned.n_assigned, n_dropped=aligned.n_dropped)
+        h_prime = nd.take_rows(h_prime, slice(offset, end))
 
     with nd.sequences(lengths):
         emb = nd.embedding(params.tok_embed.value, tokens)

@@ -97,6 +97,13 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def row_entropy(logits_row) -> float:
+    """Shannon entropy (nats) of the softmax distribution of one row."""
+    p = softmax(np.asarray(logits_row, dtype=np.float64))
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
 def attention(q, k, v, masks, n_heads):
     """Per sequence and head: scores, an unconditional ``-inf`` fill, a fresh
     softmax, and the weighted values copied into an output buffer."""

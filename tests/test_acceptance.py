@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from blockmdm import bench, decode, masking, nd, talker
-from blockmdm.decode import DecodeConfig
+from blockmdm.decode import DecodeConfig, schedule_step
 from blockmdm.masking import MaskingConfig, partition
-from blockmdm.schedule import schedule_step
 from blockmdm.synthtask import TaskSpec, gen_dataset, strip_eos, token_error_rate
 from blockmdm.training import DistillConfig, OptimizerConfig, train_distill, train_mdm
 

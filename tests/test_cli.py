@@ -48,6 +48,12 @@ class TestDispatch:
         assert main(["decode", "--help"]) == 0
         capsys.readouterr()
 
+    def test_decode_takes_no_seed_or_block_size(self, capsys):
+        # decoding draws no random numbers and runs at the checkpoint's block size
+        assert main(["decode", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert "--seed" not in usage and "--block-size" not in usage
+
     def test_python_m_cli_prints_usage(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(blockmdm.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -304,6 +310,9 @@ MALFORMED_INPUTS = {
     "gradcheck_coords_zero": ("", lambda f, ckpt, corpus: ["gradcheck", "--coords", "0"]),
     "gradcheck_coords_negative": ("", lambda f, ckpt, corpus: ["gradcheck", "--coords", "-1"]),
     "gradcheck_T_zero": ("", lambda f, ckpt, corpus: ["gradcheck", "--T", "0"]),
+    "bench_empty_eval": (synthtask.CORPUS_MAGIC + '{"count": 0, "spec": {}}\n',
+                         lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}", "--eval", f,
+                                                  "--steps", "1"]),
     "maskstats_delta_nan": ("", lambda f, ckpt, corpus: ["maskstats", "--mode", "global_bernoulli", "--T", "64",
                                                          "--samples", "1000", "--delta", "nan"]),
 }

@@ -3,9 +3,9 @@ import pytest
 
 from blockmdm import nd, talker
 from blockmdm.decode import (DecodeConfig, DecodeTrace, canvas_length, decode, decode_block,
-                             decode_source, reveal_step, stream_blocks)
+                             decode_source, pick_reveal, reveal_step, schedule_step, stream_blocks)
 from blockmdm.errors import DecodeError, ParameterError
-from blockmdm.schedule import pick_reveal, row_entropy, schedule_step
+from plain_ops import row_entropy, softmax
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                           B=4, Q=2, T_max=32)
@@ -40,7 +40,7 @@ class TestRevealStep:
             masked = np.sort(rng.choice(16, int(rng.integers(1, 17)), replace=False))
             K = int(rng.integers(1, 5))
             j = int(rng.integers(1, K + 1))
-            probs = nd.softmax_array(logits[masked])
+            probs = softmax(logits[masked])
             conf = probs.max(axis=1)
             want = pick_reveal(masked, conf, schedule_step(len(masked), j, K))
             p = probs[np.searchsorted(masked, want)]
@@ -251,7 +251,7 @@ def uncached_reference_decode(aligned, params, cfg, dcfg):
             if masked.size == 0:
                 break
             logits = talker.forward_array(params, cfg, canvas, aligned)[lo:]
-            conf = nd.softmax_array(logits[masked]).max(axis=1)
+            conf = softmax(logits[masked]).max(axis=1)
             reveal = pick_reveal(masked, conf, schedule_step(len(masked), j, K))
             canvas[lo + reveal] = logits[reveal].argmax(axis=1)
             conf_by_pos = dict(zip(masked.tolist(), conf.tolist()))

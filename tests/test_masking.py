@@ -178,6 +178,16 @@ class TestMaskStats:
         # closed form: E[floor(16 gc)] = 11.5, E[max(1, floor(16 gt))] = 9.892857..
         assert abs(expected_fraction_hierarchical(part, cfg) - (11.5 * (110.8 / 11.2) / 256)) < 1e-12
 
+    @pytest.mark.parametrize("T, B, gamma_c, gamma_t, want", [
+        (256, 16, (0.5, 1.0), (0.3, 1.0), 0.4444056919642857),
+        (100, 16, (0.3, 0.9), (0.1, 0.6), 0.18942857142857142),  # ragged last block
+        (64, 8, (0.5, 0.5), (0.2, 1.0), 0.26757812499999994),  # gamma_c with lo == hi
+        (50, 4, (0.0, 1.0), (0.0, 0.25), 0.12),
+    ])
+    def test_floor_aware_expectation_pinned(self, T, B, gamma_c, gamma_t, want):
+        cfg = MaskingConfig(mode="hierarchical", gamma_c=gamma_c, gamma_t=gamma_t)
+        assert expected_fraction_hierarchical(partition(T, B), cfg) == want
+
     def test_global_hoeffding_bound(self):
         part = partition(256, 16)
         cfg = pinned("global_bernoulli", gamma_g=0.5)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from blockmdm.decode import pick_reveal, schedule_step
 from blockmdm.errors import ParameterError
-from blockmdm.nd import softmax_array
-from blockmdm.schedule import pick_reveal, row_entropy, schedule_step
+from plain_ops import row_entropy, softmax
 
 
 def schedule_counts(R: int, K: int) -> list:
@@ -21,7 +21,7 @@ def schedule_counts(R: int, K: int) -> list:
 
 def confidence(logits_row) -> float:
     """Maximum softmax probability of one logits row."""
-    return float(softmax_array(np.asarray(logits_row, dtype=np.float64)).max())
+    return float(softmax(np.asarray(logits_row, dtype=np.float64)).max())
 
 
 class TestScheduleStep:

@@ -55,7 +55,8 @@ class TestAlign:
         anchors = build_anchors(partition(16, 16), Q=2)  # 2 anchors
         with caplog.at_level(logging.WARNING, logger="blockmdm.semantics"):
             out = align(np.ones((5, 3)), anchors, 16)
-        assert out.n_assigned == 2 and out.n_dropped == 3
+        np.testing.assert_array_equal(np.nonzero(out.h_prime.data.any(axis=1))[0], [0, 1])
+        assert out.n_dropped == 3
         assert any("surplus" in r.message for r in caplog.records)
 
     def test_no_future_leakage(self):
@@ -81,8 +82,16 @@ class TestAlign:
         assert report.max_rel_err < 1e-6
 
 
+def fusion_params(d, d_ff, rng):
+    """Fusion weights drawn as ``talker.init_params`` draws them."""
+    return FusionParams(W1=nd.param("fusion.W1", rng.normal(0.0, 0.02, size=(d, d_ff))),
+                        b1=nd.param("fusion.b1", np.zeros(d_ff)),
+                        W2=nd.param("fusion.W2", rng.normal(0.0, 0.02, size=(d_ff, d))),
+                        b2=nd.param("fusion.b2", np.zeros(d)))
+
+
 def identity_fusion(d):
-    fp = FusionParams.init(d, d, nd.make_rng(0))
+    fp = fusion_params(d, d, nd.make_rng(0))
     fp.W1.value.data[:] = np.eye(d)
     fp.W2.value.data[:] = np.eye(d)
     fp.b1.value.data[:] = 0.0
@@ -95,38 +104,38 @@ class TestFuse:
         anchors = build_anchors(partition(8, 8), Q=2)
         aligned = align(np.empty((0, 4)), anchors, 8)  # h' all zero
         emb = nd.make_rng(2).normal(size=(8, 4))
-        out = fuse(nd.constant(emb), aligned, identity_fusion(4))
+        out = fuse(nd.constant(emb), aligned.h_prime, identity_fusion(4))
         np.testing.assert_allclose(out.data, np.maximum(emb, 0.0), atol=1e-15)
 
     def test_all_zero_inputs_zero_output(self):
         anchors = build_anchors(partition(8, 8), Q=2)
         aligned = align(np.empty((0, 4)), anchors, 8)
-        out = fuse(nd.constant(np.zeros((8, 4))), aligned, identity_fusion(4))
+        out = fuse(nd.constant(np.zeros((8, 4))), aligned.h_prime, identity_fusion(4))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_position_local(self):
         anchors = build_anchors(partition(8, 8), Q=2)
         rng = nd.make_rng(3)
-        fp = FusionParams.init(4, 8, rng)
+        fp = fusion_params(4, 8, rng)
         aligned = align(rng.normal(size=(2, 4)), anchors, 8)
         emb = rng.normal(size=(8, 4))
-        base = fuse(nd.constant(emb), aligned, fp).data
+        base = fuse(nd.constant(emb), aligned.h_prime, fp).data
         emb2 = emb.copy()
         emb2[5] += 1.0
-        pert = fuse(nd.constant(emb2), aligned, fp).data
+        pert = fuse(nd.constant(emb2), aligned.h_prime, fp).data
         diff_rows = np.nonzero(np.abs(pert - base).sum(axis=1))[0]
         np.testing.assert_array_equal(diff_rows, [5])
 
     def test_gradient_vs_finite_differences_4x4(self):
         rng = nd.make_rng(4)
-        fp = FusionParams.init(4, 4, rng)
+        fp = fusion_params(4, 4, rng)
         anchors = build_anchors(partition(4, 4), Q=2)
         h = nd.param("h", rng.normal(size=(2, 4)))
         emb = nd.constant(rng.normal(size=(4, 4)))
 
         def loss():
             aligned = align(h.value, anchors, 4)
-            out = fuse(emb, aligned, fp)
+            out = fuse(emb, aligned.h_prime, fp)
             return nd.masked_cross_entropy(out, np.array([0, 1, 2, 3]), np.arange(4))
 
         report = nd.grad_check(loss, [h] + fp.params())
@@ -136,4 +145,4 @@ class TestFuse:
         anchors = build_anchors(partition(4, 4), Q=2)
         aligned = align(np.ones((1, 3)), anchors, 4)
         with pytest.raises(DimensionError):
-            fuse(nd.constant(np.zeros((4, 4))), aligned, identity_fusion(4))
+            fuse(nd.constant(np.zeros((4, 4))), aligned.h_prime, identity_fusion(4))
