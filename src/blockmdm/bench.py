@@ -33,6 +33,7 @@ from .talker import TalkerConfig, TalkerParams
 
 NOMINAL_SECONDS_PER_TOKEN = 0.04
 STAGE_ROUND = 12  # sources per round of first-chunk stage timing
+WARMUP = 2  # sources run untimed before each measurement
 
 CSV_COLUMNS = ["checkpoint", "K", "tps", "rtf_analog", "err_rate",
                "conf_step1", "entropy_step1",
@@ -75,7 +76,6 @@ class ExperimentConfig:
     seed: int = 0
     repetitions: int = 1
     max_blocks: int = 8
-    warmup: int = 2
 
     def __post_init__(self):
         if not self.steps or any(k < 1 for k in self.steps):
@@ -95,7 +95,7 @@ def _timed(fn, inputs):
 
 
 def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, evals,
-                          max_blocks: int = 8, warmup: int = 2) -> dict:
+                          max_blocks: int = 8) -> dict:
     """Mean, median and standard deviation of per-stage first-chunk
     latency, as ``{K: report}`` for each step count among ``evals``: the
     :func:`decode_eval` results over ``sources`` (in order, same
@@ -149,7 +149,7 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, eva
     stages = {K: {"semantics": [], "talker": [btrace.wall_time for btrace in first[K]], "post": []}
               for K in Ks}
     indices = range(len(sources))
-    run_round(indices[:warmup], Ks)
+    run_round(indices[:WARMUP], Ks)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -189,11 +189,11 @@ def _step_means(traces, K: int) -> list:
 
 
 def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
-                max_blocks: int = 8, warmup: int = 2, checkpoint_label: str = "model") -> Metrics:
+                max_blocks: int = 8, checkpoint_label: str = "model") -> Metrics:
     """Decode an eval set at ``K`` steps per block and aggregate metrics."""
     vocab = tcfg.vocab
     dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=vocab.eos_id)
-    for p in pairs[:warmup]:
+    for p in pairs[:WARMUP]:
         decode_mod.decode_source(p.source, params, tcfg, dcfg)
 
     tokens = 0
@@ -271,12 +271,11 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
     sources = [p.source for p in pairs]
     rows = []
     for label, (tcfg, params) in loaded.items():
-        evals = {K: [decode_eval(params, tcfg, pairs, K, max_blocks=cfg.max_blocks, warmup=cfg.warmup,
-                                 checkpoint_label=label)
+        evals = {K: [decode_eval(params, tcfg, pairs, K, max_blocks=cfg.max_blocks, checkpoint_label=label)
                      for _ in range(cfg.repetitions)]
                  for K in cfg.steps}
         breakdown = first_chunk_breakdown(params, tcfg, sources, [m for ms in evals.values() for m in ms],
-                                          max_blocks=cfg.max_blocks, warmup=cfg.warmup)
+                                          max_blocks=cfg.max_blocks)
         for K in cfg.steps:
             reps = evals[K]
             rows.append({

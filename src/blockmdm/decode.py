@@ -16,12 +16,16 @@ they are emitted immediately and never change. Generation stops at the
 first block containing an end-of-sequence token (output truncated at the
 earliest one) or when the block budget runs out.
 
-Each request keeps a :class:`talker.KVCache` of its committed blocks' keys
-and values. Attention is block-causal, so those never change once a
-block's tokens are final, and reusing them is exact. A block's first step
-computes the just-finished previous block together with the new masked
-block and then commits the previous one; its other steps compute only the
-``B`` rows of the new block. Every step is still one forward pass.
+Each request owns one canvas, allocated fully masked for its whole block
+budget, and one :class:`talker.KVCache` of its committed blocks' keys and
+values; every block is denoised in place on that canvas. Attention is
+block-causal, so the keys and values never change once a block's tokens
+are final, and reusing them is exact. A block's first step computes the
+just-finished previous block together with the new masked block and then
+commits the previous one; its other steps compute only the ``B`` rows of
+the new block. Every step is still one forward pass. The chunks a stream
+yields are copies, so a consumer that changes one cannot change the
+canvas later forwards read.
 
 ``B = 1`` with ``K = 1`` degenerates to greedy next-token decoding.
 """
@@ -139,49 +143,37 @@ def reveal_step(logits, masked, j: int, K: int) -> tuple:
     return reveal, conf[idx], entropy
 
 
-def decode_block(prefix, aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerConfig,
-                 dcfg: DecodeConfig, cache: talker.KVCache = None) -> tuple:
-    """Denoise the next block after ``prefix``; returns ``(tokens, trace)``.
+def decode_block(canvas, lo: int, aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerConfig,
+                 K: int, cache: talker.KVCache) -> BlockTrace:
+    """Denoise the masked block ``canvas[lo:lo + B]`` in place over ``K``
+    steps; returns its trace.
 
-    The prefix must consist of whole committed blocks (length a multiple of
-    ``B``, possibly zero). ``cache`` holds the keys and values of the first
-    ``cache.rows`` prefix positions (a fresh one is made when none is
-    given); the first step computes the rest of the prefix along with the
-    new block and commits it.
+    ``canvas[:lo]`` holds the committed blocks and ``cache`` the keys and
+    values of its first ``cache.rows`` positions; the first step computes
+    the rest of the prefix along with the block and commits it.
     """
-    prefix = np.asarray(prefix, dtype=np.intp)
-    B, K = dcfg.B, dcfg.K
-    if B != tcfg.B:
-        raise ParameterError(f"decode block size {B} does not match model block size {tcfg.B}")
-    if len(prefix) % B != 0:
-        raise ParameterError(f"prefix length {len(prefix)} is not a multiple of B={B}")
-    lo = len(prefix)
-    if cache is None:
-        cache = talker.KVCache(tcfg, aligned.T)
-    if cache.rows > lo:
-        raise ParameterError(f"K/V cache holds {cache.rows} rows, more than the {lo}-row prefix")
-    mask_id = tcfg.vocab.mask_id
-    canvas = np.concatenate([prefix, np.full(B, mask_id, dtype=np.intp)])
+    B, mask_id = tcfg.B, tcfg.vocab.mask_id
+    block = canvas[lo:lo + B]
     trace = BlockTrace(block_index=lo // B)
     block_start = time.perf_counter()
     for j in range(1, K + 1):
-        masked_local = np.nonzero(canvas[lo:lo + B] == mask_id)[0]
+        masked_local = np.nonzero(block == mask_id)[0]
         if masked_local.size == 0:
             break
         t0 = time.perf_counter()
-        logits = talker.forward_array(params, tcfg, canvas[cache.rows:], aligned, cache=cache)[-B:]
+        logits = talker.forward_array(params, tcfg, canvas[cache.rows:lo + B], aligned, cache=cache)[-B:]
         cache.commit(lo - cache.rows)  # the prefix is final; nothing left to commit after step 1
         trace.forward_passes += 1
         if not np.isfinite(logits).all():
             trace.wall_time = time.perf_counter() - block_start
             raise DecodeError(f"non-finite logits in block {trace.block_index} at step {j}", trace=trace)
         reveal, conf, entropy = reveal_step(logits, masked_local, j, K)
-        canvas[lo + reveal] = logits[reveal].argmax(axis=1)
+        block[reveal] = logits[reveal].argmax(axis=1)
         trace.steps.append(StepTrace(step=j, revealed_positions=(lo + reveal).tolist(),
                                      confidences=conf.tolist(), entropies=entropy.tolist(),
                                      wall_time=time.perf_counter() - t0))
     trace.wall_time = time.perf_counter() - block_start
-    return canvas[lo:lo + B], trace
+    return trace
 
 
 def stream_blocks(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerConfig,
@@ -191,18 +183,21 @@ def stream_blocks(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerC
     The final chunk is truncated at the earliest end-of-sequence token when
     one appears. Trace flags are finalized when the generator is exhausted.
     """
-    if aligned.T < dcfg.B:
-        raise ParameterError(f"conditioning stream length {aligned.T} is shorter than one block ({dcfg.B})")
+    B = dcfg.B
+    if B != tcfg.B:
+        raise ParameterError(f"decode block size {B} does not match model block size {tcfg.B}")
+    if aligned.T < B:
+        raise ParameterError(f"conditioning stream length {aligned.T} is shorter than one block ({B})")
     eos = dcfg.eos_id if dcfg.eos_id is not None else tcfg.vocab.eos_id
     trace.dropped_rows = aligned.n_dropped
-    capacity = min(dcfg.max_blocks, aligned.T // dcfg.B)
-    prefix = np.empty(0, dtype=np.intp)
+    canvas = np.full(min(dcfg.max_blocks, aligned.T // B) * B, tcfg.vocab.mask_id, dtype=np.intp)
     t0 = time.perf_counter()
     cache = talker.KVCache(tcfg, aligned.T)
-    for _ in range(capacity):
-        block, btrace = decode_block(prefix, aligned, params, tcfg, dcfg, cache)
+    for lo in range(0, len(canvas), B):
+        btrace = decode_block(canvas, lo, aligned, params, tcfg, dcfg.K, cache)
         trace.blocks.append(btrace)
         trace.total_forwards += btrace.forward_passes
+        block = canvas[lo:lo + B].copy()  # a chunk the consumer may change without touching the canvas
         eos_hits = np.nonzero(block == eos)[0]
         if eos_hits.size:
             emitted = block[:int(eos_hits[0]) + 1]
@@ -211,7 +206,6 @@ def stream_blocks(aligned: AlignedSemantics, params: TalkerParams, tcfg: TalkerC
             trace.wall_time = time.perf_counter() - t0
             yield emitted, btrace
             return
-        prefix = np.concatenate([prefix, block])
         trace.tokens_emitted += len(block)
         yield block, btrace
     trace.truncated_by_limit = True

@@ -49,10 +49,6 @@ class BlockPartition:
         s = self.block_slice(k)
         return np.arange(s.start, s.stop)
 
-    def block_size(self, k: int) -> int:
-        s = self.block_slice(k)
-        return s.stop - s.start
-
 
 def partition(T: int, B: int) -> BlockPartition:
     if T < 1 or B < 1:
@@ -91,12 +87,17 @@ def _draw_uniform(rng, rng_pair):
     return float(rng.uniform(lo, hi))
 
 
+def _draw_global(T: int, cfg: MaskingConfig, rng) -> tuple:
+    """One global Bernoulli draw: ``gamma_g`` and the per-position hits."""
+    gamma_g = _draw_uniform(rng, cfg.gamma_g)
+    return gamma_g, rng.random(T) < gamma_g
+
+
 def sample_global(T: int, cfg: MaskingConfig, rng) -> np.ndarray:
     """Sorted masked positions under global Bernoulli masking."""
     if cfg.mode != "global_bernoulli":
         raise ParameterError(f"sample_global requires mode 'global_bernoulli', got {cfg.mode!r}")
-    gamma_g = _draw_uniform(rng, cfg.gamma_g)
-    return np.nonzero(rng.random(T) < gamma_g)[0]
+    return np.nonzero(_draw_global(T, cfg, rng)[1])[0]
 
 
 @dataclass(frozen=True)
@@ -167,63 +168,52 @@ def mask_stats(part: BlockPartition, cfg: MaskingConfig, rng, samples: int,
         "n_blocks": K_blk,
         "samples": samples,
     }
-    ratio_bins = [i / B for i in range(B + 1)]  # R_k has resolution 1/B
-    ratio_hist = np.zeros(B + 1, dtype=np.int64)
+    block_of = np.arange(T) // B
+    sizes = np.bincount(block_of)  # the last block may be ragged
+    fractions = np.empty(samples)
+    ratios = []  # per sample, R_k of the blocks it reports on
 
     if cfg.mode == "hierarchical":
-        fractions = np.empty(samples)
-        violations = 0
-        full_blocks_checked = 0
+        violations = full_blocks_checked = 0
         for i in range(samples):
             draw = sample_hierarchical_draw(part, cfg, rng)
             fractions[i] = len(draw.positions) / T
-            for k in draw.selected_blocks:
-                size = part.block_size(int(k))
-                lo = part.block_slice(int(k)).start
-                n_k = int(((draw.positions >= lo) & (draw.positions < lo + size)).sum())
-                r_k = n_k / size
-                ratio_hist[min(int(r_k * B + 0.5), B)] += 1
-                if size == B:
-                    full_blocks_checked += 1
-                    if not (0.0 <= draw.gamma_t - r_k < 1.0 / B):
-                        violations += 1
+            k = draw.selected_blocks
+            r = np.bincount(draw.positions // B, minlength=K_blk)[k] / sizes[k]
+            ratios.append(r)
+            gap = (draw.gamma_t - r)[sizes[k] == B]
+            full_blocks_checked += len(gap)
+            violations += int(np.count_nonzero((gap < 0.0) | (gap >= 1.0 / B)))
         mean_gc = sum(cfg.gamma_c) / 2.0
         mean_gt = sum(cfg.gamma_t) / 2.0
         report.update({
-            "empirical_mean_fraction": float(fractions.mean()),
-            "empirical_std_fraction": float(fractions.std()),
             "analytic_fraction_no_floor": K_blk * mean_gc * B * mean_gt / T,
             "expected_fraction_floor_aware": expected_fraction_hierarchical(part, cfg),
             "quantization_bound_violations": violations,
             "full_blocks_checked": full_blocks_checked,
-            "ratio_histogram": ratio_hist.tolist(),
-            "ratio_histogram_bins": ratio_bins,
         })
     else:
-        fractions = np.empty(samples)
         tail_hits = 0
         for i in range(samples):
-            gamma_g = _draw_uniform(rng, cfg.gamma_g)
-            hit = rng.random(T) < gamma_g
+            gamma_g, hit = _draw_global(T, cfg, rng)
             fractions[i] = hit.mean()
-            worst = 0.0
-            for k in range(K_blk):
-                r_k = float(hit[part.block_slice(k)].mean())
-                ratio_hist[min(int(r_k * B + 0.5), B)] += 1
-                worst = max(worst, abs(r_k - gamma_g))
-            if worst >= hoeffding_delta:
-                tail_hits += 1
-        bound = 2.0 * K_blk * math.exp(-2.0 * B * hoeffding_delta * hoeffding_delta)
+            r = np.bincount(block_of[hit], minlength=K_blk) / sizes
+            ratios.append(r)
+            tail_hits += int(np.abs(r - gamma_g).max() >= hoeffding_delta)
         report.update({
-            "empirical_mean_fraction": float(fractions.mean()),
-            "empirical_std_fraction": float(fractions.std()),
             "analytic_fraction": sum(cfg.gamma_g) / 2.0,
             "hoeffding_delta": hoeffding_delta,
-            "hoeffding_bound": bound,
+            "hoeffding_bound": 2.0 * K_blk * math.exp(-2.0 * B * hoeffding_delta * hoeffding_delta),
             "hoeffding_tail_frequency": tail_hits / samples,
-            "ratio_histogram": ratio_hist.tolist(),
-            "ratio_histogram_bins": ratio_bins,
         })
+    # R_k has resolution 1/B: bin it to the nearest multiple
+    bins = np.minimum((np.concatenate(ratios) * B + 0.5).astype(np.int64), B)
+    report.update({
+        "empirical_mean_fraction": float(fractions.mean()),
+        "empirical_std_fraction": float(fractions.std()),
+        "ratio_histogram": np.bincount(bins, minlength=B + 1).tolist(),
+        "ratio_histogram_bins": [i / B for i in range(B + 1)],
+    })
     return report
 
 

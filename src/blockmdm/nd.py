@@ -618,7 +618,6 @@ class GradCheckReport:
     n_checked: int
     n_skipped_nonsmooth: int
     worst: tuple  # (param name, flat index, analytic, numeric)
-    per_param: dict
 
     def __str__(self):
         name, idx, a, n = self.worst
@@ -659,7 +658,6 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None)
     worst = (params[0].name, 0, 0.0, 0.0)
     checked = 0
     skipped = 0
-    per_param = {}
     with no_grad():
         for p in params:
             size = p.value.data.size
@@ -668,7 +666,6 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None)
             else:
                 coords = rng.choice(size, size=max_coords_per_param, replace=False)
             flat = p.value.data.reshape(-1)
-            p_max = 0.0
             for c in coords:
                 orig = flat[c]
                 flat[c] = orig + epsilon
@@ -685,11 +682,8 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None)
                 a = analytic[p.name].reshape(-1)[c]
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
                 checked += 1
-                if rel > p_max:
-                    p_max = rel
                 if rel > max_rel:
                     max_rel = rel
                     worst = (p.name, int(c), float(a), float(numeric))
-            per_param[p.name] = p_max
     return GradCheckReport(max_rel_err=float(max_rel), n_checked=checked,
-                           n_skipped_nonsmooth=skipped, worst=worst, per_param=per_param)
+                           n_skipped_nonsmooth=skipped, worst=worst)

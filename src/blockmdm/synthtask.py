@@ -97,7 +97,6 @@ def gen_dataset(spec: TaskSpec, count: int, n_range, rng, eos_id: int) -> list:
 class ErrorRate:
     rate: float
     edits: int
-    ref_len: int
     flagged: bool = False
 
 
@@ -109,7 +108,7 @@ def token_error_rate(hyp, ref) -> ErrorRate:
     hyp = np.asarray(hyp).tolist()
     ref = np.asarray(ref).tolist()
     if not ref:
-        return ErrorRate(rate=float(len(hyp)), edits=len(hyp), ref_len=0, flagged=bool(hyp))
+        return ErrorRate(rate=float(len(hyp)), edits=len(hyp), flagged=bool(hyp))
     prev = list(range(len(ref) + 1))
     for i, h in enumerate(hyp, start=1):
         cur = [i] + [0] * len(ref)
@@ -117,7 +116,7 @@ def token_error_rate(hyp, ref) -> ErrorRate:
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (h != r))
         prev = cur
     edits = prev[-1]
-    return ErrorRate(rate=edits / len(ref), edits=edits, ref_len=len(ref))
+    return ErrorRate(rate=edits / len(ref), edits=edits)
 
 
 def strip_eos(tokens, eos_id: int) -> np.ndarray:

@@ -106,41 +106,36 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
     lengths = [T] if lengths is None else list(lengths)
     if sum(lengths) != T:
         raise ParameterError(f"sequence lengths {lengths} do not cover the {T} rows")
-    # (sequence, block) of every row as one key, ascending sample-major
+    starts = np.cumsum([0] + lengths)
     seq_of = np.repeat(np.arange(len(lengths)), lengths)
-    block_key = seq_of * T + (np.arange(T) - np.repeat(np.cumsum([0] + lengths[:-1]), lengths)) // B
+    blocks = [slice(b, min(b + B, end)) for start, end in zip(starts[:-1], starts[1:])
+              for b in range(start, end, B)]
     seq = corrupted0.copy()
-    remaining = {}
-    for t in np.sort(mask_positions):
-        remaining.setdefault(int(block_key[t]), []).append(int(t))
-    remaining = {k: np.array(v, dtype=np.intp) for k, v in remaining.items()}
+    valid = np.zeros(T, dtype=bool)
+    valid[mask_positions] = True
+    masked = valid.copy()
 
     z_tea = logits = None
-    valid = np.zeros(T, dtype=bool)
     n_forwards = 0
     for j in range(1, K + 1):
-        if not remaining:
+        if not masked.any():
             break
-        active = sorted({k // T for k in remaining})
+        active = np.unique(seq_of[masked])
         rows = np.nonzero(np.isin(seq_of, active))[0]
         out = forward_fn(seq[rows], active)
         n_forwards += 1
         if z_tea is None:
             z_tea, logits = np.zeros((T, out.shape[1])), np.zeros((T, out.shape[1]))
         logits[rows] = out
-        for k in sorted(remaining):
-            pos = remaining[k]
-            reveal, _, _ = reveal_step(logits, pos, j, K)
-            z_tea[reveal] = logits[reveal]
-            valid[reveal] = True
-            seq[reveal] = logits[reveal].argmax(axis=1)
-            left = np.setdiff1d(pos, reveal, assume_unique=True)
-            if left.size:
-                remaining[k] = left
-            else:
-                del remaining[k]
-    if remaining:
-        raise ContractError(f"teacher rollout left masked positions after {K} steps: {remaining}")
+        for block in blocks:
+            pos = block.start + np.nonzero(masked[block])[0]
+            if pos.size:
+                reveal, _, _ = reveal_step(logits, pos, j, K)
+                z_tea[reveal] = logits[reveal]
+                seq[reveal] = logits[reveal].argmax(axis=1)
+                masked[reveal] = False
+    if masked.any():
+        raise ContractError(f"teacher rollout left masked positions after {K} steps: {np.nonzero(masked)[0]}")
     return TeacherTargets(z_tea=z_tea, valid=valid), seq, n_forwards
 
 

@@ -8,6 +8,7 @@ about 15-25 CPU-minutes; everything else is fast.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -41,6 +42,10 @@ STAGE2_OPT = OptimizerConfig(lr=1e-3, batch_size=8)
 STAGE3_OPT = OptimizerConfig(lr=3e-4, batch_size=8)
 GLOBAL_MASKING = MaskingConfig(mode="global_bernoulli", gamma_g=(0.3, 0.8))
 HIER_MASKING = MaskingConfig(mode="hierarchical", gamma_c=(0.5, 1.0), gamma_t=(0.3, 1.0))
+# the benchmark's stage-one checkpoint, trained by perfbench/make_fixture.py
+# with the stage-one recipe above
+BENCH_FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "fixture", "stage1.ckpt")
 
 
 def report(criterion, ok, detail):
@@ -359,13 +364,13 @@ def test_criterion_11_efficiency_trend(stage2, datasets):
     _, eval_ = datasets
     pairs = eval_[:60]
     sources = [p.source for p in pairs]
-    evals = {K: bench.decode_eval(params, MODEL_CFG, pairs, K=K, max_blocks=4, warmup=2)
+    evals = {K: bench.decode_eval(params, MODEL_CFG, pairs, K=K, max_blocks=4)
              for K in (16, 8, 4, 2, 1)}
     tps = {K: m.tps for K, m in evals.items()}
     forwards_ok = all(m.forwards_per_block == K for K, m in evals.items())
     increasing = all(tps[a] < tps[b] for a, b in ((16, 8), (8, 4), (4, 2), (2, 1)))
     stages = bench.first_chunk_breakdown(params, MODEL_CFG, sources, [evals[1], evals[16]],
-                                         max_blocks=4, warmup=2)
+                                         max_blocks=4)
     lo, hi = stages[1], stages[16]
     talker_ratio = hi["talker_mean"] / lo["talker_mean"]
     report(11, increasing and forwards_ok and talker_ratio >= 4.0,
@@ -412,3 +417,14 @@ def test_criterion_12_determinism(stage2, distilled_hier_rev, datasets):
     report(12, all(checks),
            f"identical outputs across reruns: AR decodes, train/distill digests and curves, "
            f"eval decodes, uncertainty profiles ({sum(checks)}/{len(checks)} checks)")
+
+
+# ---------------------------------------------------------------------------
+# the benchmark fixture is this stage one
+# ---------------------------------------------------------------------------
+
+def test_stage_one_reproduces_benchmark_fixture(stage2):
+    # the benchmark never retrains its checkpoint; retraining it here ties
+    # it to the code: drift in the nd, training or masking arithmetic fails
+    _, fixture = talker.load_checkpoint(BENCH_FIXTURE)
+    assert stage2[0].digest() == fixture.digest()

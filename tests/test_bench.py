@@ -28,7 +28,7 @@ def pairs():
 
 class TestDecodeEval:
     def test_metrics_accounting(self, model, pairs):
-        m = bench.decode_eval(model, CFG, pairs, K=2, max_blocks=4, warmup=1)
+        m = bench.decode_eval(model, CFG, pairs, K=2, max_blocks=4)
         assert m.tokens > 0 and m.wall_time > 0
         assert m.tps == pytest.approx(m.tokens / m.wall_time)
         assert m.rtf_analog == pytest.approx(m.wall_time / (m.tokens * 0.04))
@@ -72,16 +72,15 @@ class TestUncertaintyProfile:
             bench.uncertainty_profile(model, CFG, [p.source for p in pairs], K=0)
 
 
-def evals_at(model, pairs, Ks, max_blocks=4, warmup=2):
+def evals_at(model, pairs, Ks, max_blocks=4):
     """decode_eval results over ``pairs``, one per K."""
-    return [bench.decode_eval(model, CFG, pairs, K, max_blocks=max_blocks, warmup=warmup) for K in Ks]
+    return [bench.decode_eval(model, CFG, pairs, K, max_blocks=max_blocks) for K in Ks]
 
 
 class TestFirstChunkBreakdown:
     def test_stage_fields_and_forward_count(self, model, pairs):
         reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs],
-                                           evals_at(model, pairs, [3], warmup=1),
-                                           max_blocks=4, warmup=1)
+                                           evals_at(model, pairs, [3]), max_blocks=4)
         assert list(reps) == [3]
         rep = reps[3]
         for stage in ("semantics", "talker", "post"):
@@ -139,7 +138,7 @@ class TestSweep:
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
         ecfg = bench.ExperimentConfig(checkpoints={"base": str(path_a)}, steps=[2, 1],
-                                      repetitions=1, max_blocks=4, warmup=1)
+                                      repetitions=1, max_blocks=4)
         report = bench.bench_sweep(ecfg, pairs=pairs)
         assert [r["K"] for r in report["rows"]] == [2, 1]
         for row in report["rows"]:
@@ -173,9 +172,9 @@ class TestSweep:
         monkeypatch.setattr(decode, "decode_source", counting_decode)
         monkeypatch.setattr(talker, "forward", counting_forward)
         ecfg = bench.ExperimentConfig(checkpoints={k: str(v) for k, v in paths.items()},
-                                      steps=[2, 1], repetitions=2, max_blocks=4, warmup=1)
+                                      steps=[2, 1], repetitions=2, max_blocks=4)
         report = bench.bench_sweep(ecfg, pairs=pairs)
-        per_cell = ecfg.repetitions * (len(pairs) + ecfg.warmup)
+        per_cell = ecfg.repetitions * (len(pairs) + bench.WARMUP)
         assert calls == {(label, K): per_cell for label in models for K in ecfg.steps}
         # the first-chunk timing reads its talker stage from those decodes:
         # the sweep runs no model forward besides them
@@ -212,7 +211,7 @@ class TestSweep:
         # generous wall-clock tolerance; deterministic fields are identical
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
-        base = dict(checkpoints={"base": str(path_a)}, steps=[2], max_blocks=4, warmup=2)
+        base = dict(checkpoints={"base": str(path_a)}, steps=[2], max_blocks=4)
         r1 = bench.bench_sweep(bench.ExperimentConfig(repetitions=1, **base), pairs=pairs)
         r5 = bench.bench_sweep(bench.ExperimentConfig(repetitions=5, **base), pairs=pairs)
         row1, row5 = r1["rows"][0], r5["rows"][0]
@@ -237,7 +236,7 @@ class TestReportSerialization:
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
         ecfg = bench.ExperimentConfig(checkpoints={"base": str(path_a)}, steps=[2],
-                                      repetitions=1, max_blocks=4, warmup=1)
+                                      repetitions=1, max_blocks=4)
         r1 = bench.strip_timing(bench.bench_sweep(ecfg, pairs=pairs))
         r2 = bench.strip_timing(bench.bench_sweep(ecfg, pairs=pairs))
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
@@ -246,7 +245,7 @@ class TestReportSerialization:
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
         ecfg = bench.ExperimentConfig(checkpoints={"base": str(path_a)}, steps=[1],
-                                      repetitions=1, max_blocks=4, warmup=1)
+                                      repetitions=1, max_blocks=4)
         report = bench.bench_sweep(ecfg, pairs=pairs)
         out = tmp_path / "sweep.csv"
         bench.write_sweep_csv(out, report)

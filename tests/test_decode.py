@@ -49,40 +49,38 @@ class TestRevealStep:
                 np.testing.assert_array_equal(got, w)
 
 
+def first_block(params, aligned, K):
+    """Block 0 denoised in place on a fresh canvas; returns it and its trace."""
+    block = np.full(CFG.B, CFG.vocab.mask_id, dtype=np.intp)
+    trace = decode_block(block, 0, aligned, params, CFG, K, talker.KVCache(CFG, aligned.T))
+    return block, trace
+
+
 class TestDecodeBlock:
     def test_k_equals_b_reveals_one_per_step(self):
         params, _, aligned = setup_model()
-        dcfg = DecodeConfig(B=4, K=4, max_blocks=4, eos_id=CFG.vocab.eos_id)
-        block, trace = decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg)
+        block, trace = first_block(params, aligned, K=4)
         assert len(trace.steps) == 4
         assert all(len(s.revealed_positions) == 1 for s in trace.steps)
         assert (block != CFG.vocab.mask_id).all()
 
     def test_k1_reveals_whole_block_in_one_pass(self):
         params, _, aligned = setup_model()
-        dcfg = DecodeConfig(B=4, K=1, max_blocks=4, eos_id=CFG.vocab.eos_id)
-        block, trace = decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg)
+        _, trace = first_block(params, aligned, K=1)
         assert trace.forward_passes == 1
         assert len(trace.steps) == 1 and len(trace.steps[0].revealed_positions) == 4
-
-    def test_prefix_must_be_whole_blocks(self):
-        params, _, aligned = setup_model()
-        dcfg = DecodeConfig(B=4, K=2, max_blocks=4, eos_id=CFG.vocab.eos_id)
-        with pytest.raises(ParameterError):
-            decode_block(np.zeros(3, dtype=np.intp), aligned, params, CFG, dcfg)
 
     def test_block_size_must_match_model(self):
         params, _, aligned = setup_model()
         dcfg = DecodeConfig(B=8, K=2, max_blocks=4, eos_id=CFG.vocab.eos_id)
         with pytest.raises(ParameterError):
-            decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg)
+            decode(aligned, params, CFG, dcfg)
 
     def test_nonfinite_logits_raise_decode_error_with_trace(self):
         params, _, aligned = setup_model()
         params.head.value.data[0, 0] = np.nan
-        dcfg = DecodeConfig(B=4, K=2, max_blocks=4, eos_id=CFG.vocab.eos_id)
         with pytest.raises(DecodeError) as exc:
-            decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg)
+            first_block(params, aligned, K=2)
         assert exc.value.trace is not None
 
 
@@ -152,6 +150,31 @@ class TestDecodeStream:
             seen.append(block.copy())
         full = decode(aligned, params, CFG, dcfg)
         np.testing.assert_array_equal(np.concatenate(seen), full.tokens)
+
+    def test_changing_a_chunk_leaves_later_forwards_unchanged(self, monkeypatch):
+        # chunks are copies: a consumer that overwrites each one does not
+        # change what later forwards read
+        params, _, aligned = setup_model(seed=11, canvas_blocks=4)
+        eos_averse(params)
+        dcfg = DecodeConfig(B=4, K=2, max_blocks=4, eos_id=CFG.vocab.eos_id)
+        inputs = []
+        full_forward = talker.forward
+
+        def spy(params, cfg, tokens, aligned, cache=None, lengths=None):
+            inputs.append(np.array(tokens))
+            return full_forward(params, cfg, tokens, aligned, cache=cache, lengths=lengths)
+
+        monkeypatch.setattr(talker, "forward", spy)
+        want = decode(aligned, params, CFG, dcfg).tokens
+        clean, inputs[:] = list(inputs), []
+        seen = []
+        for block, _ in stream_blocks(aligned, params, CFG, dcfg, DecodeTrace()):
+            seen.append(block.copy())
+            block[:] = CFG.vocab.mask_id
+        np.testing.assert_array_equal(np.concatenate(seen), want)
+        assert len(inputs) == len(clean)
+        for got, expected in zip(inputs, clean):
+            np.testing.assert_array_equal(got, expected)
 
     def test_block_output_independent_of_later_blocks(self):
         params, _, aligned = setup_model(seed=5)
@@ -343,18 +366,10 @@ class TestKVCacheDecode:
         eos_averse(params)
         dcfg = DecodeConfig(B=4, K=2, max_blocks=4, eos_id=CFG.vocab.eos_id)
         tokens = decode(aligned, params, CFG, dcfg).tokens
-        block, trace = decode_block(tokens[:8], aligned, params, CFG, dcfg)
-        np.testing.assert_array_equal(block, tokens[8:12])
+        canvas = np.concatenate([tokens[:8], np.full(4, CFG.vocab.mask_id, dtype=np.intp)])
+        trace = decode_block(canvas, 8, aligned, params, CFG, dcfg.K, talker.KVCache(CFG, aligned.T))
+        np.testing.assert_array_equal(canvas[8:], tokens[8:12])
         assert trace.block_index == 2 and trace.forward_passes == 2
-
-    def test_cache_ahead_of_prefix_rejected(self):
-        params, _, aligned = setup_model()
-        dcfg = DecodeConfig(B=4, K=1, max_blocks=4, eos_id=CFG.vocab.eos_id)
-        cache = talker.KVCache(CFG, aligned.T)
-        block, _ = decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg, cache)
-        decode_block(block, aligned, params, CFG, dcfg, cache)
-        with pytest.raises(ParameterError):
-            decode_block(np.empty(0, dtype=np.intp), aligned, params, CFG, dcfg, cache)
 
     def test_canvas_length_caps_at_t_max(self):
         assert canvas_length(CFG, DecodeConfig(B=4, K=1, max_blocks=3)) == 12

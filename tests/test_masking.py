@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -24,7 +26,7 @@ class TestPartition:
 
     def test_ragged_last_block(self):
         part = partition(20, 16)
-        assert [part.block_size(k) for k in range(part.n_blocks)] == [16, 4]
+        assert [len(part.block_positions(k)) for k in range(part.n_blocks)] == [16, 4]
 
     def test_single_block(self):
         assert partition(16, 16).n_blocks == 1
@@ -41,7 +43,7 @@ class TestPartition:
         part = partition(T, B)
         all_pos = np.concatenate([part.block_positions(k) for k in range(part.n_blocks)])
         np.testing.assert_array_equal(np.sort(all_pos), np.arange(T))
-        sizes = [part.block_size(k) for k in range(part.n_blocks)]
+        sizes = [len(part.block_positions(k)) for k in range(part.n_blocks)]
         assert all(s == B for s in sizes[:-1]) and 1 <= sizes[-1] <= B
 
 
@@ -113,7 +115,7 @@ class TestHierarchical:
         # per selected block: n_k = max(1, floor(gamma_t * |I_k|)) and the
         # quantization bound on full blocks
         for k in draw.selected_blocks:
-            size = part.block_size(int(k))
+            size = len(part.block_positions(int(k)))
             n_k = int(((draw.positions // B) == k).sum())
             assert n_k == max(1, math.floor(draw.gamma_t * size))
             if size == B and draw.gamma_t >= 1.0 / B:
@@ -195,6 +197,27 @@ class TestMaskStats:
         bound = 2 * 16 * math.exp(-2 * 16 * 0.2**2)
         assert abs(report["hoeffding_bound"] - bound) < 1e-12
         assert report["hoeffding_tail_frequency"] <= bound
+
+    @pytest.mark.parametrize("T, B, cfg, seed, want", [
+        (256, 16, MaskingConfig(mode="hierarchical"), 5, "ee490f00e50f357f8553628c03f31177bcb43ead976f4bc27a100eeead8dca11"),
+        (256, 16, MaskingConfig(), 6, "8a272e8ef0a4f9f84e0a32dd748b5b5b4a1a97485e511ad5fc966869912369c8"),
+        # ragged last block; gamma_t below 1/B makes quantization violations
+        (100, 16, MaskingConfig(mode="hierarchical", gamma_t=(0.01, 0.3)), 7,
+         "8db10a1be91c98e77eda9ff4c2eba4df4800f1363466f864243325f8a74a41ba"),
+        (100, 16, MaskingConfig(), 8, "4afcccdddefce944b50eaca9d144c977df673eb5f4229ab408611eee0f077271"),
+        (50, 4, MaskingConfig(gamma_g=(0.1, 0.9)), 9, "192dcf0ac26fe36142ae7034c2c376dc95cf9616f2ae9f9cdcd6ae3c316a386c"),
+        (50, 4, MaskingConfig(mode="hierarchical"), 10, "a5507e4b202d6b3a9ca97c4c1c01693b54aaf59965c3c9d81775c701a6cb3aec"),
+        # ranges with lo == hi
+        (64, 16, pinned("global_bernoulli", gamma_g=0.5), 11,
+         "15a82a97ff19a0d67bf302bedd2bb1c1240633d280a4dd46c6c663be8447f8b6"),
+        (64, 16, pinned("hierarchical", gamma_c=0.5, gamma_t=0.25), 12,
+         "5fb92b3fcb31932ae5a982475473c995c61ea2a415b8eb735334031f2d315868"),
+    ])
+    def test_report_pinned(self, T, B, cfg, seed, want):
+        # the whole report, byte for byte: any change to a draw, a ratio or
+        # a histogram bin moves the digest
+        report = mask_stats(partition(T, B), cfg, nd.make_rng(seed), samples=1000)
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
 
     def test_sample_floor_enforced(self):
         with pytest.raises(ParameterError):

@@ -231,6 +231,21 @@ class TestTrainDistill:
             assert row["loss"] == pytest.approx(0.7 * row["kd_loss"] + 0.3 * row["mdm_loss"],
                                                 abs=1e-9)
 
+    def test_pinned_digest_and_curve(self):
+        # hierarchical masks at K=3 over targets of 11..25 rows (never a
+        # multiple of B=4), from a start sharp enough that every reveal
+        # order shows: one bit moved in any teacher target moves the digest
+        spec = TaskSpec(source_vocab=CFG.src_vocab, data_tokens=CFG.data_tokens, upsample=2,
+                        grammar_seed=1)
+        ds = gen_dataset(spec, 40, (5, 12), nd.make_rng(0), eos_id=CFG.vocab.eos_id)
+        start = talker.init_params(CFG, nd.make_rng(12), std=0.5)
+        result = train_distill(CFG, start, ds, DistillConfig(K=3), HIER, OPT, steps=3, seed=31)
+        assert result.params.digest() == "bbe3a79fe6e2d52a06cca4cf6dd878f6056ab6cb50677271cc7d6070ccf606e4"
+        assert [(r["loss"], r["kd_loss"], r["mdm_loss"]) for r in result.curve] == [
+            (1.0609947851952748, 0.1068777971595116, 3.2872677572787214),
+            (1.0335247409410713, 0.06861668900766375, 3.284976862119022),
+            (1.2037711328199372, 0.13915157706721584, 3.6878834295762863)]
+
     def test_deterministic(self):
         ds = tiny_dataset()
         start = talker.init_params(CFG, nd.make_rng(6))
