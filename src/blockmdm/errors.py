@@ -38,7 +38,7 @@ class DecodeError(BlockMDMError):
 
 
 class TrainingDivergedError(BlockMDMError):
-    """Training hit a non-finite loss; carries the last good parameters."""
+    """Training hit non-finite loss or teacher logits; carries the last good parameters."""
 
     def __init__(self, message, params=None, step=None):
         super().__init__(message)

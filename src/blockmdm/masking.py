@@ -93,13 +93,6 @@ def _draw_global(T: int, cfg: MaskingConfig, rng) -> tuple:
     return gamma_g, rng.random(T) < gamma_g
 
 
-def sample_global(T: int, cfg: MaskingConfig, rng) -> np.ndarray:
-    """Sorted masked positions under global Bernoulli masking."""
-    if cfg.mode != "global_bernoulli":
-        raise ParameterError(f"sample_global requires mode 'global_bernoulli', got {cfg.mode!r}")
-    return np.nonzero(_draw_global(T, cfg, rng)[1])[0]
-
-
 @dataclass(frozen=True)
 class HierarchicalDraw:
     """One hierarchical sample with the intermediate draws kept for stats."""
@@ -127,20 +120,15 @@ def sample_hierarchical_draw(part: BlockPartition, cfg: MaskingConfig, rng) -> H
     return HierarchicalDraw(gamma_c=gamma_c, gamma_t=gamma_t, selected_blocks=selected, positions=positions)
 
 
-def sample_hierarchical(part: BlockPartition, cfg: MaskingConfig, rng) -> np.ndarray:
-    """Sorted masked positions under hierarchical block-wise masking.
-
-    When ``gamma_c * n_blocks < 1`` no block is selected and the mask is
-    empty; such samples contribute zero loss downstream.
-    """
-    return sample_hierarchical_draw(part, cfg, rng).positions
-
-
 def sample_mask(part: BlockPartition, cfg: MaskingConfig, rng) -> np.ndarray:
-    """Dispatch on ``cfg.mode``."""
+    """Sorted masked positions under the sampler ``cfg.mode`` names.
+
+    A hierarchical mask is empty when ``gamma_c * n_blocks < 1`` (no block
+    selected); such samples contribute zero loss downstream.
+    """
     if cfg.mode == "global_bernoulli":
-        return sample_global(part.T, cfg, rng)
-    return sample_hierarchical(part, cfg, rng)
+        return np.nonzero(_draw_global(part.T, cfg, rng)[1])[0]
+    return sample_hierarchical_draw(part, cfg, rng).positions
 
 
 def mask_stats(part: BlockPartition, cfg: MaskingConfig, rng, samples: int,

@@ -2,9 +2,10 @@
 
 A ``Tensor`` wraps a float64 array plus an optional gradient; operations
 record backward closures onto a tape so a scalar loss can be
-backpropagated to every parameter that fed it. The set of operations is
-deliberately small: exactly the primitives a small transformer with
-masked attention, masked cross-entropy and a KL distillation loss needs.
+backpropagated to every parameter that fed it. A ``Param`` is a Tensor
+with a name and AdamW moments. The set of operations is deliberately
+small: exactly the primitives a small transformer with masked attention,
+masked cross-entropy and a KL distillation loss needs.
 
 Activations are ``rows x width`` matrices. A batch is several sequences
 stacked sample-major, with no padding, so row-wise ops run on the stacked
@@ -34,7 +35,7 @@ import functools
 import math
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,15 +192,6 @@ def _result(data, parents, backward):
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad, out._parents, out._backward = True, tuple(parents), backward
     return out
-
-
-def constant(data):
-    """Wrap an array as a non-differentiable Tensor."""
-    return Tensor(data)
-
-
-def as_array(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +417,7 @@ def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str =
         raise ParameterError(f"tau must be > 0, got {tau}")
     if direction not in ("reverse", "forward"):
         raise ParameterError(f"direction must be 'reverse' or 'forward', got {direction!r}")
-    tea = as_array(teacher_logits)
+    tea = np.asarray(teacher_logits, dtype=np.float64)
     if student_logits.data.shape != tea.shape:
         raise DimensionError(f"kl_rows shape mismatch: {student_logits.data.shape} vs {tea.shape}")
     n_rows = student_logits.data.shape[0]
@@ -557,40 +549,21 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Param:
-    """A trainable tensor plus AdamW moment buffers."""
+class Param(Tensor):
+    """A trainable Tensor over a float64 copy of ``data``, with a name and AdamW moments."""
 
-    name: str
-    value: Tensor
-    m: np.ndarray = field(default=None, repr=False)
-    v: np.ndarray = field(default=None, repr=False)
+    __slots__ = ("name", "m", "v")
 
-    def __post_init__(self):
-        self.value.requires_grad = True
-        if self.value.grad is None:
-            self.value.grad = np.zeros_like(self.value.data)
-        if self.m is None:
-            self.m = np.zeros_like(self.value.data)
-        if self.v is None:
-            self.v = np.zeros_like(self.value.data)
-
-    @property
-    def data(self):
-        return self.value.data
-
-    @property
-    def grad(self):
-        return self.value.grad
-
-
-def param(name, data):
-    return Param(name, Tensor(np.array(data, dtype=np.float64), requires_grad=True))
+    def __init__(self, name, data):
+        super().__init__(np.array(data, dtype=np.float64), requires_grad=True)
+        self.name = name
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
 
 def zero_grads(params):
     for p in params:
-        p.value.zero_grad()
+        p.zero_grad()
 
 
 def adamw_step(params, lr, step, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
@@ -601,15 +574,15 @@ def adamw_step(params, lr, step, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step
     for p in params:
-        g = p.value.grad
+        g = p.grad
         if not np.isfinite(g).all():
             bad = int(np.size(g) - np.isfinite(g).sum())
             raise NonFiniteError(f"non-finite gradient in parameter {p.name!r} ({bad} bad entries)")
         if weight_decay:
-            p.value.data -= lr * weight_decay * p.value.data
+            p.data -= lr * weight_decay * p.data
         p.m += (1.0 - b1) * (g - p.m)
         p.v += (1.0 - b2) * (g * g - p.v)
-        p.value.data -= lr * (p.m / c1) / (np.sqrt(p.v / c2) + eps)
+        p.data -= lr * (p.m / c1) / (np.sqrt(p.v / c2) + eps)
 
 
 @dataclass
@@ -651,7 +624,7 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None)
     loss = loss_fn()
     loss.backward()
     f0 = loss.item()
-    analytic = {p.name: p.value.grad.copy() for p in params}
+    analytic = {p.name: p.grad.copy() for p in params}
     floor = 1e-4 * max(1.0, abs(f0))
 
     max_rel = 0.0
@@ -660,12 +633,12 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None)
     skipped = 0
     with no_grad():
         for p in params:
-            size = p.value.data.size
+            size = p.data.size
             if size <= max_coords_per_param:
                 coords = np.arange(size)
             else:
                 coords = rng.choice(size, size=max_coords_per_param, replace=False)
-            flat = p.value.data.reshape(-1)
+            flat = p.data.reshape(-1)
             for c in coords:
                 orig = flat[c]
                 flat[c] = orig + epsilon

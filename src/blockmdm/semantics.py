@@ -33,11 +33,7 @@ def build_anchors(part: BlockPartition, Q: int) -> np.ndarray:
     """
     if not (1 <= Q <= part.B):
         raise ParameterError(f"Q must satisfy 1 <= Q <= B, got Q={Q}, B={part.B}")
-    anchors = []
-    for k in range(part.n_blocks):
-        s = part.block_slice(k)
-        anchors.append(np.arange(s.start, min(s.start + Q, s.stop)))
-    return np.concatenate(anchors)
+    return np.nonzero(np.arange(part.T) % part.B < Q)[0]
 
 
 @dataclass
@@ -60,7 +56,7 @@ def align(h, anchors: np.ndarray, T: int) -> AlignedSemantics:
     ``n_dropped``; the assignment is order-preserving, so earlier rows
     always land at earlier anchors.
     """
-    ht = h if isinstance(h, nd.Tensor) else nd.constant(np.asarray(h, dtype=np.float64))
+    ht = h if isinstance(h, nd.Tensor) else nd.Tensor(h)
     if ht.data.ndim != 2:
         raise DimensionError(f"conditioning states must be N x d, got shape {ht.data.shape}")
     N = ht.data.shape[0]
@@ -98,5 +94,5 @@ def fuse(tok_emb: nd.Tensor, h_prime: nd.Tensor, fp: FusionParams) -> nd.Tensor:
         raise DimensionError(
             f"fusion W1 expects width {fp.W1.data.shape[0]}, inputs have {tok_emb.data.shape[1]}")
     x = nd.add(tok_emb, h_prime)
-    u = nd.relu(nd.add(nd.matmul(x, fp.W1.value), fp.b1.value))
-    return nd.add(nd.matmul(u, fp.W2.value), fp.b2.value)
+    u = nd.relu(nd.add(nd.matmul(x, fp.W1), fp.b1))
+    return nd.add(nd.matmul(u, fp.W2), fp.b2)

@@ -141,7 +141,7 @@ class TalkerParams:
         return out
 
     def copy(self) -> "TalkerParams":
-        clones = [nd.param(p.name, p.data.copy()) for p in self.ordered()]
+        clones = [nd.Param(p.name, p.data) for p in self.ordered()]
         return _params_from_ordered(clones, n_layers=len(self.layers))
 
     def digest(self) -> str:
@@ -169,7 +169,7 @@ def init_params(cfg: TalkerConfig, rng, std: float = 0.02) -> TalkerParams:
     values = {}
     for name, shape in sorted(table, key=lambda entry: not entry[0].startswith("layer")):
         values[name] = rng.normal(0.0, std, size=shape) if len(shape) == 2 else np.zeros(shape)
-    return _params_from_ordered([nd.param(name, values[name]) for name, _ in table], n_layers=cfg.n_layers)
+    return _params_from_ordered([nd.Param(name, values[name]) for name, _ in table], n_layers=cfg.n_layers)
 
 
 def param_shapes(cfg: TalkerConfig) -> list:
@@ -211,7 +211,7 @@ class KVCache:
         self.k[layer][self.rows:end] = k.data
         self.v[layer][self.rows:end] = v.data
         self.written = end
-        return nd.constant(self.k[layer][:end]), nd.constant(self.v[layer][:end])
+        return nd.Tensor(self.k[layer][:end]), nd.Tensor(self.v[layer][:end])
 
     def commit(self, n: int) -> None:
         """Mark the next ``n`` written rows, whole blocks with final tokens,
@@ -222,20 +222,14 @@ class KVCache:
         self.rows += n
 
 
-def semantic_states(params: TalkerParams, source_tokens) -> nd.Tensor:
-    """Conditioning vectors for a source sequence: rows of the learned
-    source embedding table."""
+def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: int) -> AlignedSemantics:
+    """Build the aligned conditioning stream for a length-``T`` canvas from
+    the source's rows of the learned source embedding table."""
+    anchors = build_anchors(partition(T, cfg.B), cfg.Q)
     source_tokens = np.asarray(source_tokens, dtype=np.intp)
     if source_tokens.size and source_tokens.max() >= params.src_embed.data.shape[0]:
         raise InputError(f"source token id >= src_vocab ({params.src_embed.data.shape[0]})")
-    return nd.embedding(params.src_embed.value, source_tokens)
-
-
-def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: int) -> AlignedSemantics:
-    """Build the aligned conditioning stream for a length-``T`` canvas."""
-    part = partition(T, cfg.B)
-    anchors = build_anchors(part, cfg.Q)
-    return align(semantic_states(params, source_tokens), anchors, T)
+    return align(nd.embedding(params.src_embed, source_tokens), anchors, T)
 
 
 def align_batch(params: TalkerParams, cfg: TalkerConfig, sources, lengths) -> AlignedSemantics:
@@ -297,23 +291,23 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
         h_prime = nd.take_rows(h_prime, slice(offset, end))
 
     with nd.sequences(lengths):
-        emb = nd.embedding(params.tok_embed.value, tokens)
+        emb = nd.embedding(params.tok_embed, tokens)
         x = fuse(emb, h_prime, params.fusion)
-        x = nd.add(x, nd.embedding(params.pos_embed.value, positions))
+        x = nd.add(x, nd.embedding(params.pos_embed, positions))
 
         for layer, lp in enumerate(params.layers):
             h = nd.rmsnorm_rows(x)
-            q = nd.matmul(h, lp.wq.value)
-            k = nd.matmul(h, lp.wk.value)
-            v = nd.matmul(h, lp.wv.value)
+            q = nd.matmul(h, lp.wq)
+            k = nd.matmul(h, lp.wk)
+            v = nd.matmul(h, lp.wv)
             if cache is not None:
                 k, v = cache.write(layer, k, v)
             att = nd.masked_attention(q, k, v, masks, cfg.n_heads)
-            x = nd.add(x, nd.matmul(att, lp.wo.value))
+            x = nd.add(x, nd.matmul(att, lp.wo))
             h = nd.rmsnorm_rows(x)
-            x = nd.add(x, nd.matmul(nd.relu(nd.matmul(h, lp.ffn_in.value)), lp.ffn_out.value))
+            x = nd.add(x, nd.matmul(nd.relu(nd.matmul(h, lp.ffn_in)), lp.ffn_out))
         x = nd.rmsnorm_rows(x)
-        return nd.matmul(x, params.head.value)
+        return nd.matmul(x, params.head)
 
 
 def forward_array(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
@@ -383,7 +377,7 @@ def load_checkpoint(path):
             raw = f.read(n * 8)
             if len(raw) != n * 8:
                 raise CheckpointError(f"{path}: truncated data for parameter {name!r}")
-            plist.append(nd.param(name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()))
+            plist.append(nd.Param(name, np.frombuffer(raw, dtype="<f8").reshape(shape)))
         if f.read(1):
             raise CheckpointError(f"{path}: unexpected bytes after the last parameter")
     return cfg, _params_from_ordered(plist, n_layers=cfg.n_layers)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import nd, talker
 from .decode import reveal_step
-from .errors import ContractError, ParameterError, TrainingDivergedError
+from .errors import ContractError, NonFiniteError, ParameterError, TrainingDivergedError
 from .masking import MaskingConfig, partition, sample_mask
 from .talker import TalkerConfig, TalkerParams
 
@@ -96,7 +96,8 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
     every block of those sequences in parallel: per block, the ``n_j``
     still-masked positions with highest confidence (ties to lowest index)
     are recorded into the target tensor and replaced by their argmax
-    tokens. Returns ``(targets, final_sequence, n_forward_passes)``.
+    tokens. Returns ``(targets, final_sequence, n_forward_passes)``; logits
+    with a NaN or Inf raise :class:`NonFiniteError` before any reveal.
     """
     corrupted0 = np.asarray(corrupted0)
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
@@ -123,6 +124,8 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
         active = np.unique(seq_of[masked])
         rows = np.nonzero(np.isin(seq_of, active))[0]
         out = forward_fn(seq[rows], active)
+        if not np.isfinite(out).all():
+            raise NonFiniteError(f"non-finite teacher logits at rollout step {j}")
         n_forwards += 1
         if z_tea is None:
             z_tea, logits = np.zeros((T, out.shape[1])), np.zeros((T, out.shape[1]))
@@ -232,11 +235,6 @@ def write_curve_csv(path, curve) -> None:
             w.writerow(row)
 
 
-def _check_finite(value, params, step):
-    if not math.isfinite(value):
-        raise TrainingDivergedError(f"non-finite loss at step {step}", params=params, step=step)
-
-
 # a diverging step overflows; the finite-loss check reports it as one error
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: MaskingConfig,
@@ -245,7 +243,9 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
     """The optimizer loop both stages share: per step one batch, one forward
     and one backward pass over its stacked rows, one AdamW update.
 
-    ``targets_fn(batch)`` gives the teacher targets for distillation.
+    ``targets_fn(batch)`` gives the teacher targets for distillation; a
+    :class:`NonFiniteError` from it ends training as a
+    :class:`TrainingDivergedError` before that step's update.
     ``log_cb`` receives per step the curve row plus ``step_ms``,
     ``masked`` (positions), ``rows`` (stacked rows) and ``grad_norm``
     (global L2 norm of the gradient).
@@ -260,13 +260,17 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
         nd.zero_grads(plist)
         loss = kd = mdm = 0.0
         if batch.masked.size:
-            tea = targets_fn(batch) if targets_fn is not None else None
+            try:
+                tea = targets_fn(batch) if targets_fn is not None else None
+            except NonFiniteError as e:
+                raise TrainingDivergedError(f"{e} at step {step}", params=params, step=step) from e
             total, kd, mdm = batch_loss(params, cfg, batch, tea, distill_cfg)
             total.backward()
             loss = total.item()
-        _check_finite(loss, params, step)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss at step {step}", params=params, step=step)
         for p in plist:
-            p.value.grad /= batch.size
+            p.grad /= batch.size
         nd.adamw_step(plist, opt.lr, step, betas=opt.betas, eps=opt.eps, weight_decay=opt.weight_decay)
         row = {"step": step, "loss": loss / batch.size, "kd_loss": kd / batch.size,
                "mdm_loss": mdm / batch.size}

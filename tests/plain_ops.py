@@ -164,21 +164,21 @@ def reference_forward(params, cfg, tokens, aligned, lengths=None, prefix=None):
     h_prime = aligned.h_prime if aligned.T == len(tokens) else take_rows(aligned.h_prime, positions)
 
     f = params.fusion
-    x = add(embedding(params.tok_embed.value, tokens, blocks), h_prime, blocks)
-    u = relu(add(matmul(x, f.W1.value, blocks), f.b1.value, blocks))
-    x = add(matmul(u, f.W2.value, blocks), f.b2.value, blocks)
-    x = add(x, embedding(params.pos_embed.value, positions, blocks), blocks)
+    x = add(embedding(params.tok_embed, tokens, blocks), h_prime, blocks)
+    u = relu(add(matmul(x, f.W1, blocks), f.b1, blocks))
+    x = add(matmul(u, f.W2, blocks), f.b2, blocks)
+    x = add(x, embedding(params.pos_embed, positions, blocks), blocks)
     kv = []
     for layer, lp in enumerate(params.layers):
         h = rmsnorm(x)
-        q = matmul(h, lp.wq.value, blocks)
-        k = matmul(h, lp.wk.value, blocks)
-        v = matmul(h, lp.wv.value, blocks)
+        q = matmul(h, lp.wq, blocks)
+        k = matmul(h, lp.wk, blocks)
+        v = matmul(h, lp.wv, blocks)
         if prefix is not None:
-            k = nd.constant(np.concatenate([prefix[layer][0], k.data]))
-            v = nd.constant(np.concatenate([prefix[layer][1], v.data]))
+            k = nd.Tensor(np.concatenate([prefix[layer][0], k.data]))
+            v = nd.Tensor(np.concatenate([prefix[layer][1], v.data]))
         kv.append((k.data, v.data))
-        x = add(x, matmul(attention(q, k, v, masks, cfg.n_heads), lp.wo.value, blocks), blocks)
+        x = add(x, matmul(attention(q, k, v, masks, cfg.n_heads), lp.wo, blocks), blocks)
         h = rmsnorm(x)
-        x = add(x, matmul(relu(matmul(h, lp.ffn_in.value, blocks)), lp.ffn_out.value, blocks), blocks)
-    return matmul(rmsnorm(x), params.head.value, blocks), kv
+        x = add(x, matmul(relu(matmul(h, lp.ffn_in, blocks)), lp.ffn_out, blocks), blocks)
+    return matmul(rmsnorm(x), params.head, blocks), kv

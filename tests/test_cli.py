@@ -149,7 +149,7 @@ class TestTrainAndDistill:
         # poison the starting checkpoint so the first distill step goes
         # non-finite; the CLI must exit 1 and still write usable parameters
         cfg, params = talker.load_checkpoint(checkpoint)
-        params.head.value.data[0, 0] = float("inf")
+        params.head.data[0, 0] = float("inf")
         bad = tmp_path / "bad.ckpt"
         talker.save_checkpoint(bad, cfg, params)
         out = tmp_path / "rescued.ckpt"
@@ -157,7 +157,8 @@ class TestTrainAndDistill:
                    "--out", str(out), "--steps", "3", "--seed", "0", "--batch-size", "2",
                    "--teacher-steps", "2"])
         assert rc == 1
-        assert "last good" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "last good" in err and "teacher logits" in err
         talker.load_checkpoint(out)  # parseable
 
 

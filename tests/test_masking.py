@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blockmdm import nd
 from blockmdm.errors import ParameterError
 from blockmdm.masking import (MaskingConfig, expected_fraction_hierarchical,
-                              mask_stats, partition, sample_global, sample_hierarchical,
-                              sample_hierarchical_draw, sample_mask)
+                              mask_stats, partition, sample_hierarchical_draw, sample_mask)
 
 
 def pinned(mode, **kw):
@@ -50,22 +49,18 @@ class TestPartition:
 class TestGlobalBernoulli:
     def test_ratio_one_masks_all(self):
         cfg = pinned("global_bernoulli", gamma_g=1.0)
-        np.testing.assert_array_equal(sample_global(50, cfg, nd.make_rng(0)), np.arange(50))
+        np.testing.assert_array_equal(sample_mask(partition(50, 16), cfg, nd.make_rng(0)), np.arange(50))
 
     def test_ratio_zero_masks_none(self):
         cfg = pinned("global_bernoulli", gamma_g=0.0)
-        assert sample_global(50, cfg, nd.make_rng(0)).size == 0
+        assert sample_mask(partition(50, 16), cfg, nd.make_rng(0)).size == 0
 
     def test_monte_carlo_mean_fraction(self):
         # 1000 draws at T=10000 over gamma_g ~ U(0.3, 0.8): mean 0.55
         cfg = MaskingConfig(mode="global_bernoulli", gamma_g=(0.3, 0.8))
         rng = nd.make_rng(7)
-        fracs = [sample_global(10_000, cfg, rng).size / 10_000 for _ in range(1000)]
+        fracs = [sample_mask(partition(10_000, 16), cfg, rng).size / 10_000 for _ in range(1000)]
         assert abs(float(np.mean(fracs)) - 0.55) < 0.02
-
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            sample_global(10, MaskingConfig(mode="hierarchical"), nd.make_rng(0))
 
 
 class TestHierarchical:
@@ -73,7 +68,7 @@ class TestHierarchical:
         # gamma_c=0.5 of 2 blocks -> 1 block; gamma_t=0.5 of 16 -> 8 positions
         cfg = pinned("hierarchical", gamma_c=0.5, gamma_t=0.5)
         part = partition(32, 16)
-        positions = sample_hierarchical(part, cfg, nd.make_rng(1))
+        positions = sample_mask(part, cfg, nd.make_rng(1))
         assert positions.size == 8
         blocks = set(positions // 16)
         assert len(blocks) == 1
@@ -91,13 +86,13 @@ class TestHierarchical:
         cfg = pinned("hierarchical", gamma_c=1.0, gamma_t=1.0)
         for T in (32, 20):  # even and ragged
             part = partition(T, 16)
-            np.testing.assert_array_equal(sample_hierarchical(part, cfg, nd.make_rng(3)), np.arange(T))
+            np.testing.assert_array_equal(sample_mask(part, cfg, nd.make_rng(3)), np.arange(T))
 
     def test_block_count_can_be_zero(self):
         # gamma_c * n_blocks < 1 selects no block: empty mask
         cfg = pinned("hierarchical", gamma_c=0.3, gamma_t=0.5)
         part = partition(32, 16)  # floor(0.3 * 2) = 0
-        assert sample_hierarchical(part, cfg, nd.make_rng(4)).size == 0
+        assert sample_mask(part, cfg, nd.make_rng(4)).size == 0
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(17, 300), st.integers(2, 32))
@@ -125,8 +120,8 @@ class TestHierarchical:
     def test_bit_reproducible(self):
         cfg = MaskingConfig(mode="hierarchical")
         part = partition(100, 16)
-        a = sample_hierarchical(part, cfg, nd.make_rng(99))
-        b = sample_hierarchical(part, cfg, nd.make_rng(99))
+        a = sample_mask(part, cfg, nd.make_rng(99))
+        b = sample_mask(part, cfg, nd.make_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_dispatch(self):

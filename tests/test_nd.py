@@ -10,41 +10,41 @@ from blockmdm.errors import ContractError, DimensionError, NonFiniteError, Param
 
 
 def tensors(*arrays):
-    return [nd.constant(a) for a in arrays]
+    return [nd.Tensor(a) for a in arrays]
 
 
 def softmax_rows(z):
     """Row softmax of a Tensor, in the plain formula."""
-    return nd.constant(plain_ops.softmax(z.data))
+    return nd.Tensor(plain_ops.softmax(z.data))
 
 
 class TestMatmul:
     def test_identity(self):
-        a = nd.constant(np.arange(9.0).reshape(3, 3))
-        out = nd.matmul(nd.constant(np.eye(3)), a)
+        a = nd.Tensor(np.arange(9.0).reshape(3, 3))
+        out = nd.matmul(nd.Tensor(np.eye(3)), a)
         np.testing.assert_array_equal(out.data, a.data)
 
     def test_annihilator(self):
-        a = nd.constant(np.arange(6.0).reshape(2, 3))
-        out = nd.matmul(a, nd.constant(np.zeros((3, 2))))
+        a = nd.Tensor(np.arange(6.0).reshape(2, 3))
+        out = nd.matmul(a, nd.Tensor(np.zeros((3, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
     def test_hand_arithmetic(self):
-        out = nd.matmul(nd.constant([[1.0, 2.0], [3.0, 4.0]]), nd.constant([[1.0], [1.0]]))
+        out = nd.matmul(nd.Tensor([[1.0, 2.0], [3.0, 4.0]]), nd.Tensor([[1.0], [1.0]]))
         np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            nd.matmul(nd.constant(np.ones((2, 3))), nd.constant(np.ones((2, 3))))
+            nd.matmul(nd.Tensor(np.ones((2, 3))), nd.Tensor(np.ones((2, 3))))
 
     def test_gradients_both_inputs(self):
         rng = nd.make_rng(0)
-        a = nd.param("a", rng.normal(size=(3, 4)))
-        b = nd.param("b", rng.normal(size=(4, 2)))
+        a = nd.Param("a", rng.normal(size=(3, 4)))
+        b = nd.Param("b", rng.normal(size=(4, 2)))
         tgt = np.array([0, 1, 0])
 
         def loss():
-            return nd.masked_cross_entropy(nd.matmul(a.value, b.value), tgt, np.arange(3))
+            return nd.masked_cross_entropy(nd.matmul(a, b), tgt, np.arange(3))
 
         report = nd.grad_check(loss, [a, b])
         assert report.max_rel_err < 1e-6
@@ -52,7 +52,7 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_uniform(self):
-        out = softmax_rows(nd.constant([[0.0, 0.0, 0.0]]))
+        out = softmax_rows(nd.Tensor([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_derived_scalar_oracle(self):
@@ -61,7 +61,7 @@ class TestSoftmaxRows:
         exps = [math.exp(v) for v in row]
         expected = [e / sum(exps) for e in exps]
         assert abs(expected[0] - 0.78699) < 1e-5
-        out = softmax_rows(nd.constant([row]))
+        out = softmax_rows(nd.Tensor([row]))
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_shift_invariance_bit_exact(self):
@@ -70,32 +70,32 @@ class TestSoftmaxRows:
         rng = nd.make_rng(1)
         z = np.round(rng.normal(size=(4, 8)) * 2**20) / 2**20
         for c in (1.0, 64.0, -512.0):
-            a = softmax_rows(nd.constant(z)).data
-            b = softmax_rows(nd.constant(z + c)).data
+            a = softmax_rows(nd.Tensor(z)).data
+            b = softmax_rows(nd.Tensor(z + c)).data
             np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_rows_sum_to_one_and_nonnegative(self, seed):
         z = nd.make_rng(seed).normal(scale=30.0, size=(5, 9))
-        p = softmax_rows(nd.constant(z)).data
+        p = softmax_rows(nd.Tensor(z)).data
         assert (p >= 0).all()
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_extreme_logits_stable(self):
-        p = softmax_rows(nd.constant([[1e4, 0.0, -1e4]])).data
+        p = softmax_rows(nd.Tensor([[1e4, 0.0, -1e4]])).data
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
 
 
 class TestMaskedCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        logits = nd.constant([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
+        logits = nd.Tensor([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
         loss = nd.masked_cross_entropy(logits, np.array([0, 1]), np.array([0, 1]))
         assert loss.item() == 0.0
 
     def test_uniform_logits_analytic(self):
-        logits = nd.constant(np.zeros((3, 4)))
+        logits = nd.Tensor(np.zeros((3, 4)))
         loss = nd.masked_cross_entropy(logits, np.array([2, 0, 1]), np.array([1]))
         assert abs(loss.item() - math.log(4)) < 1e-12
 
@@ -115,7 +115,7 @@ class TestMaskedCrossEntropy:
         np.testing.assert_array_equal(logits.grad, 0.0)
 
     def test_bad_target_rejected(self):
-        logits = nd.constant(np.zeros((2, 4)))
+        logits = nd.Tensor(np.zeros((2, 4)))
         with pytest.raises(ParameterError):
             nd.masked_cross_entropy(logits, np.array([0, 7]), np.array([1]))
 
@@ -124,7 +124,7 @@ class TestKLRows:
     def test_identical_logits_zero(self):
         z = nd.make_rng(3).normal(size=(4, 6))
         for direction in ("reverse", "forward"):
-            assert abs(nd.kl_rows(nd.constant(z), z, 2.0, direction).item()) < 1e-14
+            assert abs(nd.kl_rows(nd.Tensor(z), z, 2.0, direction).item()) < 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -132,15 +132,15 @@ class TestKLRows:
         rng = nd.make_rng(seed)
         s, t = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
         for direction in ("reverse", "forward"):
-            assert nd.kl_rows(nd.constant(s), t, 1.7, direction).item() >= -1e-12
+            assert nd.kl_rows(nd.Tensor(s), t, 1.7, direction).item() >= -1e-12
 
     def test_gradient_vs_finite_differences_10_random_pairs(self):
         for seed in range(10):
             rng = nd.make_rng(seed)
-            s = nd.param("s", rng.normal(size=(3, 6)))
+            s = nd.Param("s", rng.normal(size=(3, 6)))
             t = rng.normal(size=(3, 6))
             for direction in ("reverse", "forward"):
-                report = nd.grad_check(lambda: nd.kl_rows(s.value, t, 2.0, direction), [s],
+                report = nd.grad_check(lambda: nd.kl_rows(s, t, 2.0, direction), [s],
                                        max_coords_per_param=18)
                 assert report.max_rel_err < 1e-6, (seed, direction, report)
 
@@ -157,7 +157,7 @@ class TestKLRows:
         assert abs(student2.grad[0, 2]) > 1e-3
 
     def test_tau_validation(self):
-        z = nd.constant(np.zeros((2, 3)))
+        z = nd.Tensor(np.zeros((2, 3)))
         with pytest.raises(ParameterError):
             nd.kl_rows(z, np.zeros((2, 3)), 0.0)
         with pytest.raises(ParameterError):
@@ -165,7 +165,7 @@ class TestKLRows:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            nd.kl_rows(nd.constant(np.zeros((2, 3))), np.zeros((2, 4)), 1.0)
+            nd.kl_rows(nd.Tensor(np.zeros((2, 3))), np.zeros((2, 4)), 1.0)
 
 
 def scalar_attention_oracle(q, k, v, mask):
@@ -236,14 +236,14 @@ class TestMaskedAttention:
 
     def test_rectangular_gradcheck(self):
         rng = nd.make_rng(13)
-        q = nd.param("q", rng.normal(size=(3, 4)))
-        k = nd.param("k", rng.normal(size=(7, 4)))
-        v = nd.param("v", rng.normal(size=(7, 4)))
+        q = nd.Param("q", rng.normal(size=(3, 4)))
+        k = nd.Param("k", rng.normal(size=(7, 4)))
+        v = nd.Param("v", rng.normal(size=(7, 4)))
         mask = (np.arange(7)[None, :] // 2) <= (np.arange(4, 7)[:, None] // 2)  # block-causal, B=2
         tgt = np.array([0, 3, 1])
 
         def loss():
-            out = nd.masked_attention(q.value, k.value, v.value, mask)
+            out = nd.masked_attention(q, k, v, mask)
             return nd.masked_cross_entropy(out, tgt, np.arange(3))
 
         report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=28)
@@ -286,11 +286,11 @@ class TestBatchedMultiHeadAttention:
 
     def test_gradcheck_two_heads_three_sequences(self):
         q, k, v, masks = self.inputs(16)
-        q, k, v = nd.param("q", q), nd.param("k", k), nd.param("v", v)
+        q, k, v = nd.Param("q", q), nd.Param("k", k), nd.Param("v", v)
         tgt = nd.make_rng(17).integers(0, 4, sum(self.LENGTHS))
 
         def loss():
-            out = nd.masked_attention(q.value, k.value, v.value, masks, n_heads=2)
+            out = nd.masked_attention(q, k, v, masks, n_heads=2)
             return nd.masked_cross_entropy(out, tgt, np.arange(len(tgt)))
 
         report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=64)
@@ -313,16 +313,16 @@ class TestSequences:
     def test_matmul_add_embedding_match_one_pass_per_sequence(self):
         rng = nd.make_rng(19)
         T = sum(self.LENGTHS)
-        table = nd.param("table", rng.normal(size=(11, 64)))
+        table = nd.Param("table", rng.normal(size=(11, 64)))
         # 67 columns, like the model's head: BLAS may round the last columns
         # of a product differently when other rows share the call
-        w = nd.param("w", rng.normal(size=(64, 67)))
-        bias = nd.param("bias", rng.normal(size=67))
+        w = nd.Param("w", rng.normal(size=(64, 67)))
+        bias = nd.Param("bias", rng.normal(size=67))
         ids, tgt = rng.integers(0, 11, T), rng.integers(0, 67, T)
         params = [table, w, bias]
 
         def loss(rows):
-            logits = nd.add(nd.matmul(nd.embedding(table.value, ids[rows]), w.value), bias.value)
+            logits = nd.add(nd.matmul(nd.embedding(table, ids[rows]), w), bias)
             return nd.masked_cross_entropy(logits, tgt[rows], np.arange(len(ids[rows])))
 
         nd.zero_grads(params)
@@ -348,10 +348,10 @@ class TestPlainFormulas:
         # rows of widely different scale
         x = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-100, 100, size=(rows, 1))
         want = x * (1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + 1e-6))
-        p = nd.param("x", x)
-        np.testing.assert_array_equal(nd.rmsnorm_rows(p.value).data, want)
+        p = nd.Param("x", x)
+        np.testing.assert_array_equal(nd.rmsnorm_rows(p).data, want)
         with nd.no_grad():
-            np.testing.assert_array_equal(nd.rmsnorm_rows(p.value).data, want)
+            np.testing.assert_array_equal(nd.rmsnorm_rows(p).data, want)
 
     @pytest.mark.parametrize("rows,keys", [(16, 64), (32, 64), (16, 16), (5, 5)])
     def test_attention_skipping_the_fill_is_the_filled_path(self, rows, keys):
@@ -364,43 +364,76 @@ class TestPlainFormulas:
             got, want = [], []
             for attend, out in ((lambda *t: nd.masked_attention(*t, [mask], n_heads=4), got),
                                 (lambda *t: plain_ops.attention(*t, [mask], 4), want)):
-                params = [nd.param(name, a) for name, a in (("q", q), ("k", k), ("v", v))]
-                y = attend(*(p.value for p in params))
+                params = [nd.Param(name, a) for name, a in (("q", q), ("k", k), ("v", v))]
+                y = attend(*params)
                 nd.masked_cross_entropy(y, tgt, np.arange(rows)).backward()
                 out.extend([y.data] + [p.grad for p in params])
                 with nd.no_grad():
-                    out.append(attend(*(p.value for p in params)).data)
+                    out.append(attend(*params).data)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
 
+class TestParam:
+    def test_is_a_tensor_holding_a_float64_copy(self):
+        src = np.array([[1, 2], [3, 4]])
+        p = nd.Param("w", src)
+        assert isinstance(p, nd.Tensor) and p.requires_grad and p.name == "w"
+        assert p.data.dtype == np.float64 and not np.shares_memory(p.data, src)
+        assert (p.grad == 0.0).all() and (p.m == 0.0).all() and (p.v == 0.0).all()
+
+    def test_grad_accumulates_over_two_backward_passes_until_zeroed(self):
+        rng = nd.make_rng(21)
+        w = nd.Param("w", rng.normal(size=(3, 5)))
+        x = nd.Tensor(rng.normal(size=(4, 3)))
+
+        def loss():
+            return nd.masked_cross_entropy(nd.matmul(x, w), np.array([0, 4, 2, 1]), np.arange(4))
+
+        loss().backward()
+        once = w.grad.copy()
+        assert np.abs(once).sum() > 0.0
+        loss().backward()
+        np.testing.assert_array_equal(w.grad, once + once)
+        nd.zero_grads([w])
+        assert (w.grad == 0.0).all()
+
+    def test_adamw_updates_buffers_in_place(self):
+        p = nd.Param("w", np.ones((2, 3)))
+        data, m, v = p.data, p.m, p.v
+        p.grad[:] = 0.5
+        nd.adamw_step([p], lr=0.1, step=1, weight_decay=0.01)
+        assert p.data is data and p.m is m and p.v is v
+        assert (data < 1.0).all() and (m > 0.0).all() and (v > 0.0).all()
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_unchanged(self):
-        p = nd.param("p", np.array([[1.0, -2.0]]))
+        p = nd.Param("p", np.array([[1.0, -2.0]]))
         before = p.data.copy()
         nd.adamw_step([p], lr=0.1, step=1, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, before)
 
     def test_descent_on_quadratic(self):
-        p = nd.param("w", np.array([[1.0]]))
-        p.value.grad[:] = 2.0 * p.data  # grad of w^2
+        p = nd.Param("w", np.array([[1.0]]))
+        p.grad[:] = 2.0 * p.data  # grad of w^2
         nd.adamw_step([p], lr=0.1, step=1, weight_decay=0.0)
         assert p.data[0, 0] ** 2 < 1.0
 
     def test_bit_identical_across_runs(self):
         def run():
             rng = nd.make_rng(11)
-            p = nd.param("p", rng.normal(size=(4, 4)))
+            p = nd.Param("p", rng.normal(size=(4, 4)))
             for step in range(1, 101):
-                p.value.grad[:] = np.sin(p.data * step)
+                p.grad[:] = np.sin(p.data * step)
                 nd.adamw_step([p], lr=1e-2, step=step, weight_decay=0.01)
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_nonfinite_grad_aborts_with_diagnostics(self):
-        p = nd.param("spiky", np.ones((2, 2)))
-        p.value.grad[0, 0] = np.nan
+        p = nd.Param("spiky", np.ones((2, 2)))
+        p.grad[0, 0] = np.nan
         with pytest.raises(NonFiniteError, match="spiky"):
             nd.adamw_step([p], lr=0.1, step=1)
 
@@ -408,33 +441,33 @@ class TestAdamW:
 class TestGradCheck:
     def test_linear_layer_tight(self):
         rng = nd.make_rng(8)
-        w = nd.param("w", rng.normal(size=(6, 5)))
-        x = nd.constant(rng.normal(size=(4, 6)))
+        w = nd.Param("w", rng.normal(size=(6, 5)))
+        x = nd.Tensor(rng.normal(size=(4, 6)))
         tgt = np.array([0, 1, 2, 3])
 
         def loss():
-            return nd.masked_cross_entropy(nd.matmul(x, w.value), tgt, np.arange(4))
+            return nd.masked_cross_entropy(nd.matmul(x, w), tgt, np.arange(4))
 
         report = nd.grad_check(loss, [w], epsilon=1e-6, max_coords_per_param=30)
         assert report.max_rel_err < 1e-7
 
     def test_empty_mask_all_zero_gradients(self):
         rng = nd.make_rng(9)
-        w = nd.param("w", rng.normal(size=(3, 3)))
-        x = nd.constant(rng.normal(size=(2, 3)))
+        w = nd.Param("w", rng.normal(size=(3, 3)))
+        x = nd.Tensor(rng.normal(size=(2, 3)))
 
         def loss():
-            return nd.masked_cross_entropy(nd.matmul(x, w.value), np.array([0, 1]),
+            return nd.masked_cross_entropy(nd.matmul(x, w), np.array([0, 1]),
                                            np.array([], dtype=int))
 
         report = nd.grad_check(loss, [w], max_coords_per_param=9)
         assert report.max_rel_err == 0.0
-        assert (w.value.grad == 0.0).all()
+        assert (w.grad == 0.0).all()
 
     def test_epsilon_range_enforced(self):
-        w = nd.param("w", np.ones((2, 2)))
+        w = nd.Param("w", np.ones((2, 2)))
         with pytest.raises(ParameterError):
-            nd.grad_check(lambda: nd.masked_cross_entropy(w.value, np.array([0, 1]), np.array([0])),
+            nd.grad_check(lambda: nd.masked_cross_entropy(w, np.array([0, 1]), np.array([0])),
                           [w], epsilon=1e-2)
 
 
@@ -454,30 +487,30 @@ class TestRng:
 class TestTapeMechanics:
     def test_shared_subexpression_gradient(self):
         # x used twice (residual pattern): gradient accumulates correctly
-        x = nd.param("x", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        x = nd.Param("x", np.array([[1.0, 2.0], [3.0, 4.0]]))
 
         def loss():
-            y = nd.add(x.value, nd.relu(x.value))
+            y = nd.add(x, nd.relu(x))
             return nd.masked_cross_entropy(y, np.array([0, 1]), np.array([0, 1]))
 
         report = nd.grad_check(loss, [x], max_coords_per_param=4)
         assert report.max_rel_err < 1e-7
 
     def test_no_grad_disables_tape(self):
-        x = nd.param("x", np.ones((2, 2)))
+        x = nd.Param("x", np.ones((2, 2)))
         with nd.no_grad():
-            y = nd.matmul(x.value, x.value)
+            y = nd.matmul(x, x)
         assert y._backward is None and not y.requires_grad
         # every op, on inputs that require gradients, records no parents and no backward
-        a, b, row = nd.param("a", np.ones((3, 4))), nd.param("b", np.ones((4, 4))), nd.param("row", np.ones(4))
-        ops = [lambda: nd.matmul(a.value, b.value), lambda: nd.add(a.value, a.value),
-               lambda: nd.add(a.value, row.value), lambda: nd.scale(a.value, 2.0), lambda: nd.relu(a.value),
-               lambda: nd.rmsnorm_rows(a.value), lambda: nd.embedding(b.value, [0, 3]),
-               lambda: nd.take_rows(a.value, [2, 0]), lambda: nd.place_rows(a.value, [1, -1], 2),
-               lambda: nd.concat_rows([a.value, a.value]),
-               lambda: nd.masked_attention(a.value, a.value, a.value, np.ones((3, 3), bool), n_heads=2),
-               lambda: nd.masked_cross_entropy(a.value, [0, 1, 2], [0, 2]),
-               lambda: nd.kl_rows(a.value, np.zeros((3, 4)), 2.0)]
+        a, b, row = nd.Param("a", np.ones((3, 4))), nd.Param("b", np.ones((4, 4))), nd.Param("row", np.ones(4))
+        ops = [lambda: nd.matmul(a, b), lambda: nd.add(a, a),
+               lambda: nd.add(a, row), lambda: nd.scale(a, 2.0), lambda: nd.relu(a),
+               lambda: nd.rmsnorm_rows(a), lambda: nd.embedding(b, [0, 3]),
+               lambda: nd.take_rows(a, [2, 0]), lambda: nd.place_rows(a, [1, -1], 2),
+               lambda: nd.concat_rows([a, a]),
+               lambda: nd.masked_attention(a, a, a, np.ones((3, 3), bool), n_heads=2),
+               lambda: nd.masked_cross_entropy(a, [0, 1, 2], [0, 2]),
+               lambda: nd.kl_rows(a, np.zeros((3, 4)), 2.0)]
         with nd.no_grad():
             for op in ops:
                 y = op()
@@ -485,7 +518,7 @@ class TestTapeMechanics:
         assert all(op().requires_grad for op in ops)
 
     def test_backward_requires_scalar(self):
-        x = nd.param("x", np.ones((2, 2)))
-        y = nd.matmul(x.value, x.value)
+        x = nd.Param("x", np.ones((2, 2)))
+        y = nd.matmul(x, x)
         with pytest.raises(DimensionError):
             y.backward()

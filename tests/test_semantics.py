@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmdm import nd
 from blockmdm.errors import DimensionError, ParameterError
@@ -22,6 +23,14 @@ class TestBuildAnchors:
         # last block has 2 positions, so it contributes only those
         anchors = build_anchors(partition(18, 16), Q=4)
         np.testing.assert_array_equal(anchors, [0, 1, 2, 3, 16, 17])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 300), st.integers(1, 40))
+    def test_first_min_q_block_size_positions_of_every_block(self, data, T, B):
+        Q = data.draw(st.integers(1, B), label="Q")
+        part = partition(T, B)
+        want = np.concatenate([part.block_positions(k)[:Q] for k in range(part.n_blocks)])
+        np.testing.assert_array_equal(build_anchors(part, Q), want)
 
     def test_q_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -72,10 +81,10 @@ class TestAlign:
 
     def test_gradient_flows_to_states(self):
         anchors = build_anchors(partition(16, 8), Q=2)
-        h = nd.param("h", nd.make_rng(1).normal(size=(3, 4)))
+        h = nd.Param("h", nd.make_rng(1).normal(size=(3, 4)))
 
         def loss():
-            out = align(h.value, anchors, 16)
+            out = align(h, anchors, 16)
             return nd.masked_cross_entropy(out.h_prime, np.zeros(16, dtype=int), np.array([0, 8]))
 
         report = nd.grad_check(loss, [h])
@@ -84,18 +93,18 @@ class TestAlign:
 
 def fusion_params(d, d_ff, rng):
     """Fusion weights drawn as ``talker.init_params`` draws them."""
-    return FusionParams(W1=nd.param("fusion.W1", rng.normal(0.0, 0.02, size=(d, d_ff))),
-                        b1=nd.param("fusion.b1", np.zeros(d_ff)),
-                        W2=nd.param("fusion.W2", rng.normal(0.0, 0.02, size=(d_ff, d))),
-                        b2=nd.param("fusion.b2", np.zeros(d)))
+    return FusionParams(W1=nd.Param("fusion.W1", rng.normal(0.0, 0.02, size=(d, d_ff))),
+                        b1=nd.Param("fusion.b1", np.zeros(d_ff)),
+                        W2=nd.Param("fusion.W2", rng.normal(0.0, 0.02, size=(d_ff, d))),
+                        b2=nd.Param("fusion.b2", np.zeros(d)))
 
 
 def identity_fusion(d):
     fp = fusion_params(d, d, nd.make_rng(0))
-    fp.W1.value.data[:] = np.eye(d)
-    fp.W2.value.data[:] = np.eye(d)
-    fp.b1.value.data[:] = 0.0
-    fp.b2.value.data[:] = 0.0
+    fp.W1.data[:] = np.eye(d)
+    fp.W2.data[:] = np.eye(d)
+    fp.b1.data[:] = 0.0
+    fp.b2.data[:] = 0.0
     return fp
 
 
@@ -104,13 +113,13 @@ class TestFuse:
         anchors = build_anchors(partition(8, 8), Q=2)
         aligned = align(np.empty((0, 4)), anchors, 8)  # h' all zero
         emb = nd.make_rng(2).normal(size=(8, 4))
-        out = fuse(nd.constant(emb), aligned.h_prime, identity_fusion(4))
+        out = fuse(nd.Tensor(emb), aligned.h_prime, identity_fusion(4))
         np.testing.assert_allclose(out.data, np.maximum(emb, 0.0), atol=1e-15)
 
     def test_all_zero_inputs_zero_output(self):
         anchors = build_anchors(partition(8, 8), Q=2)
         aligned = align(np.empty((0, 4)), anchors, 8)
-        out = fuse(nd.constant(np.zeros((8, 4))), aligned.h_prime, identity_fusion(4))
+        out = fuse(nd.Tensor(np.zeros((8, 4))), aligned.h_prime, identity_fusion(4))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_position_local(self):
@@ -119,10 +128,10 @@ class TestFuse:
         fp = fusion_params(4, 8, rng)
         aligned = align(rng.normal(size=(2, 4)), anchors, 8)
         emb = rng.normal(size=(8, 4))
-        base = fuse(nd.constant(emb), aligned.h_prime, fp).data
+        base = fuse(nd.Tensor(emb), aligned.h_prime, fp).data
         emb2 = emb.copy()
         emb2[5] += 1.0
-        pert = fuse(nd.constant(emb2), aligned.h_prime, fp).data
+        pert = fuse(nd.Tensor(emb2), aligned.h_prime, fp).data
         diff_rows = np.nonzero(np.abs(pert - base).sum(axis=1))[0]
         np.testing.assert_array_equal(diff_rows, [5])
 
@@ -130,11 +139,11 @@ class TestFuse:
         rng = nd.make_rng(4)
         fp = fusion_params(4, 4, rng)
         anchors = build_anchors(partition(4, 4), Q=2)
-        h = nd.param("h", rng.normal(size=(2, 4)))
-        emb = nd.constant(rng.normal(size=(4, 4)))
+        h = nd.Param("h", rng.normal(size=(2, 4)))
+        emb = nd.Tensor(rng.normal(size=(4, 4)))
 
         def loss():
-            aligned = align(h.value, anchors, 4)
+            aligned = align(h, anchors, 4)
             out = fuse(emb, aligned.h_prime, fp)
             return nd.masked_cross_entropy(out, np.array([0, 1, 2, 3]), np.arange(4))
 
@@ -145,4 +154,4 @@ class TestFuse:
         anchors = build_anchors(partition(4, 4), Q=2)
         aligned = align(np.ones((1, 3)), anchors, 4)
         with pytest.raises(DimensionError):
-            fuse(nd.constant(np.zeros((4, 4))), aligned.h_prime, identity_fusion(4))
+            fuse(nd.Tensor(np.zeros((4, 4))), aligned.h_prime, identity_fusion(4))

@@ -101,7 +101,7 @@ class TestForward:
 
     def test_zero_head_gives_uniform_confidence(self):
         params, tokens, _, aligned = make_inputs(SMALL, T=8, n_src=2)
-        params.head.value.data[:] = 0.0
+        params.head.data[:] = 0.0
         out = talker.forward_array(params, SMALL, tokens, aligned)
         np.testing.assert_array_equal(out, 0.0)
         probs = plain_ops.softmax(out)
@@ -250,7 +250,7 @@ class TestPlainOracle:
     def params(self, seed=0):
         params = init_params(self.CFG, nd.make_rng(seed), std=0.3)
         eos = self.CFG.vocab.eos_id  # tie EOS with token 0, so decodes run to the block budget
-        params.head.value.data[:, eos] = params.head.value.data[:, 0]
+        params.head.data[:, eos] = params.head.data[:, 0]
         return params
 
     def tokens(self, rng, T):
@@ -356,9 +356,21 @@ class TestParams:
     def test_copy_is_deep(self):
         p = init_params(SMALL, nd.make_rng(0))
         c = p.copy()
-        c.head.value.data[:] = 7.0
+        c.head.data[:] = 7.0
         assert not np.array_equal(p.head.data, c.head.data)
         assert p.digest() != c.digest()
+
+    def test_copy_shares_no_buffer(self):
+        # train_distill's teacher and student are copies of one start
+        p = init_params(SMALL, nd.make_rng(0))
+        for q in p.ordered():
+            q.grad[:], q.m[:], q.v[:] = 1.0, 2.0, 3.0
+        c = p.copy()
+        assert c.digest() == p.digest()
+        for a, b in zip(p.ordered(), c.ordered()):
+            assert a.name == b.name
+            for x, y in ((a.data, b.data), (a.grad, b.grad), (a.m, b.m), (a.v, b.v)):
+                assert not np.shares_memory(x, y)
 
 
 class TestCheckpoint:

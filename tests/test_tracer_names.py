@@ -29,5 +29,8 @@ def test_traced_spans_recorded(monkeypatch):
                                steps=1, seed=0)
         bench.uncertainty_profile(params, CFG, [pairs[1].source], K=2, max_blocks=2)
     recorded = {span[0] for span in tracer.spans}
-    for name in ("schedule.reveal", "semantics.fuse", "decode.block", "training.rollout", "bench.uncertainty"):
+    for name in ("schedule.reveal", "semantics.fuse", "decode.block", "training.rollout", "bench.uncertainty",
+                 "masking.sample", "nd.backward", "nd.adamw", "semantics.align", "nd.attention"):
         assert name in recorded, name
+    assert tracer.counts["nd.matmul_calls"] > 0
+    assert tracer.counts["masking.target_positions"] > 0

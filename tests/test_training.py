@@ -3,7 +3,7 @@ import plain_ops
 import pytest
 
 from blockmdm import nd, talker, training
-from blockmdm.errors import ContractError, ParameterError, TrainingDivergedError
+from blockmdm.errors import ContractError, NonFiniteError, ParameterError, TrainingDivergedError
 from blockmdm.masking import MaskingConfig
 from blockmdm.synthtask import TaskSpec, gen_dataset
 from blockmdm.training import (DistillConfig, OptimizerConfig, TeacherTargets, batch_loss,
@@ -20,11 +20,13 @@ def tiny_dataset(n=40, seed=0):
 
 
 class ScriptedTeacher:
-    """Fake forward fn whose logits change on every call; logs call count."""
+    """Fake forward fn whose logits change on every call; logs call count.
+    Call number ``nan_at`` returns one NaN logit."""
 
-    def __init__(self, T, V, seed=0):
+    def __init__(self, T, V, seed=0, nan_at=None):
         self.rng = nd.make_rng(seed)
         self.T, self.V = T, V
+        self.nan_at = nan_at
         self.calls = 0
         self.history = []
 
@@ -32,6 +34,8 @@ class ScriptedTeacher:
         assert len(tokens) == self.T  # every sequence still has masked positions
         self.calls += 1
         logits = self.rng.normal(size=(self.T, self.V)) + self.calls  # distinct per step
+        if self.calls == self.nan_at:
+            logits[self.T // 2, 0] = np.nan
         self.history.append(logits.copy())
         return logits
 
@@ -64,6 +68,13 @@ class TestTeacherRollout:
         np.testing.assert_array_equal(targets.z_tea[mask], teacher.history[0][mask])
         np.testing.assert_array_equal(np.nonzero(targets.valid)[0], np.sort(mask))
         np.testing.assert_array_equal(final[mask], teacher.history[0][mask].argmax(axis=1))
+
+    def test_nonfinite_logits_raise_naming_the_step(self):
+        T, V, B = 12, 9, 4
+        teacher = ScriptedTeacher(T, V, seed=3, nan_at=2)
+        with pytest.raises(NonFiniteError, match="non-finite teacher logits at rollout step 2"):
+            teacher_rollout(np.full(T, 7), np.arange(T), teacher, B=B, K=3)
+        assert teacher.calls == 2
 
     def test_all_revealed_within_k_and_monotone(self):
         T, V, B, K = 16, 9, 4, 4
@@ -125,7 +136,7 @@ class TestDistillLoss:
     def _setup(self, seed=0):
         rng = nd.make_rng(seed)
         T, V = 8, 10
-        student = nd.param("stu", rng.normal(0, 2, (T, V)))
+        student = nd.Param("stu", rng.normal(0, 2, (T, V)))
         targets = rng.integers(0, V, T)
         M = np.array([0, 2, 5])
         z = rng.normal(0, 3, (T, V))
@@ -135,21 +146,21 @@ class TestDistillLoss:
 
     def test_alpha_zero_is_pure_masked_ce(self):
         student, targets, M, tea = self._setup()
-        loss, kd, mdm = distill_loss(student.value, targets, M, tea, DistillConfig(alpha=0.0))
-        ce = nd.masked_cross_entropy(student.value, targets, M).item() / len(M)
+        loss, kd, mdm = distill_loss(student, targets, M, tea, DistillConfig(alpha=0.0))
+        ce = nd.masked_cross_entropy(student, targets, M).item() / len(M)
         assert loss.item() == pytest.approx(ce, rel=1e-12)
         assert mdm == pytest.approx(ce, rel=1e-12)
 
     def test_alpha_one_identical_logits_zero_kd(self):
         student, targets, M, tea = self._setup()
-        student.value.data[:] = tea.z_tea
-        loss, kd, mdm = distill_loss(student.value, targets, M, tea, DistillConfig(alpha=1.0))
+        student.data[:] = tea.z_tea
+        loss, kd, mdm = distill_loss(student, targets, M, tea, DistillConfig(alpha=1.0))
         assert loss.item() == 0.0 and kd == 0.0
 
     def test_gradient_matches_finite_differences(self):
         student, targets, M, tea = self._setup(1)
         cfg = DistillConfig(alpha=0.7, tau=2.0)
-        report = nd.grad_check(lambda: distill_loss(student.value, targets, M, tea, cfg)[0],
+        report = nd.grad_check(lambda: distill_loss(student, targets, M, tea, cfg)[0],
                                [student], max_coords_per_param=40)
         assert report.max_rel_err < 1e-5
 
@@ -157,11 +168,11 @@ class TestDistillLoss:
         student, targets, M, tea = self._setup(2)
         tea.valid[M[0]] = False
         with pytest.raises(ContractError):
-            distill_loss(student.value, targets, M, tea, DistillConfig())
+            distill_loss(student, targets, M, tea, DistillConfig())
 
     def test_empty_mask_zero(self):
         student, targets, _, tea = self._setup(3)
-        loss, kd, mdm = distill_loss(student.value, targets, np.array([], dtype=int), tea,
+        loss, kd, mdm = distill_loss(student, targets, np.array([], dtype=int), tea,
                                      DistillConfig())
         assert loss.item() == 0.0 and kd == 0.0 and mdm == 0.0
 
@@ -192,7 +203,7 @@ class TestTrainMdm:
     def test_nonfinite_loss_aborts_with_params(self):
         ds = tiny_dataset()
         bad = talker.init_params(CFG, nd.make_rng(0))
-        bad.head.value.data[0, 0] = np.inf
+        bad.head.data[0, 0] = np.inf
         with pytest.raises(TrainingDivergedError) as exc:
             train_mdm(CFG, ds, GLOBAL, OPT, steps=3, seed=0, params=bad)
         assert exc.value.params is bad
@@ -245,6 +256,15 @@ class TestTrainDistill:
             (1.0609947851952748, 0.1068777971595116, 3.2872677572787214),
             (1.0335247409410713, 0.06861668900766375, 3.284976862119022),
             (1.2037711328199372, 0.13915157706721584, 3.6878834295762863)]
+
+    def test_nonfinite_teacher_logits_abort_with_start_params(self):
+        start = talker.init_params(CFG, nd.make_rng(1))
+        start.head.data[0, 0] = np.inf
+        digest = start.digest()
+        with pytest.raises(TrainingDivergedError, match="teacher logits at rollout step 1 at step 1") as exc:
+            train_distill(CFG, start, tiny_dataset(), DistillConfig(K=2), HIER, OPT, steps=3, seed=2)
+        assert exc.value.step == 1
+        assert exc.value.params.digest() == digest
 
     def test_deterministic(self):
         ds = tiny_dataset()
