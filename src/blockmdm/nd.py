@@ -9,11 +9,13 @@ masked cross-entropy and a KL distillation loss needs.
 
 Activations are ``rows x width`` matrices. A batch is several sequences
 stacked sample-major, with no padding, so row-wise ops run on the stacked
-rows unchanged. :func:`masked_attention` takes a visibility mask per
-sequence and splits columns into heads internally, on a
-``(heads, rows, head width)`` view. Inside :func:`sequences`, the ops that
-sum over rows do so one sequence at a time, in order, so a stacked batch
-gives bit for bit the parameter gradients of one pass per sequence.
+rows unchanged. :func:`masked_attention` is block-causal: it takes a
+block size and, per sequence, its query and key row counts ``(Tq, Tk)``,
+hides each query's later blocks without building a visibility grid, and
+splits columns into heads internally, on a ``(heads, rows, head width)``
+view. Inside :func:`sequences`, the ops that sum over rows do so one
+sequence at a time, in order, so a stacked batch gives bit for bit the
+parameter gradients of one pass per sequence.
 
 Under :func:`no_grad` no op records parents or a backward function, and
 the ops of a model forward (:func:`matmul`, :func:`add`, :func:`relu`,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, ParameterError, ContractError
+from .errors import DimensionError, NonFiniteError, ParameterError
 
 _GRAD_ENABLED = True
 _ROW_BLOCKS = None  # (total rows, row slice per sequence) inside a sequences() block
@@ -451,52 +453,33 @@ def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str =
     return _result(np.float64(loss), (student_logits,), backward)
 
 
-class AttentionMask:
-    """Visibility grids for :func:`masked_attention`, one per sequence,
-    checked once.
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, seqs, B: int, n_heads: int = 1) -> Tensor:
+    """Block-causal multi-head scaled dot-product attention within each of a
+    batch's sequences.
 
-    Each grid is boolean ``Tq_s x Tk_s``; every row must see at least one
-    position. A forward pass builds one and passes it to the attention of
-    every layer, so the grids are checked once per forward pass. A grid
-    that shows every key (each later step of a cached block) needs no fill.
-    """
-
-    __slots__ = ("grids", "hidden")
-
-    def __init__(self, grids):
-        self.grids = [np.asarray(m, dtype=bool) for m in ([grids] if isinstance(grids, np.ndarray) else grids)]
-        if any(m.ndim != 2 for m in self.grids):
-            raise DimensionError(f"mask grids must be 2-D, got {[m.shape for m in self.grids]}")
-        self.hidden = [None if m.all() else ~m for m in self.grids]
-        if not all(h is None or m.any(axis=1).all() for m, h in zip(self.grids, self.hidden)):
-            raise ContractError("attention row with no visible positions")
-
-
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention within each of a batch's sequences.
-
-    ``mask`` is an :class:`AttentionMask`, a boolean ``Tq x Tk`` grid, or a
-    list of them, one per sequence stacked sample-major: sequence ``s``
-    takes the next ``Tq_s`` rows of ``q`` and the next ``Tk_s >= Tq_s``
-    rows of ``k``/``v`` (queries for the last rows of a sequence whose
-    earlier keys are cached) and sees no other sequence's rows.
-    ``mask[t, t']`` gates visibility: positions with ``mask`` False
-    contribute exactly zero weight, and every row must see at least one
-    position. Columns split into ``n_heads`` equal heads, each scaled by
-    ``1/sqrt(d / n_heads)``, and the output puts the heads back side by
+    ``seqs`` lists ``(Tq_s, Tk_s)`` per sequence stacked sample-major:
+    sequence ``s`` takes the next ``Tq_s`` rows of ``q`` and the next
+    ``Tk_s >= Tq_s`` rows of ``k``/``v``, and its queries are its last
+    ``Tq_s`` of ``Tk_s`` positions (the earlier keys may be cached). A
+    position sees every position of its own block of ``B`` and of each
+    earlier block, and no other sequence's rows; hidden positions get
+    exactly zero weight. ``B=1`` is causal attention, ``B >= Tk_s``
+    bidirectional. Columns split into ``n_heads`` equal heads, each scaled
+    by ``1/sqrt(d / n_heads)``, and the output puts the heads back side by
     side; the whole batch is one tape node.
     """
-    vis = mask if isinstance(mask, AttentionMask) else AttentionMask(mask)
-    masks = vis.grids
     Tq, d = q.data.shape
     Tk = k.data.shape[0]
-    if Tk < Tq or k.data.shape != (Tk, d) or v.data.shape != (Tk, d):
+    if k.data.shape != (Tk, d) or v.data.shape != (Tk, d):
         raise DimensionError(f"q/k/v shapes differ: {q.data.shape}, {k.data.shape}, {v.data.shape}")
     if n_heads < 1 or d % n_heads:
         raise DimensionError(f"width {d} does not split into {n_heads} heads")
-    if (any(m.shape[1] < m.shape[0] for m in masks)
-            or sum(m.shape[0] for m in masks) != Tq or sum(m.shape[1] for m in masks) != Tk):
-        raise DimensionError(f"mask must be {Tq}x{Tk}, one grid per sequence, got {[m.shape for m in masks]}")
+    if (any(not 1 <= tq <= tk for tq, tk in seqs)
+            or sum(tq for tq, _ in seqs) != Tq or sum(tk for _, tk in seqs) != Tk):
+        raise DimensionError(f"sequences {list(seqs)} do not split {Tq} query and {Tk} key rows "
+                             f"with 1 <= Tq <= Tk each")
+    if B < 1:
+        raise ParameterError(f"block size must be >= 1, got {B}")
     inv_sqrt_d = 1.0 / math.sqrt(d // n_heads)
 
     def split(x):  # rows x d -> heads x rows x head width, a view
@@ -506,15 +489,17 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int = 1) ->
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    out = np.empty_like(qh) if len(masks) > 1 else None
+    out = np.empty_like(qh) if len(seqs) > 1 else None
     segments = []
     q0 = k0 = 0
-    for m, hidden in zip(masks, vis.hidden):
-        sq, sk = slice(q0, q0 + m.shape[0]), slice(k0, k0 + m.shape[1])
+    for tq, tk in seqs:
+        sq, sk = slice(q0, q0 + tq), slice(k0, k0 + tk)
         w = qh[:, sq] @ kh[:, sk].transpose(0, 2, 1)
         w *= inv_sqrt_d
-        if hidden is not None:
-            np.copyto(w, -np.inf, where=hidden)
+        # the queries of the block that ends at `end` do not see the keys from `end` on
+        first = tk - tq
+        for end in range((first // B + 1) * B, tk, B):
+            w[:, max(end - B, first) - first:end - first, end:] = -np.inf
         # a row softmax in place; fmax is max without NaN propagation, and a
         # NaN score still turns its whole row NaN through the sum
         w -= np.fmax.reduce(w, axis=-1, keepdims=True)

@@ -104,18 +104,33 @@ def token_error_rate(hyp, ref) -> ErrorRate:
     """Levenshtein edit count between token sequences, normalized by the
     reference length. May exceed 1 when the hypothesis is much longer; an
     empty reference against a nonempty hypothesis is flagged and normalized
-    by 1."""
+    by 1.
+
+    The count is Myers' bit-parallel algorithm in Hyyrö's form: one pass
+    over the hypothesis, holding one column of the edit-distance table as
+    the bits of two Python ints (bit ``i`` of ``pv``/``mv`` is set where the
+    column steps up/down by one at reference position ``i``), so any length
+    works."""
     hyp = np.asarray(hyp).tolist()
     ref = np.asarray(ref).tolist()
     if not ref:
         return ErrorRate(rate=float(len(hyp)), edits=len(hyp), flagged=bool(hyp))
-    prev = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, start=1):
-        cur = [i] + [0] * len(ref)
-        for j, r in enumerate(ref, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (h != r))
-        prev = cur
-    edits = prev[-1]
+    peq = {}  # token -> bits of the reference positions that hold it
+    for i, r in enumerate(ref):
+        peq[r] = peq.get(r, 0) | 1 << i
+    full, last = (1 << len(ref)) - 1, 1 << (len(ref) - 1)
+    pv, mv, edits = full, 0, len(ref)
+    for h in hyp:
+        eq = peq.get(h, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & full
+        mh = pv & xh
+        edits += bool(ph & last) - bool(mh & last)
+        ph = ph << 1 | 1  # the table's top row counts up: distance j to the empty reference
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
     return ErrorRate(rate=edits / len(ref), edits=edits)
 
 

@@ -90,25 +90,6 @@ class TalkerConfig:
         return self.data_tokens + 3
 
 
-_MASK_CACHE: dict = {}
-
-
-def build_block_causal_mask(T: int, B: int) -> np.ndarray:
-    """Boolean visibility grid: row ``t`` sees column ``t'`` iff
-    ``block(t') <= block(t)``. ``B=1`` is plain causal attention; ``B>=T``
-    is full bidirectional visibility."""
-    if T < 1 or B < 1:
-        raise ParameterError(f"mask requires T >= 1 and B >= 1, got T={T}, B={B}")
-    key = (T, B)
-    cached = _MASK_CACHE.get(key)
-    if cached is None:
-        blk = np.arange(T) // B
-        cached = blk[None, :] <= blk[:, None]
-        cached.setflags(write=False)
-        _MASK_CACHE[key] = cached
-    return cached
-
-
 @dataclass
 class LayerParams:
     wq: nd.Param
@@ -285,7 +266,7 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
         positions = np.arange(offset, end)
     else:
         positions = np.concatenate([np.arange(n) for n in lengths])  # no cache: offset 0
-    masks = nd.AttentionMask([build_block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths])
+    seqs = [(n, offset + n) for n in lengths]
     h_prime = aligned.h_prime
     if aligned.T > T:  # one sequence: its rows are positions offset..end-1
         h_prime = nd.take_rows(h_prime, slice(offset, end))
@@ -302,7 +283,7 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
             v = nd.matmul(h, lp.wv)
             if cache is not None:
                 k, v = cache.write(layer, k, v)
-            att = nd.masked_attention(q, k, v, masks, cfg.n_heads)
+            att = nd.masked_attention(q, k, v, seqs, cfg.B, cfg.n_heads)
             x = nd.add(x, nd.matmul(att, lp.wo))
             h = nd.rmsnorm_rows(x)
             x = nd.add(x, nd.matmul(nd.relu(nd.matmul(h, lp.ffn_in)), lp.ffn_out))

@@ -243,27 +243,34 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
     """The optimizer loop both stages share: per step one batch, one forward
     and one backward pass over its stacked rows, one AdamW update.
 
-    ``targets_fn(batch)`` gives the teacher targets for distillation; a
-    :class:`NonFiniteError` from it ends training as a
-    :class:`TrainingDivergedError` before that step's update.
+    ``targets_fn(batch)`` gives the teacher targets for distillation and
+    the rollout's event fields; a :class:`NonFiniteError` from it ends
+    training as a :class:`TrainingDivergedError` before that step's update.
     ``log_cb`` receives per step the curve row plus ``step_ms``,
-    ``masked`` (positions), ``rows`` (stacked rows) and ``grad_norm``
-    (global L2 norm of the gradient).
+    ``masked`` (positions), ``rows`` (stacked rows), ``grad_norm`` (global
+    L2 norm of the gradient), ``grad_norm_groups`` (the L2 norm per
+    parameter group: ``embeddings``, ``fusion``, each ``layer<i>`` and
+    ``head``) and, with ``targets_fn``, its rollout fields.
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
     plist = params.ordered()
+    groups = ["embeddings" if p.name.endswith("_embed") else p.name.split(".")[0] for p in plist]
     curve = []
     for step in range(1, steps + 1):
         t0 = time.perf_counter()
         batch = draw_batch(dataset, cfg, masking_cfg, rng, opt.batch_size)
         nd.zero_grads(plist)
         loss = kd = mdm = 0.0
+        tea, rollout = None, {}
+        if targets_fn is not None:
+            rollout = {"rollout_forwards": 0, "rollout_rows": 0, "rollout_ms": 0.0}
         if batch.masked.size:
-            try:
-                tea = targets_fn(batch) if targets_fn is not None else None
-            except NonFiniteError as e:
-                raise TrainingDivergedError(f"{e} at step {step}", params=params, step=step) from e
+            if targets_fn is not None:
+                try:
+                    tea, rollout = targets_fn(batch)
+                except NonFiniteError as e:
+                    raise TrainingDivergedError(f"{e} at step {step}", params=params, step=step) from e
             total, kd, mdm = batch_loss(params, cfg, batch, tea, distill_cfg)
             total.backward()
             loss = total.item()
@@ -276,9 +283,13 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
                "mdm_loss": mdm / batch.size}
         curve.append(row)
         if log_cb:
-            grad_sq = sum(float(np.vdot(p.grad, p.grad)) for p in plist)
+            grad_sq = [float(np.vdot(p.grad, p.grad)) for p in plist]
+            group_sq = dict.fromkeys(groups, 0.0)
+            for group, sq in zip(groups, grad_sq):
+                group_sq[group] += sq
             log_cb({**row, "step_ms": (time.perf_counter() - t0) * 1e3, "masked": int(batch.masked.size),
-                    "rows": int(sum(batch.lengths)), "grad_norm": math.sqrt(grad_sq)})
+                    "rows": int(sum(batch.lengths)), "grad_norm": math.sqrt(sum(grad_sq)),
+                    "grad_norm_groups": {group: math.sqrt(sq) for group, sq in group_sq.items()}, **rollout})
     return TrainResult(params=params, curve=curve)
 
 
@@ -316,13 +327,18 @@ def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
             parts = [talker.align_for_canvas(teacher, cfg, source, n)
                      for source, n in zip(batch.sources, batch.lengths)]
 
+        rows = []
+
         def forward_fn(tokens, seqs):
+            rows.append(len(tokens))
             return talker.forward_array(teacher, cfg, tokens, talker.stack_aligned([parts[i] for i in seqs]),
                                         lengths=[batch.lengths[i] for i in seqs])
 
-        tea, _, _ = teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=cfg.B, K=distill_cfg.K,
-                                    lengths=batch.lengths)
-        return tea
+        t0 = time.perf_counter()
+        tea, _, n_forwards = teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=cfg.B,
+                                             K=distill_cfg.K, lengths=batch.lengths)
+        return tea, {"rollout_forwards": n_forwards, "rollout_rows": sum(rows),
+                     "rollout_ms": (time.perf_counter() - t0) * 1e3}
 
     # with alpha = 0 the teacher targets would carry zero weight: pure masked-CE
     return _train(student, cfg, dataset, masking_cfg, opt, steps, rng, log_cb,

@@ -7,7 +7,8 @@ conditioning rows by index, and every product taken per sequence block
 with ``np.matmul(..., out=)``. Each records its backward onto the package's
 tape exactly as the package does, so a forward and backward pass through
 :func:`reference_forward` must give bit for bit the logits and parameter
-gradients of ``talker.forward``.
+gradients of ``talker.forward``. The edit-distance table here is the
+oracle for ``synthtask.token_error_rate``.
 """
 
 import functools
@@ -16,7 +17,7 @@ import operator
 
 import numpy as np
 
-from blockmdm import nd, talker
+from blockmdm import nd
 
 
 def node(data, parents, backward):
@@ -104,6 +105,25 @@ def row_entropy(logits_row) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def edit_distance(hyp, ref):
+    """Levenshtein distance by the O(len(hyp) * len(ref)) table, one row per
+    hypothesis token."""
+    prev = list(range(len(ref) + 1))
+    for i, h in enumerate(hyp, start=1):
+        cur = [i] + [0] * len(ref)
+        for j, r in enumerate(ref, start=1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (h != r))
+        prev = cur
+    return prev[-1]
+
+
+def block_causal_mask(T, B):
+    """Boolean visibility grid: row ``t`` sees column ``t'`` iff
+    ``t' // B <= t // B``."""
+    blk = np.arange(T) // B
+    return blk[None, :] <= blk[:, None]
+
+
 def attention(q, k, v, masks, n_heads):
     """Per sequence and head: scores, an unconditional ``-inf`` fill, a fresh
     softmax, and the weighted values copied into an output buffer."""
@@ -160,7 +180,7 @@ def reference_forward(params, cfg, tokens, aligned, lengths=None, prefix=None):
     ends = np.cumsum(lengths)
     blocks = [slice(int(e) - n, int(e)) for e, n in zip(ends, lengths)]
     positions = np.concatenate([np.arange(offset, offset + n) for n in lengths])
-    masks = [talker.build_block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths]
+    masks = [block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths]
     h_prime = aligned.h_prime if aligned.T == len(tokens) else take_rows(aligned.h_prime, positions)
 
     f = params.fusion

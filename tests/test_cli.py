@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,9 +115,21 @@ class TestTrainAndDistill:
         with open(curve, newline="") as f:
             want = list(csv.DictReader(f))
         assert [row["step"] for row in rows] == [1, 2, 3, 4]
+        rollout = {"rollout_forwards", "rollout_rows", "rollout_ms"} if command == "distill" else set()
         for row, w in zip(rows, want):
             assert set(row) == {"step", "loss", "kd_loss", "mdm_loss", "step_ms", "masked", "rows",
-                                "grad_norm"}
+                                "grad_norm", "grad_norm_groups"} | rollout
+            groups = row["grad_norm_groups"]
+            layers = [f"layer{i}" for i in range(len(groups) - 3)]
+            assert layers and list(groups) == ["embeddings", "fusion", *layers, "head"]
+            assert all(norm > 0 for norm in groups.values())
+            rss = math.sqrt(sum(norm ** 2 for norm in groups.values()))
+            assert rss == pytest.approx(row["grad_norm"], rel=1e-12)
+            if command == "distill":
+                # K=2 teacher steps over the batch's rows: one or two forwards,
+                # the second over the samples still masked
+                assert row["rollout_forwards"] in (1, 2) and row["rollout_ms"] > 0
+                assert row["rows"] <= row["rollout_rows"] <= row["rollout_forwards"] * row["rows"]
             for key in ("loss", "kd_loss", "mdm_loss"):
                 assert row[key] == float(w[key])
             assert isinstance(row["masked"], int) and isinstance(row["rows"], int)

@@ -5,8 +5,8 @@ import plain_ops
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockmdm import nd, talker
-from blockmdm.errors import ContractError, DimensionError, NonFiniteError, ParameterError
+from blockmdm import nd
+from blockmdm.errors import DimensionError, NonFiniteError, ParameterError
 
 
 def tensors(*arrays):
@@ -174,7 +174,7 @@ def scalar_attention_oracle(q, k, v, mask):
     out = np.zeros((T, d))
     for t in range(T):
         scores = []
-        for u in range(T):
+        for u in range(len(k)):
             if mask[t][u]:
                 scores.append((u, sum(q[t][i] * k[u][i] for i in range(d)) / math.sqrt(d)))
         m = max(s for _, s in scores)
@@ -191,47 +191,42 @@ class TestMaskedAttention:
         rng = nd.make_rng(4)
         q, k = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         v = np.tile([[1.5, -2.0]], (3, 1))
-        out = nd.masked_attention(*tensors(q, k, v), np.ones((3, 3), bool))
+        out = nd.masked_attention(*tensors(q, k, v), [(3, 3)], 3)
         np.testing.assert_allclose(out.data, v, atol=1e-12)
 
     def test_identity_mask_is_self_attention(self):
+        # four one-row sequences: each row sees only itself
         rng = nd.make_rng(5)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        out = nd.masked_attention(*tensors(q, k, v), np.eye(4, dtype=bool))
+        out = nd.masked_attention(*tensors(q, k, v), [(1, 1)] * 4, 2)
         np.testing.assert_allclose(out.data, v, atol=1e-12)
 
     def test_hand_case_vs_scalar_oracle(self):
+        # the last 3 of 5 positions at B=2: positions 2 and 3 share a block
+        # and see keys 0..3, position 4 sees all five
         rng = nd.make_rng(6)
-        q, k, v = (rng.normal(size=(3, 1)) for _ in range(3))
-        mask = np.array([[True, False, False], [True, True, False], [False, True, True]])
-        out = nd.masked_attention(*tensors(q, k, v), mask)
+        q, k, v = rng.normal(size=(3, 1)), rng.normal(size=(5, 1)), rng.normal(size=(5, 1))
+        mask = np.array([[True] * 4 + [False], [True] * 4 + [False], [True] * 5])
+        out = nd.masked_attention(*tensors(q, k, v), [(3, 5)], 2)
         np.testing.assert_allclose(out.data, scalar_attention_oracle(q, k, v, mask), atol=1e-10)
 
     def test_masked_positions_zero_weight(self):
-        # perturbing an invisible row of k/v leaves the output bit-identical
+        # perturbing a later row of k/v under B=1 leaves the earlier rows bit-identical
         rng = nd.make_rng(7)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        mask = np.tril(np.ones((4, 4), bool))
-        base = nd.masked_attention(*tensors(q, k, v), mask).data
+        base = nd.masked_attention(*tensors(q, k, v), [(4, 4)], 1).data
         k2, v2 = k.copy(), v.copy()
         k2[3], v2[3] = 99.0, -99.0  # row 3 invisible to rows 0..2
-        pert = nd.masked_attention(*tensors(q, k2, v2), mask).data
+        pert = nd.masked_attention(*tensors(q, k2, v2), [(4, 4)], 1).data
         np.testing.assert_array_equal(base[:3], pert[:3])
-
-    def test_no_visible_position_raises(self):
-        mask = np.ones((3, 3), bool)
-        mask[1] = False
-        with pytest.raises(ContractError):
-            nd.masked_attention(*tensors(*(np.ones((3, 2)),) * 3), mask)
 
     def test_rectangular_equals_last_rows_of_square(self):
         # queries for the last 3 of 7 rows over all 7 keys: the rows a
-        # K/V-cached forward computes
+        # K/V-cached forward computes, starting inside a block of 3
         rng = nd.make_rng(12)
         q, k, v = (rng.normal(size=(7, 4)) for _ in range(3))
-        mask = np.tril(np.ones((7, 7), bool))
-        full = nd.masked_attention(*tensors(q, k, v), mask).data
-        rect = nd.masked_attention(*tensors(q[4:], k, v), mask[4:]).data
+        full = nd.masked_attention(*tensors(q, k, v), [(7, 7)], 3).data
+        rect = nd.masked_attention(*tensors(q[4:], k, v), [(3, 7)], 3).data
         np.testing.assert_allclose(rect, full[4:], rtol=0, atol=1e-14)
 
     def test_rectangular_gradcheck(self):
@@ -239,11 +234,10 @@ class TestMaskedAttention:
         q = nd.Param("q", rng.normal(size=(3, 4)))
         k = nd.Param("k", rng.normal(size=(7, 4)))
         v = nd.Param("v", rng.normal(size=(7, 4)))
-        mask = (np.arange(7)[None, :] // 2) <= (np.arange(4, 7)[:, None] // 2)  # block-causal, B=2
         tgt = np.array([0, 3, 1])
 
         def loss():
-            out = nd.masked_attention(q, k, v, mask)
+            out = nd.masked_attention(q, k, v, [(3, 7)], 2)
             return nd.masked_cross_entropy(out, tgt, np.arange(3))
 
         report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=28)
@@ -251,57 +245,59 @@ class TestMaskedAttention:
 
     def test_rectangular_shape_errors(self):
         q, k = np.ones((3, 2)), np.ones((5, 2))
-        with pytest.raises(DimensionError, match="mask must be 3x5"):
-            nd.masked_attention(*tensors(q, k, k), np.ones((3, 3), bool))
-        with pytest.raises(DimensionError, match="mask must be 3x5"):
-            nd.masked_attention(*tensors(q, k, k), np.ones((5, 3), bool))
-        with pytest.raises(DimensionError):  # fewer keys than queries
-            nd.masked_attention(*tensors(k, q, q), np.ones((5, 3), bool))
+        with pytest.raises(DimensionError, match="do not split 3 query and 5 key rows"):
+            nd.masked_attention(*tensors(q, k, k), [(3, 3)], 2)
+        with pytest.raises(DimensionError, match="do not split 3 query and 5 key rows"):
+            nd.masked_attention(*tensors(q, k, k), [(2, 5)], 2)
+        with pytest.raises(DimensionError):  # more queries than keys
+            nd.masked_attention(*tensors(k, q, q), [(5, 3)], 2)
         with pytest.raises(DimensionError):  # keys and values disagree
-            nd.masked_attention(*tensors(q, k, np.ones((4, 2))), np.ones((3, 5), bool))
+            nd.masked_attention(*tensors(q, k, np.ones((4, 2))), [(3, 5)], 2)
+        with pytest.raises(ParameterError):
+            nd.masked_attention(*tensors(q, k, k), [(3, 5)], 0)
 
 
 class TestBatchedMultiHeadAttention:
     """One op over several sequences and heads, against plain single-head,
     single-sequence attention as the oracle."""
 
-    LENGTHS = (5, 8, 3)  # block-causal with B=3: every sequence ends in a ragged block
+    # block-causal with B=3; every sequence ends in a ragged block, and the
+    # last two query rows that start inside a block, as after a cached prefix
+    SEQS = ((5, 5), (3, 8), (2, 3))
 
     def inputs(self, seed, d=4):
         rng = nd.make_rng(seed)
-        masks = [(np.arange(n)[None, :] // 3) <= (np.arange(n)[:, None] // 3) for n in self.LENGTHS]
-        q, k, v = (rng.normal(size=(sum(self.LENGTHS), d)) for _ in range(3))
-        return q, k, v, masks
+        n_q, n_k = (sum(n[i] for n in self.SEQS) for i in (0, 1))
+        return rng.normal(size=(n_q, d)), rng.normal(size=(n_k, d)), rng.normal(size=(n_k, d))
 
     def test_equals_attention_per_sequence_and_head(self):
-        q, k, v, masks = self.inputs(15, d=6)
-        out = nd.masked_attention(*tensors(q, k, v), masks, n_heads=3).data
-        starts = np.cumsum((0,) + self.LENGTHS)
-        for s, mask in enumerate(masks):
-            rows = slice(starts[s], starts[s + 1])
+        q, k, v = self.inputs(15, d=6)
+        out = nd.masked_attention(*tensors(q, k, v), self.SEQS, 3, n_heads=3).data
+        q_starts, k_starts = (np.cumsum((0,) + tuple(n[i] for n in self.SEQS)) for i in (0, 1))
+        for s, seq in enumerate(self.SEQS):
+            qs, ks = slice(q_starts[s], q_starts[s + 1]), slice(k_starts[s], k_starts[s + 1])
             for h in range(3):
                 cols = slice(2 * h, 2 * h + 2)
-                one = nd.masked_attention(*tensors(q[rows, cols], k[rows, cols], v[rows, cols]), mask).data
-                np.testing.assert_allclose(out[rows, cols], one, rtol=0, atol=1e-15)
+                one = nd.masked_attention(*tensors(q[qs, cols], k[ks, cols], v[ks, cols]), [seq], 3).data
+                np.testing.assert_allclose(out[qs, cols], one, rtol=0, atol=1e-15)
 
     def test_gradcheck_two_heads_three_sequences(self):
-        q, k, v, masks = self.inputs(16)
-        q, k, v = nd.Param("q", q), nd.Param("k", k), nd.Param("v", v)
-        tgt = nd.make_rng(17).integers(0, 4, sum(self.LENGTHS))
+        q, k, v = (nd.Param(name, a) for name, a in zip("qkv", self.inputs(16)))
+        tgt = nd.make_rng(17).integers(0, 4, len(q.data))
 
         def loss():
-            out = nd.masked_attention(q, k, v, masks, n_heads=2)
+            out = nd.masked_attention(q, k, v, self.SEQS, 3, n_heads=2)
             return nd.masked_cross_entropy(out, tgt, np.arange(len(tgt)))
 
         report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=64)
         assert report.max_rel_err < 1e-5, str(report)
 
     def test_masks_must_split_the_rows(self):
-        q, k, v, masks = self.inputs(18)
+        q, k, v = self.inputs(18)
         with pytest.raises(DimensionError):
-            nd.masked_attention(*tensors(q, k, v), masks[:2])
+            nd.masked_attention(*tensors(q, k, v), self.SEQS[:2], 3)
         with pytest.raises(DimensionError):
-            nd.masked_attention(*tensors(q, k, v), masks, n_heads=3)  # 4 columns, 3 heads
+            nd.masked_attention(*tensors(q, k, v), self.SEQS, 3, n_heads=3)  # 4 columns, 3 heads
 
 
 class TestSequences:
@@ -355,14 +351,14 @@ class TestPlainFormulas:
 
     @pytest.mark.parametrize("rows,keys", [(16, 64), (32, 64), (16, 16), (5, 5)])
     def test_attention_skipping_the_fill_is_the_filled_path(self, rows, keys):
-        # an all-visible grid skips the -inf fill; a partial one is filled
+        # with B=keys every key is visible and nothing is filled; B=4 fills
         rng = nd.make_rng(rows, keys)
         q, k, v = rng.normal(size=(rows, 64)), rng.normal(size=(keys, 64)), rng.normal(size=(keys, 64))
         tgt = rng.integers(0, 64, rows)
-        for mask in (np.ones((rows, keys), bool),
-                     talker.build_block_causal_mask(keys, 4)[keys - rows:]):
+        for B in (keys, 4):
+            mask = plain_ops.block_causal_mask(keys, B)[keys - rows:]
             got, want = [], []
-            for attend, out in ((lambda *t: nd.masked_attention(*t, [mask], n_heads=4), got),
+            for attend, out in ((lambda *t: nd.masked_attention(*t, [(rows, keys)], B, n_heads=4), got),
                                 (lambda *t: plain_ops.attention(*t, [mask], 4), want)):
                 params = [nd.Param(name, a) for name, a in (("q", q), ("k", k), ("v", v))]
                 y = attend(*params)
@@ -372,6 +368,29 @@ class TestPlainFormulas:
                     out.append(attend(*params).data)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 64).flatmap(lambda tk: st.tuples(st.integers(1, tk), st.just(tk))),
+                    min_size=1, max_size=3),
+           st.integers(1, 20), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_attention_is_the_grid_attention(self, seqs, B, n_heads, seed):
+        # any 1 <= Tq <= Tk <= 64 per sequence, so queries may start
+        # anywhere inside a block; outputs and q/k/v gradients bit for bit
+        masks = [plain_ops.block_causal_mask(tk, B)[tk - tq:] for tq, tk in seqs]
+        rng = nd.make_rng(seed)
+        d = 2 * n_heads
+        q = rng.normal(size=(sum(tq for tq, _ in seqs), d))
+        k, v = (rng.normal(size=(sum(tk for _, tk in seqs), d)) for _ in range(2))
+        g = rng.normal(size=q.shape)
+        got, want = [], []
+        for attend, out in ((lambda *t: nd.masked_attention(*t, seqs, B, n_heads), got),
+                            (lambda *t: plain_ops.attention(*t, masks, n_heads), want)):
+            params = [nd.Param(name, a) for name, a in (("q", q), ("k", k), ("v", v))]
+            y = attend(*params)
+            (_, gq), (_, gk), (_, gv) = y._backward(g)
+            out.extend([y.data, gq, gk, gv])
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestParam:
@@ -508,7 +527,7 @@ class TestTapeMechanics:
                lambda: nd.rmsnorm_rows(a), lambda: nd.embedding(b, [0, 3]),
                lambda: nd.take_rows(a, [2, 0]), lambda: nd.place_rows(a, [1, -1], 2),
                lambda: nd.concat_rows([a, a]),
-               lambda: nd.masked_attention(a, a, a, np.ones((3, 3), bool), n_heads=2),
+               lambda: nd.masked_attention(a, a, a, [(3, 3)], 2, n_heads=2),
                lambda: nd.masked_cross_entropy(a, [0, 1, 2], [0, 2]),
                lambda: nd.kl_rows(a, np.zeros((3, 4)), 2.0)]
         with nd.no_grad():

@@ -1,7 +1,9 @@
 from functools import lru_cache
 
 import numpy as np
+import plain_ops
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmdm import nd
 from blockmdm.errors import InputError, ParameterError
@@ -124,6 +126,28 @@ class TestTokenErrorRate:
     def test_insertion_deletion(self):
         assert token_error_rate([1, 2, 3], [1, 3]).edits == 1
         assert token_error_rate([1, 3], [1, 2, 3]).edits == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 150), st.integers(1, 70), st.integers(-1, 5), st.integers(0, 2**32 - 1))
+    def test_bit_parallel_count_is_the_table(self, n, vocab, n_edits, seed):
+        # references past 64 tokens span several machine words; the
+        # hypothesis is random (n_edits -1) or a copy with up to 5 edits
+        rng = nd.make_rng(seed)
+        ref = rng.integers(0, vocab, n).tolist()
+        if n_edits < 0:
+            hyp = rng.integers(0, vocab, int(rng.integers(0, 151))).tolist()
+        else:
+            hyp = list(ref)
+            for _ in range(n_edits):
+                at, token = int(rng.integers(0, len(hyp) + 1)), int(rng.integers(0, vocab))
+                kind = int(rng.integers(3)) if at < len(hyp) else 0
+                if kind == 0:
+                    hyp.insert(at, token)
+                elif kind == 1:
+                    del hyp[at]
+                else:
+                    hyp[at] = token
+        assert token_error_rate(hyp, ref).edits == plain_ops.edit_distance(hyp, ref)
 
 
 class TestStripEos:

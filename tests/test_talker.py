@@ -6,9 +6,8 @@ import pytest
 
 from blockmdm import decode, nd, talker
 from blockmdm.errors import CheckpointError, ContractError, InputError, ParameterError
-from blockmdm.talker import (KVCache, TalkerConfig, Vocabulary, build_block_causal_mask,
-                             check_compatible, init_params, load_checkpoint, param_shapes,
-                             save_checkpoint)
+from blockmdm.talker import (KVCache, TalkerConfig, Vocabulary, check_compatible, init_params,
+                             load_checkpoint, param_shapes, save_checkpoint)
 
 SMALL = TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                      B=4, Q=2, T_max=32)
@@ -47,23 +46,25 @@ class TestConfig:
 
 
 class TestBlockCausalMask:
+    """The oracle's visibility grid, which the plain attention fills from."""
+
     def test_block_one_is_pure_causal(self):
-        mask = build_block_causal_mask(5, 1)
+        mask = plain_ops.block_causal_mask(5, 1)
         np.testing.assert_array_equal(mask, np.tril(np.ones((5, 5), bool)))
 
     def test_block_covering_everything_is_all_visible(self):
-        assert build_block_causal_mask(6, 6).all()
-        assert build_block_causal_mask(6, 100).all()
+        assert plain_ops.block_causal_mask(6, 6).all()
+        assert plain_ops.block_causal_mask(6, 100).all()
 
     def test_t4_b2_rows(self):
-        mask = build_block_causal_mask(4, 2)
+        mask = plain_ops.block_causal_mask(4, 2)
         np.testing.assert_array_equal(mask[0], [True, True, False, False])
         np.testing.assert_array_equal(mask[1], [True, True, False, False])
         np.testing.assert_array_equal(mask[2], [True, True, True, True])
         np.testing.assert_array_equal(mask[3], [True, True, True, True])
 
     def test_symmetric_within_block(self):
-        mask = build_block_causal_mask(12, 4)
+        mask = plain_ops.block_causal_mask(12, 4)
         for t in range(12):
             for u in range(12):
                 if t // 4 == u // 4:
