@@ -246,7 +246,10 @@ def cmd_decode(ns) -> int:
     traces = []
     try:
         for i, source in enumerate(sources):
-            result = decode_mod.decode_source(source, params, cfg, dcfg)
+            try:
+                result = decode_mod.decode_source(source, params, cfg, dcfg)
+            except InputError as e:
+                raise InputError(f"{ns.input}: source {i + 1}: {e}") from None
             if i:
                 out.write("\n")
             for tok in result.tokens:
@@ -276,11 +279,15 @@ def cmd_bench(ns) -> int:
             label, _, path = entry.partition("=")
             if not path:
                 raise ParameterError(f"--checkpoint must be LABEL=PATH, got {entry!r}")
-            checkpoints[label] = path
+            pairs = [(label, path)]
         elif isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
-            checkpoints.update(entry)
+            pairs = entry.items()
         else:
             raise ParameterError(f"--checkpoint must be LABEL=PATH, got {entry!r}")
+        for label, path in pairs:
+            if not label or label in checkpoints:
+                raise ParameterError(f"--checkpoint label {label!r} is empty or given twice")
+            checkpoints[label] = path
     try:
         steps = [int(s) for s in str(ns.steps).split(",")]
     except ValueError:
@@ -339,7 +346,7 @@ def cmd_gradcheck(ns) -> int:
         logits = talker.forward(params, cfg, tokens, aligned)
         return nd.scale(nd.masked_cross_entropy(logits, targets, mask), 1.0 / len(mask))
 
-    report = nd.grad_check(loss_fn, params.ordered(), epsilon=ns.epsilon,
+    report = nd.grad_check(loss_fn, list(params.values()), epsilon=ns.epsilon,
                            max_coords_per_param=ns.coords, rng=nd.make_rng(ns.seed + 1))
     print(report)
     if report.max_rel_err >= ns.tolerance:

@@ -71,28 +71,16 @@ def align(h, anchors: np.ndarray, T: int) -> AlignedSemantics:
     return AlignedSemantics(T=T, h_prime=h_prime, n_dropped=N - n_placed)
 
 
-@dataclass
-class FusionParams:
-    """Weights of the two-layer feed-forward fusion module."""
-
-    W1: nd.Param
-    b1: nd.Param
-    W2: nd.Param
-    b2: nd.Param
-
-    def params(self):
-        return [self.W1, self.b1, self.W2, self.b2]
-
-
-def fuse(tok_emb: nd.Tensor, h_prime: nd.Tensor, fp: FusionParams) -> nd.Tensor:
+def fuse(tok_emb: nd.Tensor, h_prime: nd.Tensor, W1: nd.Tensor, b1: nd.Tensor, W2: nd.Tensor,
+         b2: nd.Tensor) -> nd.Tensor:
     """Two-layer feed-forward over the sum of embeddings and the aligned
     stream's rows ``h_prime`` at the same positions."""
     if tok_emb.data.shape != h_prime.data.shape:
         raise DimensionError(
             f"embedding/conditioning width mismatch: {tok_emb.data.shape} vs {h_prime.data.shape}")
-    if tok_emb.data.shape[1] != fp.W1.data.shape[0]:
+    if tok_emb.data.shape[1] != W1.data.shape[0]:
         raise DimensionError(
-            f"fusion W1 expects width {fp.W1.data.shape[0]}, inputs have {tok_emb.data.shape[1]}")
+            f"fusion W1 expects width {W1.data.shape[0]}, inputs have {tok_emb.data.shape[1]}")
     x = nd.add(tok_emb, h_prime)
-    u = nd.relu(nd.add(nd.matmul(x, fp.W1), fp.b1))
-    return nd.add(nd.matmul(u, fp.W2), fp.b2)
+    u = nd.relu(nd.add(nd.matmul(x, W1), b1))
+    return nd.add(nd.matmul(u, W2), b2)

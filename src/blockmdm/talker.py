@@ -14,23 +14,23 @@ Checkpoint format (binary, little-endian):
 
 * line 1: magic ``blockmdm-checkpoint v1``
 * line 2: JSON header with the config and an ordered parameter manifest
-  (name and shape per entry)
+  (name and shape per entry, in :func:`param_shapes` order)
 * body: the parameter arrays concatenated as raw ``<f8`` bytes, in
-  exactly the manifest order (see ``TalkerParams.ordered``).
+  exactly the manifest order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from . import nd
 from .errors import CheckpointError, ContractError, InputError, ParameterError
 from .masking import partition
-from .semantics import AlignedSemantics, FusionParams, align, build_anchors, fuse
+from .semantics import AlignedSemantics, align, build_anchors, fuse
 
 MAGIC = b"blockmdm-checkpoint v1\n"
 
@@ -90,56 +90,26 @@ class TalkerConfig:
         return self.data_tokens + 3
 
 
-@dataclass
-class LayerParams:
-    wq: nd.Param
-    wk: nd.Param
-    wv: nd.Param
-    wo: nd.Param
-    ffn_in: nd.Param
-    ffn_out: nd.Param
-
-    def params(self):
-        return [self.wq, self.wk, self.wv, self.wo, self.ffn_in, self.ffn_out]
+LAYER_PARAMS = ("wq", "wk", "wv", "wo", "ffn_in", "ffn_out")
 
 
-@dataclass
-class TalkerParams:
-    """All trainable tensors, in checkpoint order via :meth:`ordered`."""
+class TalkerParams(dict):
+    """Every trainable tensor by its :func:`param_shapes` name, in table
+    order, which is checkpoint order."""
 
-    src_embed: nd.Param
-    fusion: FusionParams
-    tok_embed: nd.Param
-    pos_embed: nd.Param
-    layers: list = field(default_factory=list)
-    head: nd.Param = None
-
-    def ordered(self):
-        out = [self.src_embed] + self.fusion.params() + [self.tok_embed, self.pos_embed]
-        for lp in self.layers:
-            out.extend(lp.params())
-        out.append(self.head)
-        return out
+    def layer(self, i: int) -> list:
+        """Layer ``i``'s weights in :data:`LAYER_PARAMS` order."""
+        return [self[f"layer{i}.{name}"] for name in LAYER_PARAMS]
 
     def copy(self) -> "TalkerParams":
-        clones = [nd.Param(p.name, p.data) for p in self.ordered()]
-        return _params_from_ordered(clones, n_layers=len(self.layers))
+        """A deep copy: new parameters with zero gradients and moments."""
+        return TalkerParams((name, nd.Param(name, p.data)) for name, p in self.items())
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        for p in self.ordered():
+        for p in self.values():
             h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
         return h.hexdigest()
-
-
-def _params_from_ordered(plist, n_layers):
-    src, w1, b1, w2, b2, tok, pos = plist[:7]
-    layers = []
-    for i in range(n_layers):
-        base = 7 + 6 * i
-        layers.append(LayerParams(*plist[base:base + 6]))
-    return TalkerParams(src_embed=src, fusion=FusionParams(W1=w1, b1=b1, W2=w2, b2=b2),
-                        tok_embed=tok, pos_embed=pos, layers=layers, head=plist[-1])
 
 
 def init_params(cfg: TalkerConfig, rng, std: float = 0.02) -> TalkerParams:
@@ -150,18 +120,18 @@ def init_params(cfg: TalkerConfig, rng, std: float = 0.02) -> TalkerParams:
     values = {}
     for name, shape in sorted(table, key=lambda entry: not entry[0].startswith("layer")):
         values[name] = rng.normal(0.0, std, size=shape) if len(shape) == 2 else np.zeros(shape)
-    return _params_from_ordered([nd.Param(name, values[name]) for name, _ in table], n_layers=cfg.n_layers)
+    return TalkerParams((name, nd.Param(name, values[name])) for name, _ in table)
 
 
 def param_shapes(cfg: TalkerConfig) -> list:
     """``(name, shape)`` of every parameter in checkpoint order."""
     d, d_ff = cfg.d, cfg.d_ff
-    layer = [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
-             ("ffn_in", (d, d_ff)), ("ffn_out", (d_ff, d))]
+    layer_shapes = [(d, d)] * 4 + [(d, d_ff), (d_ff, d)]
     return ([("src_embed", (cfg.src_vocab, d)), ("fusion.W1", (d, d_ff)), ("fusion.b1", (d_ff,)),
              ("fusion.W2", (d_ff, d)), ("fusion.b2", (d,)), ("tok_embed", (cfg.V, d)),
              ("pos_embed", (cfg.T_max, d))]
-            + [(f"layer{i}.{name}", shape) for i in range(cfg.n_layers) for name, shape in layer]
+            + [(f"layer{i}.{name}", shape) for i in range(cfg.n_layers)
+               for name, shape in zip(LAYER_PARAMS, layer_shapes)]
             + [("head", (d, cfg.V))])
 
 
@@ -208,9 +178,9 @@ def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: 
     the source's rows of the learned source embedding table."""
     anchors = build_anchors(partition(T, cfg.B), cfg.Q)
     source_tokens = np.asarray(source_tokens, dtype=np.intp)
-    if source_tokens.size and source_tokens.max() >= params.src_embed.data.shape[0]:
-        raise InputError(f"source token id >= src_vocab ({params.src_embed.data.shape[0]})")
-    return align(nd.embedding(params.src_embed, source_tokens), anchors, T)
+    if source_tokens.size and not 0 <= source_tokens.min() <= source_tokens.max() < cfg.src_vocab:
+        raise InputError(f"source token id outside [0, src_vocab={cfg.src_vocab})")
+    return align(nd.embedding(params["src_embed"], source_tokens), anchors, T)
 
 
 def align_batch(params: TalkerParams, cfg: TalkerConfig, sources, lengths) -> AlignedSemantics:
@@ -272,23 +242,24 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
         h_prime = nd.take_rows(h_prime, slice(offset, end))
 
     with nd.sequences(lengths):
-        emb = nd.embedding(params.tok_embed, tokens)
-        x = fuse(emb, h_prime, params.fusion)
-        x = nd.add(x, nd.embedding(params.pos_embed, positions))
+        emb = nd.embedding(params["tok_embed"], tokens)
+        x = fuse(emb, h_prime, params["fusion.W1"], params["fusion.b1"], params["fusion.W2"], params["fusion.b2"])
+        x = nd.add(x, nd.embedding(params["pos_embed"], positions))
 
-        for layer, lp in enumerate(params.layers):
+        for layer in range(cfg.n_layers):
+            wq, wk, wv, wo, ffn_in, ffn_out = params.layer(layer)
             h = nd.rmsnorm_rows(x)
-            q = nd.matmul(h, lp.wq)
-            k = nd.matmul(h, lp.wk)
-            v = nd.matmul(h, lp.wv)
+            q = nd.matmul(h, wq)
+            k = nd.matmul(h, wk)
+            v = nd.matmul(h, wv)
             if cache is not None:
                 k, v = cache.write(layer, k, v)
             att = nd.masked_attention(q, k, v, seqs, cfg.B, cfg.n_heads)
-            x = nd.add(x, nd.matmul(att, lp.wo))
+            x = nd.add(x, nd.matmul(att, wo))
             h = nd.rmsnorm_rows(x)
-            x = nd.add(x, nd.matmul(nd.relu(nd.matmul(h, lp.ffn_in)), lp.ffn_out))
+            x = nd.add(x, nd.matmul(nd.relu(nd.matmul(h, ffn_in)), ffn_out))
         x = nd.rmsnorm_rows(x)
-        return nd.matmul(x, params.head)
+        return nd.matmul(x, params["head"])
 
 
 def forward_array(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
@@ -304,15 +275,14 @@ def forward_array(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: Alig
 
 
 def save_checkpoint(path, cfg: TalkerConfig, params: TalkerParams) -> None:
-    ordered = params.ordered()
     header = {
         "config": asdict(cfg),
-        "params": [{"name": p.name, "shape": list(p.data.shape)} for p in ordered],
+        "params": [{"name": p.name, "shape": list(p.data.shape)} for p in params.values()],
     }
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for p in ordered:
+        for p in params.values():
             f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
@@ -352,22 +322,21 @@ def load_checkpoint(path):
                 raise ValueError(f"config fields must be positive integers, got {header['config']}")
         except (ValueError, TypeError, KeyError, ParameterError) as e:
             raise CheckpointError(f"{path}: malformed header ({e!r})") from e
-        plist = []
+        params = TalkerParams()
         for name, shape in _read_manifest(path, header, cfg):
             n = int(np.prod(shape))
             raw = f.read(n * 8)
             if len(raw) != n * 8:
                 raise CheckpointError(f"{path}: truncated data for parameter {name!r}")
-            plist.append(nd.Param(name, np.frombuffer(raw, dtype="<f8").reshape(shape)))
+            params[name] = nd.Param(name, np.frombuffer(raw, dtype="<f8").reshape(shape))
         if f.read(1):
             raise CheckpointError(f"{path}: unexpected bytes after the last parameter")
-    return cfg, _params_from_ordered(plist, n_layers=cfg.n_layers)
+    return cfg, params
 
 
 def check_compatible(expected: TalkerConfig, actual: TalkerConfig, path="checkpoint") -> None:
     """Raise a CheckpointError naming any field that differs."""
-    mismatched = [f for f in ("data_tokens", "d", "B", "src_vocab", "Q", "n_layers", "n_heads", "d_ff", "T_max")
-                  if getattr(expected, f) != getattr(actual, f)]
+    mismatched = [f.name for f in fields(TalkerConfig) if getattr(expected, f.name) != getattr(actual, f.name)]
     if mismatched:
         detail = ", ".join(f"{f}: expected {getattr(expected, f)}, got {getattr(actual, f)}" for f in mismatched)
         raise CheckpointError(f"{path}: incompatible config ({detail})")

@@ -211,10 +211,11 @@ def batch_loss(params: TalkerParams, cfg: TalkerConfig, batch: Batch, tea: Teach
                distill_cfg: DistillConfig = None):
     """Sum over the batch of the per-sample losses of :func:`distill_loss`
     (masked-CE alone without teacher targets), from one forward pass over
-    the stacked rows. Returns ``(loss, kd_value, mdm_value)``."""
+    the stacked rows. Returns ``(loss, kd_value, mdm_value, dropped_rows)``,
+    the last the surplus conditioning rows the alignment dropped."""
     aligned = talker.align_batch(params, cfg, batch.sources, batch.lengths)
     logits = talker.forward(params, cfg, batch.corrupted, aligned, lengths=batch.lengths)
-    return distill_loss(logits, batch.targets, batch.masked, tea, distill_cfg, batch.counts)
+    return (*distill_loss(logits, batch.targets, batch.masked, tea, distill_cfg, batch.counts), aligned.n_dropped)
 
 
 @dataclass
@@ -247,21 +248,23 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
     the rollout's event fields; a :class:`NonFiniteError` from it ends
     training as a :class:`TrainingDivergedError` before that step's update.
     ``log_cb`` receives per step the curve row plus ``step_ms``,
-    ``masked`` (positions), ``rows`` (stacked rows), ``grad_norm`` (global
+    ``masked`` (positions), ``rows`` (stacked rows), ``dropped_rows``
+    (surplus conditioning rows, see :func:`batch_loss`), ``grad_norm`` (global
     L2 norm of the gradient), ``grad_norm_groups`` (the L2 norm per
     parameter group: ``embeddings``, ``fusion``, each ``layer<i>`` and
     ``head``) and, with ``targets_fn``, its rollout fields.
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    plist = params.ordered()
-    groups = ["embeddings" if p.name.endswith("_embed") else p.name.split(".")[0] for p in plist]
+    plist = list(params.values())
+    groups = ["embeddings" if name.endswith("_embed") else name.split(".")[0] for name in params]
     curve = []
     for step in range(1, steps + 1):
         t0 = time.perf_counter()
         batch = draw_batch(dataset, cfg, masking_cfg, rng, opt.batch_size)
         nd.zero_grads(plist)
         loss = kd = mdm = 0.0
+        dropped = 0
         tea, rollout = None, {}
         if targets_fn is not None:
             rollout = {"rollout_forwards": 0, "rollout_rows": 0, "rollout_ms": 0.0}
@@ -271,7 +274,7 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
                     tea, rollout = targets_fn(batch)
                 except NonFiniteError as e:
                     raise TrainingDivergedError(f"{e} at step {step}", params=params, step=step) from e
-            total, kd, mdm = batch_loss(params, cfg, batch, tea, distill_cfg)
+            total, kd, mdm, dropped = batch_loss(params, cfg, batch, tea, distill_cfg)
             total.backward()
             loss = total.item()
         if not math.isfinite(loss):
@@ -288,7 +291,7 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
             for group, sq in zip(groups, grad_sq):
                 group_sq[group] += sq
             log_cb({**row, "step_ms": (time.perf_counter() - t0) * 1e3, "masked": int(batch.masked.size),
-                    "rows": int(sum(batch.lengths)), "grad_norm": math.sqrt(sum(grad_sq)),
+                    "rows": int(sum(batch.lengths)), "dropped_rows": dropped, "grad_norm": math.sqrt(sum(grad_sq)),
                     "grad_norm_groups": {group: math.sqrt(sq) for group, sq in group_sq.items()}, **rollout})
     return TrainResult(params=params, curve=curve)
 

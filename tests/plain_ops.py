@@ -183,22 +183,22 @@ def reference_forward(params, cfg, tokens, aligned, lengths=None, prefix=None):
     masks = [block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths]
     h_prime = aligned.h_prime if aligned.T == len(tokens) else take_rows(aligned.h_prime, positions)
 
-    f = params.fusion
-    x = add(embedding(params.tok_embed, tokens, blocks), h_prime, blocks)
-    u = relu(add(matmul(x, f.W1, blocks), f.b1, blocks))
-    x = add(matmul(u, f.W2, blocks), f.b2, blocks)
-    x = add(x, embedding(params.pos_embed, positions, blocks), blocks)
+    x = add(embedding(params["tok_embed"], tokens, blocks), h_prime, blocks)
+    u = relu(add(matmul(x, params["fusion.W1"], blocks), params["fusion.b1"], blocks))
+    x = add(matmul(u, params["fusion.W2"], blocks), params["fusion.b2"], blocks)
+    x = add(x, embedding(params["pos_embed"], positions, blocks), blocks)
     kv = []
-    for layer, lp in enumerate(params.layers):
+    for layer in range(cfg.n_layers):
+        w = {name: params[f"layer{layer}.{name}"] for name in ("wq", "wk", "wv", "wo", "ffn_in", "ffn_out")}
         h = rmsnorm(x)
-        q = matmul(h, lp.wq, blocks)
-        k = matmul(h, lp.wk, blocks)
-        v = matmul(h, lp.wv, blocks)
+        q = matmul(h, w["wq"], blocks)
+        k = matmul(h, w["wk"], blocks)
+        v = matmul(h, w["wv"], blocks)
         if prefix is not None:
             k = nd.Tensor(np.concatenate([prefix[layer][0], k.data]))
             v = nd.Tensor(np.concatenate([prefix[layer][1], v.data]))
         kv.append((k.data, v.data))
-        x = add(x, matmul(attention(q, k, v, masks, cfg.n_heads), lp.wo, blocks), blocks)
+        x = add(x, matmul(attention(q, k, v, masks, cfg.n_heads), w["wo"], blocks), blocks)
         h = rmsnorm(x)
-        x = add(x, matmul(relu(matmul(h, lp.ffn_in, blocks)), lp.ffn_out, blocks), blocks)
-    return matmul(rmsnorm(x), params.head, blocks), kv
+        x = add(x, matmul(relu(matmul(h, w["ffn_in"], blocks)), w["ffn_out"], blocks), blocks)
+    return matmul(rmsnorm(x), params["head"], blocks), kv

@@ -49,7 +49,7 @@ class TestDecodeEval:
 class TestUncertaintyProfile:
     def test_uniform_logit_model_analytic(self, model, pairs):
         uniform = model.copy()
-        uniform.head.data[:] = 0.0
+        uniform["head"].data[:] = 0.0
         prof = bench.uncertainty_profile(uniform, CFG, [p.source for p in pairs], K=2,
                                          max_blocks=4)
         assert prof["mean_confidence_per_step"][0] == pytest.approx(1.0 / CFG.V, abs=1e-12)
@@ -59,10 +59,10 @@ class TestUncertaintyProfile:
         # zero the whole network so the pre-head features are exactly ones
         # (fusion bias), then point one head column at token 5
         sat = model.copy()
-        for p in sat.ordered():
+        for p in sat.values():
             p.data[:] = 0.0
-        sat.fusion.b2.data[:] = 1.0
-        sat.head.data[:, 5] = 5.0  # logit 80 for token 5, 0 elsewhere
+        sat["fusion.b2"].data[:] = 1.0
+        sat["head"].data[:, 5] = 5.0  # logit 80 for token 5, 0 elsewhere
         prof = bench.uncertainty_profile(sat, CFG, [p.source for p in pairs], K=2, max_blocks=4)
         assert prof["mean_confidence_per_step"][0] > 0.9999
         assert prof["mean_entropy_per_step"][0] < 1e-6

@@ -118,7 +118,8 @@ class TestTrainAndDistill:
         rollout = {"rollout_forwards", "rollout_rows", "rollout_ms"} if command == "distill" else set()
         for row, w in zip(rows, want):
             assert set(row) == {"step", "loss", "kd_loss", "mdm_loss", "step_ms", "masked", "rows",
-                                "grad_norm", "grad_norm_groups"} | rollout
+                                "dropped_rows", "grad_norm", "grad_norm_groups"} | rollout
+            assert row["dropped_rows"] == 0  # every sample's anchors hold its source rows
             groups = row["grad_norm_groups"]
             layers = [f"layer{i}" for i in range(len(groups) - 3)]
             assert layers and list(groups) == ["embeddings", "fusion", *layers, "head"]
@@ -136,6 +137,21 @@ class TestTrainAndDistill:
             assert 0 < row["masked"] <= row["rows"] <= 3 * 11  # 3 targets of at most 5 * 2 + 1 tokens
             assert row["step_ms"] > 0 and row["grad_norm"] > 0
             assert (row["kd_loss"] > 0) == (command == "distill")
+
+    @pytest.mark.parametrize("command", ["train", "distill"])
+    def test_log_jsonl_counts_dropped_conditioning_rows(self, command, checkpoint, tmp_path):
+        # 7 source rows over an 8-token target: 2 blocks of 2 anchors drop 3 rows per sample
+        data, events = tmp_path / "corpus.txt", tmp_path / "events.jsonl"
+        data.write_text(synthtask.CORPUS_MAGIC + '{"count": 1, "spec": {}}\n1 2 3 4 5 6 7\n1 2 3 4 5 6 7 13\n')
+        if command == "train":
+            argv = ["train"] + SMALL_MODEL_ARGS
+        else:
+            argv = ["distill", "--checkpoint", str(checkpoint), "--teacher-steps", "2"]
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "m.ckpt"), "--steps", "4",
+                            "--seed", "0", "--batch-size", "3", "--log-jsonl", str(events)]) == 0
+        rows = [json.loads(line) for line in events.read_text().splitlines()]
+        assert [row["dropped_rows"] for row in rows] == [3 * row["rows"] // 8 for row in rows]
+        assert any(row["dropped_rows"] for row in rows)
 
     def test_config_file_with_flag_override(self, corpus, tmp_path):
         cfg_path = tmp_path / "train.json"
@@ -162,7 +178,7 @@ class TestTrainAndDistill:
         # poison the starting checkpoint so the first distill step goes
         # non-finite; the CLI must exit 1 and still write usable parameters
         cfg, params = talker.load_checkpoint(checkpoint)
-        params.head.data[0, 0] = float("inf")
+        params["head"].data[0, 0] = float("inf")
         bad = tmp_path / "bad.ckpt"
         talker.save_checkpoint(bad, cfg, params)
         out = tmp_path / "rescued.ckpt"
@@ -290,6 +306,11 @@ MALFORMED_INPUTS = {
                                               "--steps", "1"]),
     "conditioning_token": ("1 2 3\n1 2 x\n",
                            lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt, "--input", f]),
+    # the checkpoint's source vocabulary is [0, 8)
+    "conditioning_negative_id": ("1 2 3\n1 2 -3\n", lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt,
+                                                                            "--input", f, "--steps", "1"]),
+    "conditioning_id_over_vocab": ("1 2 3\n1 2 8\n", lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt,
+                                                                             "--input", f, "--steps", "1"]),
     "config_json": ("{bad json", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
     "config_not_object": ("[]", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
     "config_value_type": ('{"T": "32"}', lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
@@ -299,6 +320,9 @@ MALFORMED_INPUTS = {
                                                       "--steps", "1", "--batch-size", "2"]),
     "negative_seed": ("", lambda f, ckpt, corpus: ["gradcheck", "--seed", "-1"]),
     "maskstats_range": ("", lambda f, ckpt, corpus: ["maskstats", "--gamma-g", "0.3"]),
+    "bench_label_twice": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"m={ckpt}",
+                                                       "--checkpoint", f"m={ckpt}", "--eval", corpus]),
+    "bench_label_empty": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"={ckpt}", "--eval", corpus]),
     "bench_steps": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}",
                                                  "--eval", corpus, "--steps", "4,x"]),
     "train_batch_size_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--batch-size", "0"]),

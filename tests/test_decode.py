@@ -78,7 +78,7 @@ class TestDecodeBlock:
 
     def test_nonfinite_logits_raise_decode_error_with_trace(self):
         params, _, aligned = setup_model()
-        params.head.data[0, 0] = np.nan
+        params["head"].data[0, 0] = np.nan
         with pytest.raises(DecodeError) as exc:
             first_block(params, aligned, K=2)
         assert exc.value.trace is not None
@@ -106,8 +106,8 @@ class TestDecodeStream:
         # force the head so EOS wins everywhere: first block ends at its
         # earliest position, i.e. one emitted token
         params, _, aligned = setup_model(seed=2)
-        params.head.data[:] = 0.0
-        params.head.data[:, CFG.vocab.eos_id] = 5.0
+        params["head"].data[:] = 0.0
+        params["head"].data[:, CFG.vocab.eos_id] = 5.0
         dcfg = DecodeConfig(B=4, K=2, max_blocks=6, eos_id=CFG.vocab.eos_id)
         result = decode(aligned, params, CFG, dcfg)
         assert result.stopped_on_eos
@@ -118,12 +118,12 @@ class TestDecodeStream:
         # positional rows routed through the head, so position t emits
         # token_plan[t]; EOS planted at position 2 must cut the block there
         params, _, _ = setup_model(seed=8)
-        for p in params.ordered():
+        for p in params.values():
             p.data[:] = 0.0
         token_plan = [3, 7, CFG.vocab.eos_id, 5]
         for t in range(4):
-            params.pos_embed.data[t, t] = 1.0
-            params.head.data[t, token_plan[t]] = 1.0
+            params["pos_embed"].data[t, t] = 1.0
+            params["head"].data[t, token_plan[t]] = 1.0
         with nd.no_grad():
             aligned = talker.align_for_canvas(params, CFG, np.array([0]), 24)
         dcfg = DecodeConfig(B=4, K=2, max_blocks=6, eos_id=CFG.vocab.eos_id)
@@ -133,8 +133,8 @@ class TestDecodeStream:
 
     def test_no_eos_sets_truncation_flag(self):
         params, _, aligned = setup_model(seed=3)
-        params.head.data[:] = 0.0
-        params.head.data[:, 3] = 5.0  # always emit token 3, never EOS
+        params["head"].data[:] = 0.0
+        params["head"].data[:, 3] = 5.0  # always emit token 3, never EOS
         dcfg = DecodeConfig(B=4, K=2, max_blocks=5, eos_id=CFG.vocab.eos_id)
         result = decode(aligned, params, CFG, dcfg)
         assert result.truncated_by_limit and not result.stopped_on_eos
@@ -289,7 +289,7 @@ def uncached_reference_decode(aligned, params, cfg, dcfg):
 def eos_averse(params):
     """Give EOS the head column of token 0, so the two tie and argmax picks
     token 0: decodes then run to the block budget."""
-    params.head.data[:, CFG.vocab.eos_id] = params.head.data[:, 0]
+    params["head"].data[:, CFG.vocab.eos_id] = params["head"].data[:, 0]
     return params
 
 

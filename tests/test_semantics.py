@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from blockmdm import nd
 from blockmdm.errors import DimensionError, ParameterError
 from blockmdm.masking import partition
-from blockmdm.semantics import FusionParams, align, build_anchors, fuse
+from blockmdm.semantics import align, build_anchors, fuse
 
 
 class TestBuildAnchors:
@@ -92,20 +92,14 @@ class TestAlign:
 
 
 def fusion_params(d, d_ff, rng):
-    """Fusion weights drawn as ``talker.init_params`` draws them."""
-    return FusionParams(W1=nd.Param("fusion.W1", rng.normal(0.0, 0.02, size=(d, d_ff))),
-                        b1=nd.Param("fusion.b1", np.zeros(d_ff)),
-                        W2=nd.Param("fusion.W2", rng.normal(0.0, 0.02, size=(d_ff, d))),
-                        b2=nd.Param("fusion.b2", np.zeros(d)))
+    """Fusion weights ``W1, b1, W2, b2`` drawn as ``talker.init_params`` draws them."""
+    return [nd.Param("fusion.W1", rng.normal(0.0, 0.02, size=(d, d_ff))), nd.Param("fusion.b1", np.zeros(d_ff)),
+            nd.Param("fusion.W2", rng.normal(0.0, 0.02, size=(d_ff, d))), nd.Param("fusion.b2", np.zeros(d))]
 
 
 def identity_fusion(d):
-    fp = fusion_params(d, d, nd.make_rng(0))
-    fp.W1.data[:] = np.eye(d)
-    fp.W2.data[:] = np.eye(d)
-    fp.b1.data[:] = 0.0
-    fp.b2.data[:] = 0.0
-    return fp
+    return [nd.Param("fusion.W1", np.eye(d)), nd.Param("fusion.b1", np.zeros(d)),
+            nd.Param("fusion.W2", np.eye(d)), nd.Param("fusion.b2", np.zeros(d))]
 
 
 class TestFuse:
@@ -113,13 +107,13 @@ class TestFuse:
         anchors = build_anchors(partition(8, 8), Q=2)
         aligned = align(np.empty((0, 4)), anchors, 8)  # h' all zero
         emb = nd.make_rng(2).normal(size=(8, 4))
-        out = fuse(nd.Tensor(emb), aligned.h_prime, identity_fusion(4))
+        out = fuse(nd.Tensor(emb), aligned.h_prime, *identity_fusion(4))
         np.testing.assert_allclose(out.data, np.maximum(emb, 0.0), atol=1e-15)
 
     def test_all_zero_inputs_zero_output(self):
         anchors = build_anchors(partition(8, 8), Q=2)
         aligned = align(np.empty((0, 4)), anchors, 8)
-        out = fuse(nd.Tensor(np.zeros((8, 4))), aligned.h_prime, identity_fusion(4))
+        out = fuse(nd.Tensor(np.zeros((8, 4))), aligned.h_prime, *identity_fusion(4))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_position_local(self):
@@ -128,10 +122,10 @@ class TestFuse:
         fp = fusion_params(4, 8, rng)
         aligned = align(rng.normal(size=(2, 4)), anchors, 8)
         emb = rng.normal(size=(8, 4))
-        base = fuse(nd.Tensor(emb), aligned.h_prime, fp).data
+        base = fuse(nd.Tensor(emb), aligned.h_prime, *fp).data
         emb2 = emb.copy()
         emb2[5] += 1.0
-        pert = fuse(nd.Tensor(emb2), aligned.h_prime, fp).data
+        pert = fuse(nd.Tensor(emb2), aligned.h_prime, *fp).data
         diff_rows = np.nonzero(np.abs(pert - base).sum(axis=1))[0]
         np.testing.assert_array_equal(diff_rows, [5])
 
@@ -144,14 +138,14 @@ class TestFuse:
 
         def loss():
             aligned = align(h, anchors, 4)
-            out = fuse(emb, aligned.h_prime, fp)
+            out = fuse(emb, aligned.h_prime, *fp)
             return nd.masked_cross_entropy(out, np.array([0, 1, 2, 3]), np.arange(4))
 
-        report = nd.grad_check(loss, [h] + fp.params())
+        report = nd.grad_check(loss, [h] + fp)
         assert report.max_rel_err < 1e-6
 
     def test_width_mismatch(self):
         anchors = build_anchors(partition(4, 4), Q=2)
         aligned = align(np.ones((1, 3)), anchors, 4)
         with pytest.raises(DimensionError):
-            fuse(nd.Tensor(np.zeros((4, 4))), aligned.h_prime, identity_fusion(4))
+            fuse(nd.Tensor(np.zeros((4, 4))), aligned.h_prime, *identity_fusion(4))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import plain_ops
@@ -9,6 +11,8 @@ from blockmdm.errors import CheckpointError, ContractError, InputError, Paramete
 from blockmdm.talker import (KVCache, TalkerConfig, Vocabulary, check_compatible, init_params,
                              load_checkpoint, param_shapes, save_checkpoint)
 
+BENCH_FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "fixture", "stage1.ckpt")
 SMALL = TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                      B=4, Q=2, T_max=32)
 
@@ -102,7 +106,7 @@ class TestForward:
 
     def test_zero_head_gives_uniform_confidence(self):
         params, tokens, _, aligned = make_inputs(SMALL, T=8, n_src=2)
-        params.head.data[:] = 0.0
+        params["head"].data[:] = 0.0
         out = talker.forward_array(params, SMALL, tokens, aligned)
         np.testing.assert_array_equal(out, 0.0)
         probs = plain_ops.softmax(out)
@@ -251,7 +255,7 @@ class TestPlainOracle:
     def params(self, seed=0):
         params = init_params(self.CFG, nd.make_rng(seed), std=0.3)
         eos = self.CFG.vocab.eos_id  # tie EOS with token 0, so decodes run to the block budget
-        params.head.data[:, eos] = params.head.data[:, 0]
+        params["head"].data[:, eos] = params["head"].data[:, 0]
         return params
 
     def tokens(self, rng, T):
@@ -315,7 +319,7 @@ class TestPlainOracle:
 
     def test_stacked_batch_gradients(self):
         params = self.params(3)
-        plist = params.ordered()
+        plist = list(params.values())
         tokens, sources = self.batch(3)
         targets = nd.make_rng(4).integers(0, self.CFG.V, len(tokens))
         masked = np.nonzero(tokens == self.CFG.vocab.mask_id)[0]
@@ -335,13 +339,25 @@ class TestParams:
     def test_shapes_reproducible_from_config(self):
         p1 = init_params(SMALL, nd.make_rng(0))
         p2 = init_params(SMALL, nd.make_rng(99))
-        assert [(q.name, q.data.shape) for q in p1.ordered()] == \
-               [(q.name, q.data.shape) for q in p2.ordered()]
-        assert sum(q.data.size for q in p1.ordered()) == sum(q.data.size for q in p2.ordered())
+        assert [(q.name, q.data.shape) for q in p1.values()] == \
+               [(q.name, q.data.shape) for q in p2.values()]
+        assert sum(q.data.size for q in p1.values()) == sum(q.data.size for q in p2.values())
 
     def test_param_shapes_match_init_params(self):
         params = init_params(SMALL, nd.make_rng(0))
-        assert param_shapes(SMALL) == [(q.name, q.data.shape) for q in params.ordered()]
+        assert param_shapes(SMALL) == [(q.name, q.data.shape) for q in params.values()]
+
+    def test_keys_are_table_names_after_init_load_and_copy(self, tmp_path):
+        names = [name for name, _ in param_shapes(SMALL)]
+        params = init_params(SMALL, nd.make_rng(0))
+        save_checkpoint(tmp_path / "model.ckpt", SMALL, params)
+        for p in (params, load_checkpoint(tmp_path / "model.ckpt")[1], params.copy()):
+            assert list(p) == names
+            assert [q.name for q in p.values()] == names
+
+    def test_layer_gives_its_weights_in_table_order(self):
+        params = init_params(SMALL, nd.make_rng(0))
+        assert [q.name for q in params.layer(1)] == [f"layer1.{name}" for name in talker.LAYER_PARAMS]
 
     @pytest.mark.parametrize("seed, digest", [
         (0, "11c3ce159eccc4cd381ab520ba197f14b3ced7089593cfeab433e997f63ec528"),
@@ -357,21 +373,22 @@ class TestParams:
     def test_copy_is_deep(self):
         p = init_params(SMALL, nd.make_rng(0))
         c = p.copy()
-        c.head.data[:] = 7.0
-        assert not np.array_equal(p.head.data, c.head.data)
+        c["head"].data[:] = 7.0
+        assert not np.array_equal(p["head"].data, c["head"].data)
         assert p.digest() != c.digest()
 
     def test_copy_shares_no_buffer(self):
         # train_distill's teacher and student are copies of one start
         p = init_params(SMALL, nd.make_rng(0))
-        for q in p.ordered():
+        for q in p.values():
             q.grad[:], q.m[:], q.v[:] = 1.0, 2.0, 3.0
         c = p.copy()
         assert c.digest() == p.digest()
-        for a, b in zip(p.ordered(), c.ordered()):
+        for a, b in zip(p.values(), c.values()):
             assert a.name == b.name
             for x, y in ((a.data, b.data), (a.grad, b.grad), (a.m, b.m), (a.v, b.v)):
                 assert not np.shares_memory(x, y)
+            assert not (b.grad.any() or b.m.any() or b.v.any())
 
 
 class TestCheckpoint:
@@ -382,9 +399,17 @@ class TestCheckpoint:
         cfg2, params2 = load_checkpoint(path)
         assert cfg2 == SMALL
         assert params2.digest() == params.digest()
-        for a, b in zip(params.ordered(), params2.ordered()):
+        for a, b in zip(params.values(), params2.values()):
             assert a.name == b.name
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_fixture_resaves_byte_identical(self, tmp_path):
+        # pins the checkpoint order against the committed benchmark fixture
+        cfg, params = load_checkpoint(BENCH_FIXTURE)
+        save_checkpoint(tmp_path / "resaved.ckpt", cfg, params)
+        data = (tmp_path / "resaved.ckpt").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "c855f43f5396c4191149d7dab11d670f97917c309b4683d83449fa964b104bab"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -203,7 +203,7 @@ class TestTrainMdm:
     def test_nonfinite_loss_aborts_with_params(self):
         ds = tiny_dataset()
         bad = talker.init_params(CFG, nd.make_rng(0))
-        bad.head.data[0, 0] = np.inf
+        bad["head"].data[0, 0] = np.inf
         with pytest.raises(TrainingDivergedError) as exc:
             train_mdm(CFG, ds, GLOBAL, OPT, steps=3, seed=0, params=bad)
         assert exc.value.params is bad
@@ -259,7 +259,7 @@ class TestTrainDistill:
 
     def test_nonfinite_teacher_logits_abort_with_start_params(self):
         start = talker.init_params(CFG, nd.make_rng(1))
-        start.head.data[0, 0] = np.inf
+        start["head"].data[0, 0] = np.inf
         digest = start.digest()
         with pytest.raises(TrainingDivergedError, match="teacher logits at rollout step 1 at step 1") as exc:
             train_distill(CFG, start, tiny_dataset(), DistillConfig(K=2), HIER, OPT, steps=3, seed=2)
@@ -321,12 +321,12 @@ class TestBatchedStep:
     def test_gradients_equal_sum_of_per_sample_gradients(self, monkeypatch, distill):
         batch, samples = scripted_batch(monkeypatch, self.MASKS, seed=1)
         params = talker.init_params(CFG, nd.make_rng(2))
-        plist = params.ordered()
+        plist = list(params.values())
         dcfg = DistillConfig(K=2, alpha=0.7)
         tea = self.rollout(talker.init_params(CFG, nd.make_rng(3)), batch)[0] if distill else None
 
         nd.zero_grads(plist)
-        total, kd, mdm = batch_loss(params, CFG, batch, tea, dcfg)
+        total, kd, mdm, _ = batch_loss(params, CFG, batch, tea, dcfg)
         total.backward()
         got = {p.name: p.grad.copy() for p in plist}
 
