@@ -80,6 +80,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.steps or any(k < 1 for k in self.steps):
             raise ParameterError(f"step list must be nonempty and positive, got {self.steps}")
+        if not self.checkpoints:
+            raise ParameterError("a sweep needs at least one checkpoint")
         if self.repetitions < 1:
             raise ParameterError(f"repetitions must be >= 1, got {self.repetitions}")
 
@@ -250,14 +252,8 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
     its confidence and entropy columns and its talker stage come from those
     decodes' traces, so the sweep runs no other model forward.
     """
-    if pairs is None:
-        if cfg.eval_path is None:
-            raise ParameterError("bench_sweep needs an eval corpus (eval_path) or explicit pairs")
-        _, pairs = synthtask.read_corpus(cfg.eval_path)
-        if not pairs:
-            raise InputError(f"{cfg.eval_path}: eval corpus has no pairs")
-    elif not pairs:
-        raise InputError("bench_sweep needs at least one eval pair")
+    if pairs is None and cfg.eval_path is None:
+        raise ParameterError("bench_sweep needs an eval corpus (eval_path) or explicit pairs")
     loaded = {}
     ref_cfg = None
     for label, path in cfg.checkpoints.items():
@@ -267,6 +263,12 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
         else:
             talker.check_compatible(ref_cfg, tcfg, path=path)
         loaded[label] = (tcfg, params)
+    if pairs is None:
+        _, pairs = synthtask.read_corpus(cfg.eval_path, ref_cfg.src_vocab, ref_cfg.V)
+        if not pairs:
+            raise InputError(f"{cfg.eval_path}: eval corpus has no pairs")
+    elif not pairs:
+        raise InputError("bench_sweep needs at least one eval pair")
 
     sources = [p.source for p in pairs]
     rows = []

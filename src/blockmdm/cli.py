@@ -166,8 +166,9 @@ def _step_log(path, progress: bool):
 
 
 def _read_training_corpus(path, cfg: talker.TalkerConfig) -> list:
-    """The corpus's pairs, each of whose targets fits the model's ``T_max``."""
-    _, pairs = synthtask.read_corpus(path)
+    """The corpus's pairs, each of whose ids fits the model's vocabularies and
+    each of whose targets fits its ``T_max``."""
+    _, pairs = synthtask.read_corpus(path, cfg.src_vocab, cfg.V)
     longest = max((len(p.target) for p in pairs), default=0)
     if longest > cfg.T_max:
         raise InputError(f"{path}: longest target has {longest} tokens, more than the model's T_max={cfg.T_max}")

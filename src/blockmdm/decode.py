@@ -39,8 +39,7 @@ import numpy as np
 
 from . import nd, talker
 from .errors import DecodeError, ParameterError
-from .semantics import AlignedSemantics
-from .talker import TalkerConfig, TalkerParams
+from .talker import AlignedSemantics, TalkerConfig, TalkerParams
 
 
 @dataclass(frozen=True)

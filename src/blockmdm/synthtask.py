@@ -150,12 +150,16 @@ def write_corpus(path, spec: TaskSpec, pairs) -> None:
             f.write("\n")
 
 
-def parse_tokens(text, path, lineno) -> np.ndarray:
-    """The space-separated integer ids on line ``lineno`` of ``path``."""
+def parse_tokens(text, path, lineno, bound=None) -> np.ndarray:
+    """The space-separated integer ids on line ``lineno`` of ``path``, each
+    in ``[0, bound)`` when a bound is given."""
     try:
-        return np.array([int(t) for t in text.split()], dtype=np.intp)
+        ids = np.array([int(t) for t in text.split()], dtype=np.intp)
     except (ValueError, OverflowError):
         raise InputError(f"{path}: line {lineno}: expected integer token ids, got {text!r}") from None
+    if bound is not None and ids.size and not 0 <= ids.min() <= ids.max() < bound:
+        raise InputError(f"{path}: line {lineno}: token id outside [0, {bound})")
+    return ids
 
 
 def read_text_lines(path) -> list:
@@ -168,8 +172,10 @@ def read_text_lines(path) -> list:
         raise InputError(f"{path}: not UTF-8 text ({e})") from None
 
 
-def read_corpus(path):
-    """Read a corpus file; returns ``(spec, pairs)``."""
+def read_corpus(path, src_vocab=None, V=None):
+    """Read a corpus file; returns ``(spec, pairs)``. Given a model's
+    ``src_vocab`` and ``V``, every source id must lie in ``[0, src_vocab)``
+    and every target id in ``[0, V)``."""
     header, *lines = read_text_lines(path) or [""]
     if not header.startswith(CORPUS_MAGIC):
         raise InputError(f"{path}: missing corpus header")
@@ -188,8 +194,8 @@ def read_corpus(path):
             continue
         if i + 1 >= len(lines) or not lines[i + 1]:
             raise InputError(f"{path}: record at line {i + 2} is missing its target line")
-        pairs.append(SamplePair(source=parse_tokens(lines[i], path, i + 2),
-                                target=parse_tokens(lines[i + 1], path, i + 3)))
+        pairs.append(SamplePair(source=parse_tokens(lines[i], path, i + 2, src_vocab),
+                                target=parse_tokens(lines[i + 1], path, i + 3, V)))
         i += 2
     if len(pairs) != count:
         raise InputError(f"{path}: header says {count} records, found {len(pairs)}")

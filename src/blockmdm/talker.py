@@ -1,14 +1,23 @@
-"""The mask-predictor transformer and its checkpoint format.
+"""The mask-predictor transformer, its conditioning stream and its
+checkpoint format.
+
+The conditioning stream spreads a source's rows of the learned source
+embedding table over a length-``T`` canvas: row ``m`` goes to the
+``m``-th anchor and every other position holds zeros. Anchors are the
+first ``Q`` positions of every block (those that exist in a ragged last
+block), so each block carries a bounded, prefix-only slice of the stream:
+changing row ``m`` changes only the block holding anchor ``m`` (no future
+leakage). Rows beyond the last anchor are dropped and counted. The model
+input is ``relu((E + h') @ W1 + b1) @ W2 + b2`` per position, over token
+embeddings ``E`` and the stream ``h'``.
 
 Block-causal attention: tokens attend bidirectionally inside their own
 block and causally to every earlier block, never to later blocks. The
-model input is the fused sum of token embeddings and the aligned
-conditioning stream; the output is a full grid of vocabulary logits, one
-row per position. A training batch is one forward pass over its
-sequences stacked row by row, without padding, that computes bit for bit
-what one pass per sequence computes. For inference, a :class:`KVCache`
-holds the keys and values of committed blocks so a forward pass computes
-only later rows.
+output is a full grid of vocabulary logits, one row per position. A
+training batch is one forward pass over its sequences stacked row by row,
+without padding, that computes bit for bit what one pass per sequence
+computes. For inference, a :class:`KVCache` holds the keys and values of
+committed blocks so a forward pass computes only later rows.
 
 Checkpoint format (binary, little-endian):
 
@@ -29,8 +38,6 @@ import numpy as np
 
 from . import nd
 from .errors import CheckpointError, ContractError, InputError, ParameterError
-from .masking import partition
-from .semantics import AlignedSemantics, align, build_anchors, fuse
 
 MAGIC = b"blockmdm-checkpoint v1\n"
 
@@ -173,20 +180,30 @@ class KVCache:
         self.rows += n
 
 
+@dataclass
+class AlignedSemantics:
+    """Length-``T`` conditioning matrix, nonzero only at anchor rows.
+
+    ``n_dropped`` counts the surplus conditioning rows that found no anchor.
+    """
+
+    T: int
+    h_prime: nd.Tensor
+    n_dropped: int = 0
+
+
 def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: int) -> AlignedSemantics:
-    """Build the aligned conditioning stream for a length-``T`` canvas from
-    the source's rows of the learned source embedding table."""
-    anchors = build_anchors(partition(T, cfg.B), cfg.Q)
+    """The conditioning stream for a length-``T`` canvas: the source's rows
+    of the learned source embedding table at the anchors, in order."""
     source_tokens = np.asarray(source_tokens, dtype=np.intp)
     if source_tokens.size and not 0 <= source_tokens.min() <= source_tokens.max() < cfg.src_vocab:
         raise InputError(f"source token id outside [0, src_vocab={cfg.src_vocab})")
-    return align(nd.embedding(params["src_embed"], source_tokens), anchors, T)
-
-
-def align_batch(params: TalkerParams, cfg: TalkerConfig, sources, lengths) -> AlignedSemantics:
-    """One conditioning stream for sequences stacked sample-major: sample
-    ``i``'s stream for a canvas of ``lengths[i]`` rows, at its rows."""
-    return stack_aligned([align_for_canvas(params, cfg, source, T) for source, T in zip(sources, lengths)])
+    anchors = np.nonzero(np.arange(T) % cfg.B < cfg.Q)[0]
+    n_placed = min(len(source_tokens), len(anchors))
+    row_for_pos = np.full(T, -1, dtype=np.intp)
+    row_for_pos[anchors[:n_placed]] = np.arange(n_placed)
+    h_prime = nd.place_rows(nd.embedding(params["src_embed"], source_tokens), row_for_pos, T)
+    return AlignedSemantics(T=T, h_prime=h_prime, n_dropped=len(source_tokens) - n_placed)
 
 
 def stack_aligned(parts) -> AlignedSemantics:
@@ -196,6 +213,14 @@ def stack_aligned(parts) -> AlignedSemantics:
                             n_dropped=sum(a.n_dropped for a in parts))
 
 
+def fuse(tok_emb: nd.Tensor, h_prime: nd.Tensor, W1: nd.Tensor, b1: nd.Tensor, W2: nd.Tensor,
+         b2: nd.Tensor) -> nd.Tensor:
+    """Two-layer feed-forward over the sum of embeddings and the aligned
+    stream's rows ``h_prime`` at the same positions."""
+    u = nd.relu(nd.add(nd.matmul(nd.add(tok_emb, h_prime), W1), b1))
+    return nd.add(nd.matmul(u, W2), b2)
+
+
 def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSemantics,
             cache: KVCache = None, lengths=None) -> nd.Tensor:
     """Logits for every position of one or more (possibly corrupted) token
@@ -203,7 +228,7 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
 
     ``lengths`` splits ``tokens`` into sequences stacked sample-major with
     no padding (default: one sequence); ``aligned`` then covers exactly
-    those rows, as :func:`align_batch` stacks them. Attention sees each
+    those rows, as :func:`stack_aligned` stacks them. Attention sees each
     sequence on its own, and under :func:`nd.sequences` every sequence gets
     the arithmetic of a forward pass of its own. Positions in block ``k``
     of a sequence are a function of its blocks ``<= k`` only, given the

@@ -213,7 +213,8 @@ def batch_loss(params: TalkerParams, cfg: TalkerConfig, batch: Batch, tea: Teach
     (masked-CE alone without teacher targets), from one forward pass over
     the stacked rows. Returns ``(loss, kd_value, mdm_value, dropped_rows)``,
     the last the surplus conditioning rows the alignment dropped."""
-    aligned = talker.align_batch(params, cfg, batch.sources, batch.lengths)
+    aligned = talker.stack_aligned([talker.align_for_canvas(params, cfg, source, T)
+                                    for source, T in zip(batch.sources, batch.lengths)])
     logits = talker.forward(params, cfg, batch.corrupted, aligned, lengths=batch.lengths)
     return (*distill_loss(logits, batch.targets, batch.masked, tea, distill_cfg, batch.counts), aligned.n_dropped)
 

@@ -205,6 +205,8 @@ class TestSweep:
             bench.ExperimentConfig(checkpoints={}, steps=[])
         with pytest.raises(ParameterError):
             bench.ExperimentConfig(checkpoints={}, steps=[4, 0])
+        with pytest.raises(ParameterError, match="at least one checkpoint"):
+            bench.ExperimentConfig(checkpoints={}, steps=[4])
 
     def test_repetition_means_consistent(self, model, pairs, tmp_path):
         # throughput means from 1 repetition and 5 repetitions agree within a

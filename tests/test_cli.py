@@ -139,8 +139,10 @@ class TestTrainAndDistill:
             assert (row["kd_loss"] > 0) == (command == "distill")
 
     @pytest.mark.parametrize("command", ["train", "distill"])
-    def test_log_jsonl_counts_dropped_conditioning_rows(self, command, checkpoint, tmp_path):
-        # 7 source rows over an 8-token target: 2 blocks of 2 anchors drop 3 rows per sample
+    def test_log_jsonl_counts_dropped_conditioning_rows(self, command, checkpoint, tmp_path, capsys, caplog):
+        # 7 source rows over an 8-token target: 2 blocks of 2 anchors drop 3 rows per sample;
+        # the rows are counted in the events, and nothing is printed or logged about them
+        capsys.readouterr()
         data, events = tmp_path / "corpus.txt", tmp_path / "events.jsonl"
         data.write_text(synthtask.CORPUS_MAGIC + '{"count": 1, "spec": {}}\n1 2 3 4 5 6 7\n1 2 3 4 5 6 7 13\n')
         if command == "train":
@@ -152,6 +154,7 @@ class TestTrainAndDistill:
         rows = [json.loads(line) for line in events.read_text().splitlines()]
         assert [row["dropped_rows"] for row in rows] == [3 * row["rows"] // 8 for row in rows]
         assert any(row["dropped_rows"] for row in rows)
+        assert capsys.readouterr().err == "" and not caplog.records
 
     def test_config_file_with_flag_override(self, corpus, tmp_path):
         cfg_path = tmp_path / "train.json"
@@ -250,7 +253,8 @@ class TestDecodeCommand:
         assert rc == 0
         assert len(out.read_text().strip().split("\n\n")) == 2
 
-    def test_dropped_conditioning_rows_in_trace_and_events(self, checkpoint, tmp_path):
+    def test_dropped_conditioning_rows_in_trace_and_events(self, checkpoint, tmp_path, capsys, caplog):
+        capsys.readouterr()
         cond = tmp_path / "sources.txt"
         cond.write_text("1 2 3\n1 2 3 4 5 6 7\n")  # 2 blocks of 2 anchors: the second drops 3 rows
         trace, events = tmp_path / "trace.json", tmp_path / "events.jsonl"
@@ -261,6 +265,7 @@ class TestDecodeCommand:
         assert [t["dropped_rows"] for t in json.loads(trace.read_text())["traces"]] == [0, 3]
         rows = [json.loads(line) for line in events.read_text().splitlines()]
         assert {(row["input_index"], row["dropped_rows"]) for row in rows} == {(0, 0), (1, 3)}
+        assert capsys.readouterr().err == "" and not caplog.records
 
     def test_missing_checkpoint_exit_1(self, corpus):
         assert main(["decode", "--checkpoint", "/nonexistent.ckpt", "--input", str(corpus),
@@ -297,6 +302,13 @@ def DISTILL_ARGV(ckpt, data, f):
             "--batch-size", "2", "--teacher-steps", "2"]
 
 
+def BENCH_ARGV(ckpt, data):
+    return ["bench", "--checkpoint", f"base={ckpt}", "--eval", data, "--steps", "1", "--max-blocks", "2"]
+
+
+BAD_SOURCE_ID = synthtask.CORPUS_MAGIC + '{"count": 2, "spec": {}}\n1 2\n1 2 3 4 13\n\n1 2 -3\n1 2 3 4 5 6 13\n'
+BAD_TARGET_ID = synthtask.CORPUS_MAGIC + '{"count": 2, "spec": {}}\n1 2\n1 2 3 4 13\n\n1 2 3\n1 2 99 4 5 6 13\n'
+
 MALFORMED_INPUTS = {
     # case: (file contents, argv builder taking the file, checkpoint and corpus)
     "corpus_header_json": (synthtask.CORPUS_MAGIC + "{bad json\n",
@@ -311,6 +323,13 @@ MALFORMED_INPUTS = {
                                                                             "--input", f, "--steps", "1"]),
     "conditioning_id_over_vocab": ("1 2 3\n1 2 8\n", lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt,
                                                                              "--input", f, "--steps", "1"]),
+    # the second record's source holds -3, outside [0, src_vocab=8), or its target 99, outside [0, V=15)
+    "train_source_id": (BAD_SOURCE_ID, lambda f, ckpt, corpus: TRAIN_ARGV(f, f)),
+    "train_target_id": (BAD_TARGET_ID, lambda f, ckpt, corpus: TRAIN_ARGV(f, f)),
+    "distill_source_id": (BAD_SOURCE_ID, lambda f, ckpt, corpus: DISTILL_ARGV(ckpt, f, f)),
+    "distill_target_id": (BAD_TARGET_ID, lambda f, ckpt, corpus: DISTILL_ARGV(ckpt, f, f)),
+    "bench_source_id": (BAD_SOURCE_ID, lambda f, ckpt, corpus: BENCH_ARGV(ckpt, f)),
+    "bench_target_id": (BAD_TARGET_ID, lambda f, ckpt, corpus: BENCH_ARGV(ckpt, f)),
     "config_json": ("{bad json", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
     "config_not_object": ("[]", lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
     "config_value_type": ('{"T": "32"}', lambda f, ckpt, corpus: ["gradcheck", "--config", f]),
@@ -368,6 +387,17 @@ def test_malformed_input_one_error_line(case, checkpoint, corpus, tmp_path, caps
     assert len(err) == 1 and err[0].startswith("error: "), err
     if text:
         assert str(bad) in err[0]
+
+
+@pytest.mark.parametrize("command", ["train", "distill", "bench"])
+def test_corpus_id_error_names_the_record_line(command, checkpoint, tmp_path, capsys):
+    for side, text, want in [("source", BAD_SOURCE_ID, "line 5: token id outside [0, 8)"),
+                             ("target", BAD_TARGET_ID, "line 6: token id outside [0, 15)")]:
+        bad = tmp_path / f"{side}.txt"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(MALFORMED_INPUTS[f"{command}_{side}_id"][1](str(bad), str(checkpoint), None)) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {want}\n"
 
 
 class TestMaskstatsCommand:

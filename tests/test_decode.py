@@ -254,7 +254,8 @@ class TestDecodeSource:
         long, short = np.arange(9) % CFG.src_vocab, np.arange(6) % CFG.src_vocab
         assert decode_source(long, params, CFG, dcfg).trace.dropped_rows == 3
         assert decode_source(short, params, CFG, dcfg).trace.dropped_rows == 0
-        assert talker.align_batch(params, CFG, [long, short, long], [12, 12, 8]).n_dropped == 3 + 0 + 5
+        parts = [talker.align_for_canvas(params, CFG, source, T) for source, T in [(long, 12), (short, 12), (long, 8)]]
+        assert talker.stack_aligned(parts).n_dropped == 3 + 0 + 5
 
 
 def uncached_reference_decode(aligned, params, cfg, dcfg):

@@ -6,8 +6,11 @@ import numpy as np
 import plain_ops
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from blockmdm import decode, nd, talker
-from blockmdm.errors import CheckpointError, ContractError, InputError, ParameterError
+from blockmdm.errors import CheckpointError, ContractError, DimensionError, InputError, ParameterError
+from blockmdm.masking import partition
 from blockmdm.talker import (KVCache, TalkerConfig, Vocabulary, check_compatible, init_params,
                              load_checkpoint, param_shapes, save_checkpoint)
 
@@ -24,6 +27,12 @@ def make_inputs(cfg, T, n_src, seed=0):
     source = rng.integers(0, cfg.src_vocab, n_src)
     aligned = talker.align_for_canvas(params, cfg, source, T)
     return params, tokens, source, aligned
+
+
+def stacked_stream(params, cfg, sources, lengths):
+    """The conditioning streams of sequences stacked sample-major, as a training batch builds them."""
+    return talker.stack_aligned([talker.align_for_canvas(params, cfg, source, T)
+                                 for source, T in zip(sources, lengths)])
 
 
 class TestVocabulary:
@@ -47,6 +56,150 @@ class TestConfig:
     def test_anchor_count_bounded_by_block(self):
         with pytest.raises(ParameterError):
             TalkerConfig(B=4, Q=5)
+
+    def test_q_out_of_range(self):
+        with pytest.raises(ParameterError):
+            TalkerConfig(B=16, Q=17)
+        with pytest.raises(ParameterError):
+            TalkerConfig(B=16, Q=0)
+
+
+def stream(table, source, T, B, Q):
+    """:func:`talker.align_for_canvas` with a source embedding table of the test's choosing."""
+    embed = table if isinstance(table, nd.Param) else nd.Param("src_embed", np.asarray(table, dtype=float))
+    cfg = TalkerConfig(src_vocab=embed.data.shape[0], d=embed.data.shape[1], n_heads=1, B=B, Q=Q)
+    return talker.align_for_canvas({"src_embed": embed}, cfg, source, T)
+
+
+def anchors_of(T, B, Q):
+    """The positions a source with a row for every position fills, checked
+    to hold its rows in order, with the rows beyond them counted as dropped."""
+    aligned = stream(np.arange(1.0, T + 1)[:, None], np.arange(T), T, B, Q)
+    col = aligned.h_prime.data[:, 0]
+    anchors = np.nonzero(col)[0]
+    np.testing.assert_array_equal(col[anchors], np.arange(1, len(anchors) + 1))
+    assert aligned.n_dropped == T - len(anchors)
+    return anchors
+
+
+class TestAnchors:
+    def test_first_q_of_each_block(self):
+        np.testing.assert_array_equal(anchors_of(32, 16, Q=4), [0, 1, 2, 3, 16, 17, 18, 19])
+
+    def test_q_equals_b_every_position(self):
+        np.testing.assert_array_equal(anchors_of(32, 16, Q=16), np.arange(32))
+
+    def test_ragged_block_intersection(self):
+        # last block has 2 positions, so it contributes only those
+        np.testing.assert_array_equal(anchors_of(18, 16, Q=4), [0, 1, 2, 3, 16, 17])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(1, 300), st.integers(1, 40))
+    def test_first_min_q_block_size_positions_of_every_block(self, data, T, B):
+        Q = data.draw(st.integers(1, B), label="Q")
+        part = partition(T, B)
+        want = np.concatenate([part.block_positions(k)[:Q] for k in range(part.n_blocks)])
+        np.testing.assert_array_equal(anchors_of(T, B, Q), want)
+
+
+class TestAlign:
+    def test_rows_assigned_in_order(self):
+        table = np.arange(12.0).reshape(3, 4)
+        out = stream(table, [0, 1, 2], 32, B=16, Q=4)
+        np.testing.assert_array_equal(out.h_prime.data[[0, 1, 2]], table)
+        rest = np.delete(np.arange(32), [0, 1, 2])
+        np.testing.assert_array_equal(out.h_prime.data[rest], 0.0)
+
+    def test_spill_into_second_block(self):
+        table = np.arange(24.0).reshape(6, 4)
+        out = stream(table, np.arange(6), 32, B=16, Q=4)
+        np.testing.assert_array_equal(out.h_prime.data[16], table[4])
+        np.testing.assert_array_equal(out.h_prime.data[17], table[5])
+
+    def test_empty_states_all_zero(self):
+        out = stream(np.ones((1, 4)), [], 32, B=16, Q=4)
+        np.testing.assert_array_equal(out.h_prime.data, np.zeros((32, 4)))
+        assert out.n_dropped == 0
+
+    def test_surplus_rows_dropped_and_counted(self, caplog):
+        out = stream(np.ones((5, 3)), np.arange(5), 16, B=16, Q=2)  # 2 anchors
+        np.testing.assert_array_equal(np.nonzero(out.h_prime.data.any(axis=1))[0], [0, 1])
+        assert out.n_dropped == 3
+        assert not caplog.records
+
+    def test_no_future_leakage(self):
+        # changing row m only affects the row at anchor m
+        table = nd.make_rng(0).normal(size=(8, 4))
+        base = stream(table, np.arange(8), 48, B=16, Q=4).h_prime.data
+        table[5] += 3.0
+        changed = stream(table, np.arange(8), 48, B=16, Q=4).h_prime.data
+        diff_rows = np.nonzero(np.abs(changed - base).sum(axis=1))[0]
+        np.testing.assert_array_equal(diff_rows, [17])  # anchors 0-3 and 16-19
+
+    def test_gradient_flows_to_src_embed(self):
+        embed = nd.Param("src_embed", nd.make_rng(1).normal(size=(3, 4)))
+
+        def loss():
+            out = stream(embed, [0, 1, 2], 16, B=8, Q=2)
+            return nd.masked_cross_entropy(out.h_prime, np.zeros(16, dtype=int), np.array([0, 8]))
+
+        report = nd.grad_check(loss, [embed])
+        assert report.max_rel_err < 1e-6
+
+
+def fusion_params(d, d_ff, rng):
+    """Fusion weights ``W1, b1, W2, b2`` drawn as ``talker.init_params`` draws them."""
+    return [nd.Param("fusion.W1", rng.normal(0.0, 0.02, size=(d, d_ff))), nd.Param("fusion.b1", np.zeros(d_ff)),
+            nd.Param("fusion.W2", rng.normal(0.0, 0.02, size=(d_ff, d))), nd.Param("fusion.b2", np.zeros(d))]
+
+
+def identity_fusion(d):
+    return [nd.Param("fusion.W1", np.eye(d)), nd.Param("fusion.b1", np.zeros(d)),
+            nd.Param("fusion.W2", np.eye(d)), nd.Param("fusion.b2", np.zeros(d))]
+
+
+class TestFuse:
+    def test_identity_weights_pass_relu_of_embeddings(self):
+        aligned = stream(np.ones((1, 4)), [], 8, B=8, Q=2)  # h' all zero
+        emb = nd.make_rng(2).normal(size=(8, 4))
+        out = talker.fuse(nd.Tensor(emb), aligned.h_prime, *identity_fusion(4))
+        np.testing.assert_allclose(out.data, np.maximum(emb, 0.0), atol=1e-15)
+
+    def test_all_zero_inputs_zero_output(self):
+        aligned = stream(np.ones((1, 4)), [], 8, B=8, Q=2)
+        out = talker.fuse(nd.Tensor(np.zeros((8, 4))), aligned.h_prime, *identity_fusion(4))
+        np.testing.assert_array_equal(out.data, 0.0)
+
+    def test_position_local(self):
+        rng = nd.make_rng(3)
+        fp = fusion_params(4, 8, rng)
+        aligned = stream(rng.normal(size=(2, 4)), [0, 1], 8, B=8, Q=2)
+        emb = rng.normal(size=(8, 4))
+        base = talker.fuse(nd.Tensor(emb), aligned.h_prime, *fp).data
+        emb2 = emb.copy()
+        emb2[5] += 1.0
+        pert = talker.fuse(nd.Tensor(emb2), aligned.h_prime, *fp).data
+        diff_rows = np.nonzero(np.abs(pert - base).sum(axis=1))[0]
+        np.testing.assert_array_equal(diff_rows, [5])
+
+    def test_gradient_vs_finite_differences_4x4(self):
+        rng = nd.make_rng(4)
+        fp = fusion_params(4, 4, rng)
+        embed = nd.Param("src_embed", rng.normal(size=(2, 4)))
+        emb = nd.Tensor(rng.normal(size=(4, 4)))
+
+        def loss():
+            aligned = stream(embed, [0, 1], 4, B=4, Q=2)
+            out = talker.fuse(emb, aligned.h_prime, *fp)
+            return nd.masked_cross_entropy(out, np.array([0, 1, 2, 3]), np.arange(4))
+
+        report = nd.grad_check(loss, [embed] + fp)
+        assert report.max_rel_err < 1e-6
+
+    def test_width_mismatch(self):
+        aligned = stream(np.ones((1, 3)), [0], 4, B=4, Q=2)
+        with pytest.raises(DimensionError):
+            talker.fuse(nd.Tensor(np.zeros((4, 4))), aligned.h_prime, *identity_fusion(4))
 
 
 class TestBlockCausalMask:
@@ -209,7 +362,7 @@ class TestBatchedForward:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_stacked_logits_equal_per_sample_forward(self, seed):
         params, tokens, sources = self.batch(seed)
-        aligned = talker.align_batch(params, SMALL, sources, self.LENGTHS)
+        aligned = stacked_stream(params, SMALL, sources, self.LENGTHS)
         stacked = talker.forward_array(params, SMALL, np.concatenate(tokens), aligned,
                                        lengths=self.LENGTHS)
         starts = np.cumsum((0,) + self.LENGTHS)
@@ -227,13 +380,13 @@ class TestBatchedForward:
 
     def test_lengths_checked(self):
         params, tokens, sources = self.batch()
-        aligned = talker.align_batch(params, SMALL, sources, self.LENGTHS)
+        aligned = stacked_stream(params, SMALL, sources, self.LENGTHS)
         stacked = np.concatenate(tokens)
         with pytest.raises(InputError):  # lengths do not cover the rows
             talker.forward_array(params, SMALL, stacked, aligned, lengths=[5, 12, 9, 15])
         with pytest.raises(InputError):  # a sequence longer than T_max
             talker.forward_array(params, SMALL, np.zeros(40, dtype=int),
-                                 talker.align_batch(params, SMALL, sources[:2], [33, 7]), lengths=[33, 7])
+                                 stacked_stream(params, SMALL, sources[:2], [33, 7]), lengths=[33, 7])
         with pytest.raises(InputError):  # the stream covers other rows than the tokens
             talker.forward_array(params, SMALL, stacked[:26], aligned, lengths=[5, 12, 9])
         with pytest.raises(ContractError):
@@ -311,7 +464,7 @@ class TestPlainOracle:
     def test_stacked_batch(self, seed):
         params = self.params(seed)
         tokens, sources = self.batch(seed)
-        aligned = talker.align_batch(params, self.CFG, sources, self.LENGTHS)
+        aligned = stacked_stream(params, self.CFG, sources, self.LENGTHS)
         with nd.no_grad():
             want = plain_ops.reference_forward(params, self.CFG, tokens, aligned, lengths=self.LENGTHS)[0].data
         np.testing.assert_array_equal(
@@ -326,7 +479,7 @@ class TestPlainOracle:
         grads = []
         for fwd in (talker.forward, lambda *args, **kw: plain_ops.reference_forward(*args, **kw)[0]):
             nd.zero_grads(plist)
-            logits = fwd(params, self.CFG, tokens, talker.align_batch(params, self.CFG, sources, self.LENGTHS),
+            logits = fwd(params, self.CFG, tokens, stacked_stream(params, self.CFG, sources, self.LENGTHS),
                          lengths=self.LENGTHS)
             nd.masked_cross_entropy(logits, targets, masked).backward()
             grads.append({p.name: p.grad.copy() for p in plist})
