@@ -80,6 +80,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.steps or any(k < 1 for k in self.steps):
             raise ParameterError(f"step list must be nonempty and positive, got {self.steps}")
+        repeated = [k for i, k in enumerate(self.steps) if k in self.steps[:i]]
+        if repeated:
+            raise ParameterError(f"step count {repeated[0]} is given twice in {self.steps}")
         if not self.checkpoints:
             raise ParameterError("a sweep needs at least one checkpoint")
         if self.repetitions < 1:

@@ -347,7 +347,7 @@ def cmd_gradcheck(ns) -> int:
         logits = talker.forward(params, cfg, tokens, aligned)
         return nd.scale(nd.masked_cross_entropy(logits, targets, mask), 1.0 / len(mask))
 
-    report = nd.grad_check(loss_fn, list(params.values()), epsilon=ns.epsilon,
+    report = nd.grad_check(loss_fn, params, epsilon=ns.epsilon,
                            max_coords_per_param=ns.coords, rng=nd.make_rng(ns.seed + 1))
     print(report)
     if report.max_rel_err >= ns.tolerance:

@@ -2,10 +2,11 @@
 
 A ``Tensor`` wraps a float64 array plus an optional gradient; operations
 record backward closures onto a tape so a scalar loss can be
-backpropagated to every parameter that fed it. A ``Param`` is a Tensor
-with a name and AdamW moments. The set of operations is deliberately
-small: exactly the primitives a small transformer with masked attention,
-masked cross-entropy and a KL distillation loss needs.
+backpropagated to every parameter that fed it. A parameter is a Tensor
+with ``requires_grad=True``, named by its key in the mapping that holds
+it. The set of operations is deliberately small: exactly the primitives a
+small transformer with masked attention, masked cross-entropy and a KL
+distillation loss needs.
 
 Activations are ``rows x width`` matrices. A batch is several sequences
 stacked sample-major, with no padding, so row-wise ops run on the stacked
@@ -45,6 +46,7 @@ from .errors import DimensionError, NonFiniteError, ParameterError
 
 _GRAD_ENABLED = True
 _ROW_BLOCKS = None  # (total rows, row slice per sequence) inside a sequences() block
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's moment decay rates and denominator floor
 
 
 def grad_enabled() -> bool:
@@ -134,10 +136,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
     def backward(self):
         """Backpropagate from a scalar through the recorded tape."""
@@ -534,40 +532,29 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, seqs, B: int, n_heads: int
 # ---------------------------------------------------------------------------
 
 
-class Param(Tensor):
-    """A trainable Tensor over a float64 copy of ``data``, with a name and AdamW moments."""
-
-    __slots__ = ("name", "m", "v")
-
-    def __init__(self, name, data):
-        super().__init__(np.array(data, dtype=np.float64), requires_grad=True)
-        self.name = name
-        self.m = np.zeros_like(self.data)
-        self.v = np.zeros_like(self.data)
-
-
 def zero_grads(params):
     for p in params:
-        p.zero_grad()
+        p.grad.fill(0.0)
 
 
-def adamw_step(params, lr, step, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-    """One decoupled-weight-decay Adam update (``step`` is 1-based)."""
+def adamw_step(params, moments, lr, step, weight_decay=0.0):
+    """One decoupled-weight-decay Adam update (``step`` is 1-based) of the
+    ``{name: Tensor}`` mapping ``params``, with ``moments`` the ``(m, v)``
+    arrays of each parameter in the same order, updated in place."""
     if step < 1:
         raise ParameterError(f"step must be >= 1, got {step}")
-    b1, b2 = betas
-    c1 = 1.0 - b1 ** step
-    c2 = 1.0 - b2 ** step
-    for p in params:
+    c1 = 1.0 - ADAM_B1 ** step
+    c2 = 1.0 - ADAM_B2 ** step
+    for (name, p), (m, v) in zip(params.items(), moments, strict=True):
         g = p.grad
         if not np.isfinite(g).all():
             bad = int(np.size(g) - np.isfinite(g).sum())
-            raise NonFiniteError(f"non-finite gradient in parameter {p.name!r} ({bad} bad entries)")
+            raise NonFiniteError(f"non-finite gradient in parameter {name!r} ({bad} bad entries)")
         if weight_decay:
             p.data -= lr * weight_decay * p.data
-        p.m += (1.0 - b1) * (g - p.m)
-        p.v += (1.0 - b2) * (g * g - p.v)
-        p.data -= lr * (p.m / c1) / (np.sqrt(p.v / c2) + eps)
+        m += (1.0 - ADAM_B1) * (g - m)
+        v += (1.0 - ADAM_B2) * (g * g - v)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -587,9 +574,10 @@ class GradCheckReport:
 def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
-    ``loss_fn`` must rebuild the forward pass from the current parameter
-    values and return a scalar Tensor. Up to ``max_coords_per_param``
-    coordinates are sampled per parameter (all of them when small).
+    ``loss_fn`` must rebuild the forward pass from the current values of
+    ``params``, a ``{name: Tensor}`` mapping, and return a scalar Tensor.
+    Up to ``max_coords_per_param`` coordinates are sampled per parameter
+    (all of them when small).
 
     The per-coordinate error is ``|a - n| / max(|a|, |n|, floor)`` with
     ``floor = 1e-4 * max(1, |loss|)``: below the floor, differences
@@ -605,19 +593,19 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None)
         raise ParameterError(f"max_coords_per_param must be >= 1, got {max_coords_per_param}")
     if rng is None:
         rng = make_rng(0)
-    zero_grads(params)
+    zero_grads(params.values())
     loss = loss_fn()
     loss.backward()
     f0 = loss.item()
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {name: p.grad.copy() for name, p in params.items()}
     floor = 1e-4 * max(1.0, abs(f0))
 
     max_rel = 0.0
-    worst = (params[0].name, 0, 0.0, 0.0)
+    worst = (next(iter(params)), 0, 0.0, 0.0)
     checked = 0
     skipped = 0
     with no_grad():
-        for p in params:
+        for name, p in params.items():
             size = p.data.size
             if size <= max_coords_per_param:
                 coords = np.arange(size)
@@ -637,11 +625,11 @@ def grad_check(loss_fn, params, epsilon=1e-6, max_coords_per_param=24, rng=None)
                     skipped += 1
                     continue
                 numeric = (up - down) / (2.0 * epsilon)
-                a = analytic[p.name].reshape(-1)[c]
+                a = analytic[name].reshape(-1)[c]
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
                 checked += 1
                 if rel > max_rel:
                     max_rel = rel
-                    worst = (p.name, int(c), float(a), float(numeric))
+                    worst = (name, int(c), float(a), float(numeric))
     return GradCheckReport(max_rel_err=float(max_rel), n_checked=checked,
                            n_skipped_nonsmooth=skipped, worst=worst)

@@ -109,8 +109,8 @@ class TalkerParams(dict):
         return [self[f"layer{i}.{name}"] for name in LAYER_PARAMS]
 
     def copy(self) -> "TalkerParams":
-        """A deep copy: new parameters with zero gradients and moments."""
-        return TalkerParams((name, nd.Param(name, p.data)) for name, p in self.items())
+        """A deep copy: new parameters over copied arrays, with zero gradients."""
+        return TalkerParams((name, nd.Tensor(p.data.copy(), requires_grad=True)) for name, p in self.items())
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -127,7 +127,7 @@ def init_params(cfg: TalkerConfig, rng, std: float = 0.02) -> TalkerParams:
     values = {}
     for name, shape in sorted(table, key=lambda entry: not entry[0].startswith("layer")):
         values[name] = rng.normal(0.0, std, size=shape) if len(shape) == 2 else np.zeros(shape)
-    return TalkerParams((name, nd.Param(name, values[name])) for name, _ in table)
+    return TalkerParams((name, nd.Tensor(values[name], requires_grad=True)) for name, _ in table)
 
 
 def param_shapes(cfg: TalkerConfig) -> list:
@@ -302,7 +302,7 @@ def forward_array(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: Alig
 def save_checkpoint(path, cfg: TalkerConfig, params: TalkerParams) -> None:
     header = {
         "config": asdict(cfg),
-        "params": [{"name": p.name, "shape": list(p.data.shape)} for p in params.values()],
+        "params": [{"name": name, "shape": list(p.data.shape)} for name, p in params.items()],
     }
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -353,7 +353,8 @@ def load_checkpoint(path):
             raw = f.read(n * 8)
             if len(raw) != n * 8:
                 raise CheckpointError(f"{path}: truncated data for parameter {name!r}")
-            params[name] = nd.Param(name, np.frombuffer(raw, dtype="<f8").reshape(shape))
+            # a copy: the buffer's view is read-only, and AdamW updates parameters in place
+            params[name] = nd.Tensor(np.frombuffer(raw, "<f8").reshape(shape).copy(), requires_grad=True)
         if f.read(1):
             raise CheckpointError(f"{path}: unexpected bytes after the last parameter")
     return cfg, params

@@ -2,7 +2,7 @@
 
 Stage one trains the mask predictor with cross-entropy on masked positions
 under a masking strategy (typically global Bernoulli). Stage two
-fine-tunes it against a frozen copy of itself: the teacher refines the
+fine-tunes a copy of it against itself, frozen: the teacher refines the
 corrupted input over ``K`` confidence-ranked reveal steps (independently
 per block, one forward pass per step, with the decoder's reveal rule
 :func:`decode.reveal_step`), recording its logits for each
@@ -54,11 +54,9 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """AdamW settings and the number of samples per step."""
+    """AdamW's learning rate and weight decay, and the samples per step."""
 
     lr: float = 1e-3
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.01
     batch_size: int = 8
 
@@ -69,10 +67,6 @@ class OptimizerConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.weight_decay < math.inf:
             raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise ParameterError(f"betas must be two values in [0, 1), got {self.betas}")
-        if not self.eps > 0:
-            raise ParameterError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -243,7 +237,8 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
            opt: OptimizerConfig, steps: int, rng, log_cb, targets_fn=None,
            distill_cfg: DistillConfig = None) -> TrainResult:
     """The optimizer loop both stages share: per step one batch, one forward
-    and one backward pass over its stacked rows, one AdamW update.
+    and one backward pass over its stacked rows, one AdamW update. Each call
+    starts the AdamW moments at zero, as it starts the step count at 1.
 
     ``targets_fn(batch)`` gives the teacher targets for distillation and
     the rollout's event fields; a :class:`NonFiniteError` from it ends
@@ -257,13 +252,13 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    plist = list(params.values())
+    moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params.values()]
     groups = ["embeddings" if name.endswith("_embed") else name.split(".")[0] for name in params]
     curve = []
     for step in range(1, steps + 1):
         t0 = time.perf_counter()
         batch = draw_batch(dataset, cfg, masking_cfg, rng, opt.batch_size)
-        nd.zero_grads(plist)
+        nd.zero_grads(params.values())
         loss = kd = mdm = 0.0
         dropped = 0
         tea, rollout = None, {}
@@ -280,14 +275,14 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
             loss = total.item()
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at step {step}", params=params, step=step)
-        for p in plist:
+        for p in params.values():
             p.grad /= batch.size
-        nd.adamw_step(plist, opt.lr, step, betas=opt.betas, eps=opt.eps, weight_decay=opt.weight_decay)
+        nd.adamw_step(params, moments, opt.lr, step, weight_decay=opt.weight_decay)
         row = {"step": step, "loss": loss / batch.size, "kd_loss": kd / batch.size,
                "mdm_loss": mdm / batch.size}
         curve.append(row)
         if log_cb:
-            grad_sq = [float(np.vdot(p.grad, p.grad)) for p in plist]
+            grad_sq = [float(np.vdot(p.grad, p.grad)) for p in params.values()]
             group_sq = dict.fromkeys(groups, 0.0)
             for group, sq in zip(groups, grad_sq):
                 group_sq[group] += sq
@@ -316,26 +311,26 @@ def train_mdm(cfg: TalkerConfig, dataset, masking_cfg: MaskingConfig, opt: Optim
 def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
                   distill_cfg: DistillConfig, masking_cfg: MaskingConfig, opt: OptimizerConfig,
                   steps: int, seed: int, log_cb=None) -> TrainResult:
-    """Self-distillation fine-tuning against a frozen copy of the start
-    parameters. The teacher never receives gradient updates; the student
-    starts from the same checkpoint. The teacher rolls out the whole batch
-    at once: at most ``K`` forward passes per step."""
+    """Self-distillation fine-tuning of a copy of the start parameters
+    against the start parameters as the frozen teacher, which reads them
+    without the tape: they stay unchanged and may be read-only. The teacher
+    rolls out the whole batch at once: at most ``K`` forward passes per step."""
     if not dataset:
         raise ParameterError("dataset must be nonempty")
     rng = nd.make_rng(seed)
-    teacher = start_params.copy()
     student = start_params.copy()
 
     def targets_fn(batch):
         with nd.no_grad():
-            parts = [talker.align_for_canvas(teacher, cfg, source, n)
+            parts = [talker.align_for_canvas(start_params, cfg, source, n)
                      for source, n in zip(batch.sources, batch.lengths)]
 
         rows = []
 
         def forward_fn(tokens, seqs):
             rows.append(len(tokens))
-            return talker.forward_array(teacher, cfg, tokens, talker.stack_aligned([parts[i] for i in seqs]),
+            aligned = talker.stack_aligned([parts[i] for i in seqs])
+            return talker.forward_array(start_params, cfg, tokens, aligned,
                                         lengths=[batch.lengths[i] for i in seqs])
 
         t0 = time.perf_counter()

@@ -137,7 +137,7 @@ def test_criterion_1_gradient_integrity():
         return nd.scale(nd.masked_cross_entropy(logits, targets, mask), 1.0 / len(mask))
 
     t0 = time.perf_counter()
-    rep = nd.grad_check(loss_fn, list(params.values()), epsilon=1e-6,
+    rep = nd.grad_check(loss_fn, params, epsilon=1e-6,
                         max_coords_per_param=10, rng=nd.make_rng(1))
     elapsed = time.perf_counter() - t0
     report(1, rep.max_rel_err < 1e-5 and elapsed < 60.0,

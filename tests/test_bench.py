@@ -205,6 +205,8 @@ class TestSweep:
             bench.ExperimentConfig(checkpoints={}, steps=[])
         with pytest.raises(ParameterError):
             bench.ExperimentConfig(checkpoints={}, steps=[4, 0])
+        with pytest.raises(ParameterError, match="step count 4 is given twice"):
+            bench.ExperimentConfig(checkpoints={"base": "a.ckpt"}, steps=[4, 1, 4])
         with pytest.raises(ParameterError, match="at least one checkpoint"):
             bench.ExperimentConfig(checkpoints={}, steps=[4])
 

@@ -344,6 +344,8 @@ MALFORMED_INPUTS = {
     "bench_label_empty": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"={ckpt}", "--eval", corpus]),
     "bench_steps": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}",
                                                  "--eval", corpus, "--steps", "4,x"]),
+    "bench_steps_repeated": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}",
+                                                          "--eval", corpus, "--steps", "4,4"]),
     "train_batch_size_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--batch-size", "0"]),
     "train_steps_zero": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--steps", "0"]),
     "train_negative_lr": ("", lambda f, ckpt, corpus: TRAIN_ARGV(corpus, f) + ["--lr", "-1"]),

@@ -39,14 +39,14 @@ class TestMatmul:
 
     def test_gradients_both_inputs(self):
         rng = nd.make_rng(0)
-        a = nd.Param("a", rng.normal(size=(3, 4)))
-        b = nd.Param("b", rng.normal(size=(4, 2)))
+        a = nd.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = nd.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         tgt = np.array([0, 1, 0])
 
         def loss():
             return nd.masked_cross_entropy(nd.matmul(a, b), tgt, np.arange(3))
 
-        report = nd.grad_check(loss, [a, b])
+        report = nd.grad_check(loss, {"a": a, "b": b})
         assert report.max_rel_err < 1e-6
 
 
@@ -137,10 +137,10 @@ class TestKLRows:
     def test_gradient_vs_finite_differences_10_random_pairs(self):
         for seed in range(10):
             rng = nd.make_rng(seed)
-            s = nd.Param("s", rng.normal(size=(3, 6)))
+            s = nd.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
             t = rng.normal(size=(3, 6))
             for direction in ("reverse", "forward"):
-                report = nd.grad_check(lambda: nd.kl_rows(s, t, 2.0, direction), [s],
+                report = nd.grad_check(lambda: nd.kl_rows(s, t, 2.0, direction), {"s": s},
                                        max_coords_per_param=18)
                 assert report.max_rel_err < 1e-6, (seed, direction, report)
 
@@ -231,16 +231,16 @@ class TestMaskedAttention:
 
     def test_rectangular_gradcheck(self):
         rng = nd.make_rng(13)
-        q = nd.Param("q", rng.normal(size=(3, 4)))
-        k = nd.Param("k", rng.normal(size=(7, 4)))
-        v = nd.Param("v", rng.normal(size=(7, 4)))
+        q = nd.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        k = nd.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+        v = nd.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
         tgt = np.array([0, 3, 1])
 
         def loss():
             out = nd.masked_attention(q, k, v, [(3, 7)], 2)
             return nd.masked_cross_entropy(out, tgt, np.arange(3))
 
-        report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=28)
+        report = nd.grad_check(loss, {"q": q, "k": k, "v": v}, epsilon=1e-6, max_coords_per_param=28)
         assert report.max_rel_err < 1e-5, str(report)
 
     def test_rectangular_shape_errors(self):
@@ -282,14 +282,14 @@ class TestBatchedMultiHeadAttention:
                 np.testing.assert_allclose(out[qs, cols], one, rtol=0, atol=1e-15)
 
     def test_gradcheck_two_heads_three_sequences(self):
-        q, k, v = (nd.Param(name, a) for name, a in zip("qkv", self.inputs(16)))
+        q, k, v = (nd.Tensor(a, requires_grad=True) for a in self.inputs(16))
         tgt = nd.make_rng(17).integers(0, 4, len(q.data))
 
         def loss():
             out = nd.masked_attention(q, k, v, self.SEQS, 3, n_heads=2)
             return nd.masked_cross_entropy(out, tgt, np.arange(len(tgt)))
 
-        report = nd.grad_check(loss, [q, k, v], epsilon=1e-6, max_coords_per_param=64)
+        report = nd.grad_check(loss, {"q": q, "k": k, "v": v}, epsilon=1e-6, max_coords_per_param=64)
         assert report.max_rel_err < 1e-5, str(report)
 
     def test_masks_must_split_the_rows(self):
@@ -309,29 +309,29 @@ class TestSequences:
     def test_matmul_add_embedding_match_one_pass_per_sequence(self):
         rng = nd.make_rng(19)
         T = sum(self.LENGTHS)
-        table = nd.Param("table", rng.normal(size=(11, 64)))
+        table = nd.Tensor(rng.normal(size=(11, 64)), requires_grad=True)
         # 67 columns, like the model's head: BLAS may round the last columns
         # of a product differently when other rows share the call
-        w = nd.Param("w", rng.normal(size=(64, 67)))
-        bias = nd.Param("bias", rng.normal(size=67))
+        w = nd.Tensor(rng.normal(size=(64, 67)), requires_grad=True)
+        bias = nd.Tensor(rng.normal(size=67), requires_grad=True)
         ids, tgt = rng.integers(0, 11, T), rng.integers(0, 67, T)
-        params = [table, w, bias]
+        params = {"table": table, "w": w, "bias": bias}
 
         def loss(rows):
             logits = nd.add(nd.matmul(nd.embedding(table, ids[rows]), w), bias)
             return nd.masked_cross_entropy(logits, tgt[rows], np.arange(len(ids[rows])))
 
-        nd.zero_grads(params)
+        nd.zero_grads(params.values())
         with nd.sequences(self.LENGTHS):
             stacked = loss(slice(0, T))
         stacked.backward()
-        got = [p.grad.copy() for p in params]
-        nd.zero_grads(params)
+        got = {name: p.grad.copy() for name, p in params.items()}
+        nd.zero_grads(params.values())
         starts = np.cumsum((0,) + self.LENGTHS)
         for lo, hi in zip(starts[:-1], starts[1:]):
             loss(slice(lo, hi)).backward()
-        for p, g in zip(params, got):
-            np.testing.assert_array_equal(g, p.grad, err_msg=p.name)
+        for name, p in params.items():
+            np.testing.assert_array_equal(got[name], p.grad, err_msg=name)
 
 
 class TestPlainFormulas:
@@ -344,7 +344,7 @@ class TestPlainFormulas:
         # rows of widely different scale
         x = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-100, 100, size=(rows, 1))
         want = x * (1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + 1e-6))
-        p = nd.Param("x", x)
+        p = nd.Tensor(x, requires_grad=True)
         np.testing.assert_array_equal(nd.rmsnorm_rows(p).data, want)
         with nd.no_grad():
             np.testing.assert_array_equal(nd.rmsnorm_rows(p).data, want)
@@ -360,7 +360,7 @@ class TestPlainFormulas:
             got, want = [], []
             for attend, out in ((lambda *t: nd.masked_attention(*t, [(rows, keys)], B, n_heads=4), got),
                                 (lambda *t: plain_ops.attention(*t, [mask], 4), want)):
-                params = [nd.Param(name, a) for name, a in (("q", q), ("k", k), ("v", v))]
+                params = [nd.Tensor(a, requires_grad=True) for a in (q, k, v)]
                 y = attend(*params)
                 nd.masked_cross_entropy(y, tgt, np.arange(rows)).backward()
                 out.extend([y.data] + [p.grad for p in params])
@@ -385,7 +385,7 @@ class TestPlainFormulas:
         got, want = [], []
         for attend, out in ((lambda *t: nd.masked_attention(*t, seqs, B, n_heads), got),
                             (lambda *t: plain_ops.attention(*t, masks, n_heads), want)):
-            params = [nd.Param(name, a) for name, a in (("q", q), ("k", k), ("v", v))]
+            params = [nd.Tensor(a, requires_grad=True) for a in (q, k, v)]
             y = attend(*params)
             (_, gq), (_, gk), (_, gv) = y._backward(g)
             out.extend([y.data, gq, gk, gv])
@@ -394,16 +394,17 @@ class TestPlainFormulas:
 
 
 class TestParam:
+    """A parameter is a Tensor with ``requires_grad=True``."""
+
     def test_is_a_tensor_holding_a_float64_copy(self):
         src = np.array([[1, 2], [3, 4]])
-        p = nd.Param("w", src)
-        assert isinstance(p, nd.Tensor) and p.requires_grad and p.name == "w"
-        assert p.data.dtype == np.float64 and not np.shares_memory(p.data, src)
-        assert (p.grad == 0.0).all() and (p.m == 0.0).all() and (p.v == 0.0).all()
+        p = nd.Tensor(src, requires_grad=True)
+        assert p.requires_grad and p.data.dtype == np.float64 and not np.shares_memory(p.data, src)
+        assert p.grad.shape == p.data.shape and (p.grad == 0.0).all()
 
     def test_grad_accumulates_over_two_backward_passes_until_zeroed(self):
         rng = nd.make_rng(21)
-        w = nd.Param("w", rng.normal(size=(3, 5)))
+        w = nd.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         x = nd.Tensor(rng.normal(size=(4, 3)))
 
         def loss():
@@ -418,76 +419,83 @@ class TestParam:
         assert (w.grad == 0.0).all()
 
     def test_adamw_updates_buffers_in_place(self):
-        p = nd.Param("w", np.ones((2, 3)))
-        data, m, v = p.data, p.m, p.v
+        # the parameter's array and the moments the caller passes
+        p = nd.Tensor(np.ones((2, 3)), requires_grad=True)
+        data, m, v = p.data, np.zeros((2, 3)), np.zeros((2, 3))
         p.grad[:] = 0.5
-        nd.adamw_step([p], lr=0.1, step=1, weight_decay=0.01)
-        assert p.data is data and p.m is m and p.v is v
+        nd.adamw_step({"w": p}, [(m, v)], lr=0.1, step=1, weight_decay=0.01)
+        assert p.data is data
         assert (data < 1.0).all() and (m > 0.0).all() and (v > 0.0).all()
+
+
+def fresh_moments(p):
+    """Zero AdamW moments for the one parameter ``p``."""
+    return [(np.zeros_like(p.data), np.zeros_like(p.data))]
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_unchanged(self):
-        p = nd.Param("p", np.array([[1.0, -2.0]]))
+        p = nd.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
         before = p.data.copy()
-        nd.adamw_step([p], lr=0.1, step=1, weight_decay=0.0)
+        nd.adamw_step({"p": p}, fresh_moments(p), lr=0.1, step=1, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, before)
 
     def test_descent_on_quadratic(self):
-        p = nd.Param("w", np.array([[1.0]]))
+        p = nd.Tensor(np.array([[1.0]]), requires_grad=True)
         p.grad[:] = 2.0 * p.data  # grad of w^2
-        nd.adamw_step([p], lr=0.1, step=1, weight_decay=0.0)
+        nd.adamw_step({"w": p}, fresh_moments(p), lr=0.1, step=1, weight_decay=0.0)
         assert p.data[0, 0] ** 2 < 1.0
 
     def test_bit_identical_across_runs(self):
         def run():
             rng = nd.make_rng(11)
-            p = nd.Param("p", rng.normal(size=(4, 4)))
+            p = nd.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+            moments = fresh_moments(p)
             for step in range(1, 101):
                 p.grad[:] = np.sin(p.data * step)
-                nd.adamw_step([p], lr=1e-2, step=step, weight_decay=0.01)
+                nd.adamw_step({"p": p}, moments, lr=1e-2, step=step, weight_decay=0.01)
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_nonfinite_grad_aborts_with_diagnostics(self):
-        p = nd.Param("spiky", np.ones((2, 2)))
+        p = nd.Tensor(np.ones((2, 2)), requires_grad=True)
         p.grad[0, 0] = np.nan
         with pytest.raises(NonFiniteError, match="spiky"):
-            nd.adamw_step([p], lr=0.1, step=1)
+            nd.adamw_step({"spiky": p}, fresh_moments(p), lr=0.1, step=1)
 
 
 class TestGradCheck:
     def test_linear_layer_tight(self):
         rng = nd.make_rng(8)
-        w = nd.Param("w", rng.normal(size=(6, 5)))
+        w = nd.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
         x = nd.Tensor(rng.normal(size=(4, 6)))
         tgt = np.array([0, 1, 2, 3])
 
         def loss():
             return nd.masked_cross_entropy(nd.matmul(x, w), tgt, np.arange(4))
 
-        report = nd.grad_check(loss, [w], epsilon=1e-6, max_coords_per_param=30)
+        report = nd.grad_check(loss, {"w": w}, epsilon=1e-6, max_coords_per_param=30)
         assert report.max_rel_err < 1e-7
 
     def test_empty_mask_all_zero_gradients(self):
         rng = nd.make_rng(9)
-        w = nd.Param("w", rng.normal(size=(3, 3)))
+        w = nd.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         x = nd.Tensor(rng.normal(size=(2, 3)))
 
         def loss():
             return nd.masked_cross_entropy(nd.matmul(x, w), np.array([0, 1]),
                                            np.array([], dtype=int))
 
-        report = nd.grad_check(loss, [w], max_coords_per_param=9)
+        report = nd.grad_check(loss, {"w": w}, max_coords_per_param=9)
         assert report.max_rel_err == 0.0
         assert (w.grad == 0.0).all()
 
     def test_epsilon_range_enforced(self):
-        w = nd.Param("w", np.ones((2, 2)))
+        w = nd.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ParameterError):
             nd.grad_check(lambda: nd.masked_cross_entropy(w, np.array([0, 1]), np.array([0])),
-                          [w], epsilon=1e-2)
+                          {"w": w}, epsilon=1e-2)
 
 
 class TestRng:
@@ -506,22 +514,22 @@ class TestRng:
 class TestTapeMechanics:
     def test_shared_subexpression_gradient(self):
         # x used twice (residual pattern): gradient accumulates correctly
-        x = nd.Param("x", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        x = nd.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 
         def loss():
             y = nd.add(x, nd.relu(x))
             return nd.masked_cross_entropy(y, np.array([0, 1]), np.array([0, 1]))
 
-        report = nd.grad_check(loss, [x], max_coords_per_param=4)
+        report = nd.grad_check(loss, {"x": x}, max_coords_per_param=4)
         assert report.max_rel_err < 1e-7
 
     def test_no_grad_disables_tape(self):
-        x = nd.Param("x", np.ones((2, 2)))
+        x = nd.Tensor(np.ones((2, 2)), requires_grad=True)
         with nd.no_grad():
             y = nd.matmul(x, x)
         assert y._backward is None and not y.requires_grad
         # every op, on inputs that require gradients, records no parents and no backward
-        a, b, row = nd.Param("a", np.ones((3, 4))), nd.Param("b", np.ones((4, 4))), nd.Param("row", np.ones(4))
+        a, b, row = (nd.Tensor(np.ones(shape), requires_grad=True) for shape in ((3, 4), (4, 4), 4))
         ops = [lambda: nd.matmul(a, b), lambda: nd.add(a, a),
                lambda: nd.add(a, row), lambda: nd.scale(a, 2.0), lambda: nd.relu(a),
                lambda: nd.rmsnorm_rows(a), lambda: nd.embedding(b, [0, 3]),
@@ -537,7 +545,7 @@ class TestTapeMechanics:
         assert all(op().requires_grad for op in ops)
 
     def test_backward_requires_scalar(self):
-        x = nd.Param("x", np.ones((2, 2)))
+        x = nd.Tensor(np.ones((2, 2)), requires_grad=True)
         y = nd.matmul(x, x)
         with pytest.raises(DimensionError):
             y.backward()

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from blockmdm import decode, nd, talker
 from blockmdm.errors import CheckpointError, ContractError, DimensionError, InputError, ParameterError
-from blockmdm.masking import partition
+from blockmdm.masking import MaskingConfig, partition
+from blockmdm.synthtask import TaskSpec, gen_dataset
 from blockmdm.talker import (KVCache, TalkerConfig, Vocabulary, check_compatible, init_params,
                              load_checkpoint, param_shapes, save_checkpoint)
+from blockmdm.training import OptimizerConfig, train_mdm
 
 BENCH_FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench", "fixture", "stage1.ckpt")
@@ -66,7 +68,7 @@ class TestConfig:
 
 def stream(table, source, T, B, Q):
     """:func:`talker.align_for_canvas` with a source embedding table of the test's choosing."""
-    embed = table if isinstance(table, nd.Param) else nd.Param("src_embed", np.asarray(table, dtype=float))
+    embed = table if isinstance(table, nd.Tensor) else nd.Tensor(np.asarray(table, float), requires_grad=True)
     cfg = TalkerConfig(src_vocab=embed.data.shape[0], d=embed.data.shape[1], n_heads=1, B=B, Q=Q)
     return talker.align_for_canvas({"src_embed": embed}, cfg, source, T)
 
@@ -137,25 +139,28 @@ class TestAlign:
         np.testing.assert_array_equal(diff_rows, [17])  # anchors 0-3 and 16-19
 
     def test_gradient_flows_to_src_embed(self):
-        embed = nd.Param("src_embed", nd.make_rng(1).normal(size=(3, 4)))
+        embed = nd.Tensor(nd.make_rng(1).normal(size=(3, 4)), requires_grad=True)
 
         def loss():
             out = stream(embed, [0, 1, 2], 16, B=8, Q=2)
             return nd.masked_cross_entropy(out.h_prime, np.zeros(16, dtype=int), np.array([0, 8]))
 
-        report = nd.grad_check(loss, [embed])
+        report = nd.grad_check(loss, {"src_embed": embed})
         assert report.max_rel_err < 1e-6
+
+
+FUSION_PARAMS = ("fusion.W1", "fusion.b1", "fusion.W2", "fusion.b2")
 
 
 def fusion_params(d, d_ff, rng):
     """Fusion weights ``W1, b1, W2, b2`` drawn as ``talker.init_params`` draws them."""
-    return [nd.Param("fusion.W1", rng.normal(0.0, 0.02, size=(d, d_ff))), nd.Param("fusion.b1", np.zeros(d_ff)),
-            nd.Param("fusion.W2", rng.normal(0.0, 0.02, size=(d_ff, d))), nd.Param("fusion.b2", np.zeros(d))]
+    arrays = [rng.normal(0.0, 0.02, size=(d, d_ff)), np.zeros(d_ff),
+              rng.normal(0.0, 0.02, size=(d_ff, d)), np.zeros(d)]
+    return [nd.Tensor(a, requires_grad=True) for a in arrays]
 
 
 def identity_fusion(d):
-    return [nd.Param("fusion.W1", np.eye(d)), nd.Param("fusion.b1", np.zeros(d)),
-            nd.Param("fusion.W2", np.eye(d)), nd.Param("fusion.b2", np.zeros(d))]
+    return [nd.Tensor(a, requires_grad=True) for a in (np.eye(d), np.zeros(d), np.eye(d), np.zeros(d))]
 
 
 class TestFuse:
@@ -185,7 +190,7 @@ class TestFuse:
     def test_gradient_vs_finite_differences_4x4(self):
         rng = nd.make_rng(4)
         fp = fusion_params(4, 4, rng)
-        embed = nd.Param("src_embed", rng.normal(size=(2, 4)))
+        embed = nd.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         emb = nd.Tensor(rng.normal(size=(4, 4)))
 
         def loss():
@@ -193,7 +198,7 @@ class TestFuse:
             out = talker.fuse(emb, aligned.h_prime, *fp)
             return nd.masked_cross_entropy(out, np.array([0, 1, 2, 3]), np.arange(4))
 
-        report = nd.grad_check(loss, [embed] + fp)
+        report = nd.grad_check(loss, {"src_embed": embed, **dict(zip(FUSION_PARAMS, fp))})
         assert report.max_rel_err < 1e-6
 
     def test_width_mismatch(self):
@@ -482,23 +487,23 @@ class TestPlainOracle:
             logits = fwd(params, self.CFG, tokens, stacked_stream(params, self.CFG, sources, self.LENGTHS),
                          lengths=self.LENGTHS)
             nd.masked_cross_entropy(logits, targets, masked).backward()
-            grads.append({p.name: p.grad.copy() for p in plist})
-        for p in plist:
-            np.testing.assert_array_equal(grads[0][p.name], grads[1][p.name], err_msg=p.name)
-            assert np.abs(grads[0][p.name]).sum() > 0, p.name
+            grads.append({name: p.grad.copy() for name, p in params.items()})
+        for name in params:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
+            assert np.abs(grads[0][name]).sum() > 0, name
 
 
 class TestParams:
     def test_shapes_reproducible_from_config(self):
         p1 = init_params(SMALL, nd.make_rng(0))
         p2 = init_params(SMALL, nd.make_rng(99))
-        assert [(q.name, q.data.shape) for q in p1.values()] == \
-               [(q.name, q.data.shape) for q in p2.values()]
+        assert [(name, q.data.shape) for name, q in p1.items()] == \
+               [(name, q.data.shape) for name, q in p2.items()]
         assert sum(q.data.size for q in p1.values()) == sum(q.data.size for q in p2.values())
 
     def test_param_shapes_match_init_params(self):
         params = init_params(SMALL, nd.make_rng(0))
-        assert param_shapes(SMALL) == [(q.name, q.data.shape) for q in params.values()]
+        assert param_shapes(SMALL) == [(name, q.data.shape) for name, q in params.items()]
 
     def test_keys_are_table_names_after_init_load_and_copy(self, tmp_path):
         names = [name for name, _ in param_shapes(SMALL)]
@@ -506,11 +511,12 @@ class TestParams:
         save_checkpoint(tmp_path / "model.ckpt", SMALL, params)
         for p in (params, load_checkpoint(tmp_path / "model.ckpt")[1], params.copy()):
             assert list(p) == names
-            assert [q.name for q in p.values()] == names
+            assert all(q.requires_grad for q in p.values())
 
     def test_layer_gives_its_weights_in_table_order(self):
         params = init_params(SMALL, nd.make_rng(0))
-        assert [q.name for q in params.layer(1)] == [f"layer1.{name}" for name in talker.LAYER_PARAMS]
+        want = [params[f"layer1.{name}"] for name in talker.LAYER_PARAMS]
+        assert len(params.layer(1)) == len(want) and all(a is b for a, b in zip(params.layer(1), want))
 
     @pytest.mark.parametrize("seed, digest", [
         (0, "11c3ce159eccc4cd381ab520ba197f14b3ced7089593cfeab433e997f63ec528"),
@@ -531,17 +537,16 @@ class TestParams:
         assert p.digest() != c.digest()
 
     def test_copy_shares_no_buffer(self):
-        # train_distill's teacher and student are copies of one start
+        # train_distill's student is a copy of the start, which its teacher reads
         p = init_params(SMALL, nd.make_rng(0))
         for q in p.values():
-            q.grad[:], q.m[:], q.v[:] = 1.0, 2.0, 3.0
+            q.grad[:] = 1.0
         c = p.copy()
-        assert c.digest() == p.digest()
+        assert c.digest() == p.digest() and list(c) == list(p)
         for a, b in zip(p.values(), c.values()):
-            assert a.name == b.name
-            for x, y in ((a.data, b.data), (a.grad, b.grad), (a.m, b.m), (a.v, b.v)):
+            for x, y in ((a.data, b.data), (a.grad, b.grad)):
                 assert not np.shares_memory(x, y)
-            assert not (b.grad.any() or b.m.any() or b.v.any())
+            assert b.requires_grad and not b.grad.any()
 
 
 class TestCheckpoint:
@@ -551,10 +556,22 @@ class TestCheckpoint:
         save_checkpoint(path, SMALL, params)
         cfg2, params2 = load_checkpoint(path)
         assert cfg2 == SMALL
-        assert params2.digest() == params.digest()
+        assert params2.digest() == params.digest() and list(params2) == list(params)
         for a, b in zip(params.values(), params2.values()):
-            assert a.name == b.name
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_loaded_params_train_in_place(self, tmp_path):
+        # the loaded arrays are writable copies, not views of the file's bytes
+        spec = TaskSpec(source_vocab=SMALL.src_vocab, data_tokens=SMALL.data_tokens, upsample=2, grammar_seed=1)
+        ds = gen_dataset(spec, 8, (2, 5), nd.make_rng(0), eos_id=SMALL.vocab.eos_id)
+        save_checkpoint(tmp_path / "model.ckpt", SMALL, init_params(SMALL, nd.make_rng(4)))
+        loaded = load_checkpoint(tmp_path / "model.ckpt")[1]
+        opt = OptimizerConfig(batch_size=2)
+        masks = MaskingConfig(mode="global_bernoulli")
+        want = train_mdm(SMALL, ds, masks, opt, steps=1, seed=0, params=loaded.copy())
+        got = train_mdm(SMALL, ds, masks, opt, steps=1, seed=0, params=loaded)
+        assert got.params is loaded and got.curve == want.curve
+        assert loaded.digest() == want.params.digest()
 
     def test_fixture_resaves_byte_identical(self, tmp_path):
         # pins the checkpoint order against the committed benchmark fixture

@@ -136,7 +136,7 @@ class TestDistillLoss:
     def _setup(self, seed=0):
         rng = nd.make_rng(seed)
         T, V = 8, 10
-        student = nd.Param("stu", rng.normal(0, 2, (T, V)))
+        student = nd.Tensor(rng.normal(0, 2, (T, V)), requires_grad=True)
         targets = rng.integers(0, V, T)
         M = np.array([0, 2, 5])
         z = rng.normal(0, 3, (T, V))
@@ -161,7 +161,7 @@ class TestDistillLoss:
         student, targets, M, tea = self._setup(1)
         cfg = DistillConfig(alpha=0.7, tau=2.0)
         report = nd.grad_check(lambda: distill_loss(student, targets, M, tea, cfg)[0],
-                               [student], max_coords_per_param=40)
+                               {"student": student}, max_coords_per_param=40)
         assert report.max_rel_err < 1e-5
 
     def test_missing_teacher_rows_rejected(self):
@@ -212,6 +212,18 @@ class TestTrainMdm:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ParameterError):
             train_mdm(CFG, [], GLOBAL, OPT, steps=1, seed=0)
+
+    def test_each_call_starts_its_moments_at_zero(self):
+        # a second call on trained parameters moves them as a fresh run from
+        # a copy does, with no optimizer state carried over from the first
+        ds = tiny_dataset()
+        params = train_mdm(CFG, ds, GLOBAL, OPT, steps=3, seed=0).params
+        between = params.copy()
+        again = train_mdm(CFG, ds, GLOBAL, OPT, steps=2, seed=1, params=params)
+        fresh = train_mdm(CFG, ds, GLOBAL, OPT, steps=2, seed=1, params=between)
+        assert again.params is params
+        assert again.curve == fresh.curve
+        assert params.digest() == between.digest()
 
 
 class TestTrainDistill:
@@ -273,6 +285,23 @@ class TestTrainDistill:
         b = train_distill(CFG, start, ds, DistillConfig(K=2), HIER, OPT, steps=10, seed=11)
         assert a.params.digest() == b.params.digest()
 
+    def test_copies_only_the_student(self, monkeypatch):
+        # the teacher reads the start parameters themselves
+        copies = []
+        copy = talker.TalkerParams.copy
+        monkeypatch.setattr(talker.TalkerParams, "copy", lambda self: copies.append(self) or copy(self))
+        start = talker.init_params(CFG, nd.make_rng(7))
+        result = train_distill(CFG, start, tiny_dataset(), DistillConfig(K=2), HIER, OPT, steps=2, seed=3)
+        assert len(copies) == 1 and copies[0] is start and result.params is not start
+
+    def test_read_only_start_arrays(self):
+        start = talker.init_params(CFG, nd.make_rng(8))
+        digest = start.digest()
+        for p in start.values():
+            p.data.setflags(write=False)
+        result = train_distill(CFG, start, tiny_dataset(), DistillConfig(K=2), HIER, OPT, steps=3, seed=4)
+        assert start.digest() == digest and result.params.digest() != digest
+
 
 def scripted_batch(monkeypatch, masks, seed=0):
     """A batch of ``len(masks)`` samples whose mask draws are ``masks``."""
@@ -328,7 +357,7 @@ class TestBatchedStep:
         nd.zero_grads(plist)
         total, kd, mdm, _ = batch_loss(params, CFG, batch, tea, dcfg)
         total.backward()
-        got = {p.name: p.grad.copy() for p in plist}
+        got = {name: p.grad.copy() for name, p in params.items()}
 
         nd.zero_grads(plist)
         losses, kds, start = [], [], 0
@@ -352,9 +381,9 @@ class TestBatchedStep:
         assert total.item() == pytest.approx(np.sum(losses), rel=1e-12)
         assert kd == pytest.approx(np.sum(kds), rel=1e-12, abs=0.0)
         assert (kd > 0) == distill
-        for p in plist:
-            assert np.abs(p.grad).max() > 0, p.name
-            np.testing.assert_array_equal(got[p.name], p.grad, err_msg=p.name)
+        for name, p in params.items():
+            assert np.abs(p.grad).max() > 0, name
+            np.testing.assert_array_equal(got[name], p.grad, err_msg=name)
 
     # samples of 5, 7 and 9 rows; the last one's only masked row is alone in
     # its ragged last block (R=1 < K), so at K=3 that sample is done after
