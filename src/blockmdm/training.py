@@ -5,10 +5,10 @@ under a masking strategy (typically global Bernoulli). Stage two
 fine-tunes a copy of it against itself, frozen: the teacher refines the
 corrupted input over ``K`` confidence-ranked reveal steps (independently
 per block, one forward pass per step, with the decoder's reveal rule
-:func:`decode.reveal_step`), recording its logits for each
-position at the moment that position is revealed. The student then has to
-match those targets from a single forward pass on the original corrupted
-input, which is what compresses multi-step refinement into few steps.
+:func:`decode.reveal_step`), recording for each masked position its
+logits at the step that revealed it. The student then has to match those
+rows from a single forward pass on the original corrupted input, which is
+what compresses multi-step refinement into few steps.
 
 Both stages take one forward and one backward pass per optimizer step:
 a batch's sequences are stacked row by row without padding
@@ -69,14 +69,6 @@ class OptimizerConfig:
             raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
-@dataclass
-class TeacherTargets:
-    """Per-position teacher logits, valid exactly on the masked set."""
-
-    z_tea: np.ndarray  # (T, V)
-    valid: np.ndarray  # (T,) bool
-
-
 def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, lengths=None):
     """Reveal all masked positions in ``K`` confidence-ranked steps.
 
@@ -89,9 +81,11 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
     positions (a sequence's logits do not depend on the others) and updates
     every block of those sequences in parallel: per block, the ``n_j``
     still-masked positions with highest confidence (ties to lowest index)
-    are recorded into the target tensor and replaced by their argmax
-    tokens. Returns ``(targets, final_sequence, n_forward_passes)``; logits
-    with a NaN or Inf raise :class:`NonFiniteError` before any reveal.
+    are recorded and replaced by their argmax tokens. Returns ``(targets,
+    final_sequence, n_forward_passes)``, ``targets`` one row of logits per
+    masked position, in ``mask_positions`` order, from the step that
+    revealed it; logits with a NaN or Inf raise :class:`NonFiniteError`
+    before any reveal.
     """
     corrupted0 = np.asarray(corrupted0)
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
@@ -106,9 +100,8 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
     blocks = [slice(b, min(b + B, end)) for start, end in zip(starts[:-1], starts[1:])
               for b in range(start, end, B)]
     seq = corrupted0.copy()
-    valid = np.zeros(T, dtype=bool)
-    valid[mask_positions] = True
-    masked = valid.copy()
+    masked = np.zeros(T, dtype=bool)
+    masked[mask_positions] = True
 
     z_tea = logits = None
     n_forwards = 0
@@ -133,34 +126,29 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
                 masked[reveal] = False
     if masked.any():
         raise ContractError(f"teacher rollout left masked positions after {K} steps: {np.nonzero(masked)[0]}")
-    return TeacherTargets(z_tea=z_tea, valid=valid), seq, n_forwards
+    return z_tea[mask_positions], seq, n_forwards
 
 
-def distill_loss(student_logits: nd.Tensor, targets, mask_positions, tea: TeacherTargets,
-                 cfg: DistillConfig, counts=None):
+def distill_loss(student_logits: nd.Tensor, targets, mask_positions, tea, cfg: DistillConfig, counts=None):
     """Combined loss ``alpha * KD + (1 - alpha) * masked-CE``, or masked-CE
     alone when ``tea`` is None.
 
-    Both terms are normalized by the masked count so the mix is
-    scale-compatible; the KD term carries its usual ``tau^2`` factor. For
-    sequences stacked sample-major, ``counts`` gives per masked position
-    the masked count of its sequence, which makes the loss the sum of the
-    per-sequence losses. Returns ``(loss, kd_value, mdm_value)`` with the
-    scalars as floats.
+    ``tea`` holds one row of teacher logits per masked position, in
+    ``mask_positions`` order (else :class:`DimensionError`). Both terms are
+    normalized by the masked count so the mix is scale-compatible; the KD
+    term carries its usual ``tau^2`` factor. For sequences stacked
+    sample-major, ``counts`` gives per masked position the masked count of
+    its sequence, which makes the loss the sum of the per-sequence losses.
+    An empty mask gives zero loss and gradient. Returns ``(loss, kd_value,
+    mdm_value)`` with the scalars as floats.
     """
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
-    if mask_positions.size == 0:
-        zero = nd.masked_cross_entropy(student_logits, np.asarray(targets), mask_positions)
-        return zero, 0.0, 0.0
     if counts is None:
         counts = np.full(len(mask_positions), len(mask_positions))
     mdm = nd.masked_cross_entropy(student_logits, targets, mask_positions, counts)
     if tea is None:
         return mdm, 0.0, mdm.item()
-    if not tea.valid[mask_positions].all():
-        raise ContractError("teacher targets missing for some masked positions")
-    kd = nd.kl_rows(nd.take_rows(student_logits, mask_positions),
-                    tea.z_tea[mask_positions], cfg.tau, cfg.kl_direction, counts)
+    kd = nd.kl_rows(nd.take_rows(student_logits, mask_positions), tea, cfg.tau, cfg.kl_direction, counts)
     loss = nd.add(nd.scale(kd, cfg.alpha), nd.scale(mdm, 1.0 - cfg.alpha))
     return loss, kd.item(), mdm.item()
 
@@ -201,12 +189,13 @@ def draw_batch(dataset, cfg: TalkerConfig, masking_cfg: MaskingConfig, rng, size
     return Batch(size, [sample.source for sample, _ in drawn], lengths, targets, corrupted, masked, counts)
 
 
-def batch_loss(params: TalkerParams, cfg: TalkerConfig, batch: Batch, tea: TeacherTargets = None,
+def batch_loss(params: TalkerParams, cfg: TalkerConfig, batch: Batch, tea=None,
                distill_cfg: DistillConfig = None):
     """Sum over the batch of the per-sample losses of :func:`distill_loss`
-    (masked-CE alone without teacher targets), from one forward pass over
-    the stacked rows. Returns ``(loss, kd_value, mdm_value, dropped_rows)``,
-    the last the surplus conditioning rows the alignment dropped."""
+    (masked-CE alone without the teacher rows ``tea`` of ``batch.masked``),
+    from one forward pass over the stacked rows. Returns ``(loss, kd_value,
+    mdm_value, dropped_rows)``, the last the surplus conditioning rows the
+    alignment dropped."""
     aligned = talker.stack_aligned([talker.align_for_canvas(params, cfg, source, T)
                                     for source, T in zip(batch.sources, batch.lengths)])
     logits = talker.forward(params, cfg, batch.corrupted, aligned, lengths=batch.lengths)
@@ -240,9 +229,10 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
     and one backward pass over its stacked rows, one AdamW update. Each call
     starts the AdamW moments at zero, as it starts the step count at 1.
 
-    ``targets_fn(batch)`` gives the teacher targets for distillation and
-    the rollout's event fields; a :class:`NonFiniteError` from it ends
-    training as a :class:`TrainingDivergedError` before that step's update.
+    ``targets_fn(batch)`` gives the teacher rows of ``batch.masked`` for
+    distillation and the rollout's event fields; a :class:`NonFiniteError`
+    from it ends training as a :class:`TrainingDivergedError` before that
+    step's update.
     ``log_cb`` receives per step the curve row plus ``step_ms``,
     ``masked`` (positions), ``rows`` (stacked rows), ``dropped_rows``
     (surplus conditioning rows, see :func:`batch_loss`), ``grad_norm`` (global

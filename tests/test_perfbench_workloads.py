@@ -1,7 +1,10 @@
 """Each benchmark workload in ``perfbench/workloads.py`` runs one pass at
 seed 4242 through the package API it calls, passes its own checks and
 gives its pinned output digest: an API change that would break the
-benchmark, or move one of its outputs, fails here."""
+benchmark, or move one of its outputs, fails here. Traced passes, as a
+``--trace 1`` run makes them, must do the same with equal counts, so a
+change to a name or return value that ``perfbench/tracing.py`` reads fails
+here too."""
 
 import importlib
 import os
@@ -20,13 +23,18 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_one_pass_passes_its_checks_with_the_pinned_digest(name, monkeypatch, tmp_path):
+def set_up(name, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(PERFBENCH)
     workloads = importlib.import_module("workloads")
     assert sorted(workloads.WORKLOADS) == sorted(DIGESTS)
     wl = workloads.WORKLOADS[name]()
     wl.setup(SEED, str(tmp_path))
+    return workloads, wl
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_one_pass_passes_its_checks_with_the_pinned_digest(name, monkeypatch, tmp_path):
+    workloads, wl = set_up(name, monkeypatch, tmp_path)
     rec = workloads.Record()
     rec.begin_pass()
     digest = wl.run_pass(rec)
@@ -34,3 +42,23 @@ def test_one_pass_passes_its_checks_with_the_pinned_digest(name, monkeypatch, tm
     assert rec.failed == 0, rec.problems
     assert oracle_mismatches == []
     assert digest == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_traced_passes_give_the_pinned_digest_and_equal_counts(name, monkeypatch, tmp_path):
+    workloads, wl = set_up(name, monkeypatch, tmp_path)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    rec = workloads.Record()
+    digests, snapshots = [], []
+    with tracing.installed(tracer):
+        for _ in range(2):
+            tracer.reset_counts()
+            rec.begin_pass()
+            digests.append(wl.run_pass(rec, tracer))
+            snapshots.append(tracer.snapshot_counts())
+    oracle_mismatches, _ = wl.final_checks()
+    assert rec.failed == 0, rec.problems
+    assert oracle_mismatches == []
+    assert digests == [DIGESTS[name]] * 2
+    assert snapshots[0] == snapshots[1] and snapshots[0]["talker.forward_calls"] > 0

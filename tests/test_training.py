@@ -3,11 +3,11 @@ import plain_ops
 import pytest
 
 from blockmdm import nd, talker, training
-from blockmdm.errors import ContractError, NonFiniteError, ParameterError, TrainingDivergedError
+from blockmdm.errors import DimensionError, NonFiniteError, ParameterError, TrainingDivergedError
 from blockmdm.masking import MaskingConfig
 from blockmdm.synthtask import TaskSpec, gen_dataset
-from blockmdm.training import (DistillConfig, OptimizerConfig, TeacherTargets, batch_loss,
-                               distill_loss, draw_batch, teacher_rollout, train_distill, train_mdm)
+from blockmdm.training import (DistillConfig, OptimizerConfig, batch_loss, distill_loss, draw_batch,
+                               teacher_rollout, train_distill, train_mdm)
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                           B=4, Q=2, T_max=32)
@@ -65,8 +65,8 @@ class TestTeacherRollout:
         mask = np.array([1, 2, 5, 9, 10])
         targets, final, n_fwd = teacher_rollout(corrupted, mask, teacher, B=B, K=1)
         assert n_fwd == 1
-        np.testing.assert_array_equal(targets.z_tea[mask], teacher.history[0][mask])
-        np.testing.assert_array_equal(np.nonzero(targets.valid)[0], np.sort(mask))
+        assert targets.shape == (len(mask), V)
+        np.testing.assert_array_equal(targets, teacher.history[0][mask])
         np.testing.assert_array_equal(final[mask], teacher.history[0][mask].argmax(axis=1))
 
     def test_nonfinite_logits_raise_naming_the_step(self):
@@ -83,8 +83,10 @@ class TestTeacherRollout:
         mask = np.arange(T)  # everything masked
         targets, final, n_fwd = teacher_rollout(corrupted, mask, teacher, B=B, K=K)
         assert n_fwd == K
-        assert targets.valid.all()
-        assert (final != 7).sum() == T or True  # all positions replaced by argmax picks
+        assert targets.shape == (T, V)
+        # every row is the teacher's logits for its position at some step
+        assert all(any(np.array_equal(row, h[t]) for h in teacher.history) for t, row in zip(mask, targets))
+        np.testing.assert_array_equal(final[mask], targets.argmax(axis=1))  # each replaced by its row's argmax
 
     def test_untouched_block_never_written(self):
         T, V, B = 12, 9, 4
@@ -92,7 +94,7 @@ class TestTeacherRollout:
         corrupted = np.arange(T) % 9
         mask = np.array([0, 1, 9])  # blocks 0 and 2 only
         targets, final, _ = teacher_rollout(corrupted, mask, teacher, B=B, K=2)
-        assert not targets.valid[4:8].any()
+        assert targets.shape == (len(mask), V)  # no row for the unmasked block
         np.testing.assert_array_equal(final[4:8], corrupted[4:8])
 
     def test_forward_count_is_k_when_blocks_have_enough_work(self):
@@ -110,22 +112,33 @@ class TestTeacherRollout:
         mask = np.arange(4)
         targets, _, _ = teacher_rollout(np.zeros(T, int), mask, teacher, B=B, K=K)
         step1, step2 = teacher.history
-        matches_step1 = [np.array_equal(targets.z_tea[t], step1[t]) for t in range(4)]
-        matches_step2 = [np.array_equal(targets.z_tea[t], step2[t]) for t in range(4)]
+        matches_step1 = [np.array_equal(targets[t], step1[t]) for t in range(4)]
+        matches_step2 = [np.array_equal(targets[t], step2[t]) for t in range(4)]
         assert sum(matches_step1) == 2 and sum(matches_step2) == 2
         for t in range(4):
             assert matches_step1[t] != matches_step2[t]
 
     def test_confidence_ties_resolved_by_lowest_index(self):
         T, V, B = 4, 5, 4
-        uniform = np.zeros((T, V))
+        calls = []
 
         def flat_teacher(tokens, seqs):
-            return uniform
+            calls.append(None)
+            return np.full((T, V), float(len(calls)))  # uniform rows, valued by step
 
         targets, final, _ = teacher_rollout(np.full(T, 3), np.arange(T), flat_teacher, B=B, K=2)
         # with all-equal confidence, step 1 must reveal positions 0 and 1
-        assert targets.valid.all()
+        np.testing.assert_array_equal(targets, [[1.0] * V, [1.0] * V, [2.0] * V, [2.0] * V])
+
+    def test_rows_follow_mask_positions_order(self):
+        T, V, B, K = 12, 9, 4, 2
+        mask = np.array([9, 1, 5, 10, 2])
+        rows, final, _ = teacher_rollout(np.full(T, 7), mask, ScriptedTeacher(T, V, seed=5), B=B, K=K)
+        sorted_rows, sorted_final, _ = teacher_rollout(np.full(T, 7), np.sort(mask), ScriptedTeacher(T, V, seed=5),
+                                                       B=B, K=K)
+        assert rows.shape == (len(mask), V)
+        np.testing.assert_array_equal(rows, sorted_rows[np.argsort(np.argsort(mask))])
+        np.testing.assert_array_equal(final, sorted_final)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ParameterError):
@@ -140,9 +153,7 @@ class TestDistillLoss:
         targets = rng.integers(0, V, T)
         M = np.array([0, 2, 5])
         z = rng.normal(0, 3, (T, V))
-        valid = np.zeros(T, bool)
-        valid[M] = True
-        return student, targets, M, TeacherTargets(z_tea=z, valid=valid)
+        return student, targets, M, z[M]
 
     def test_alpha_zero_is_pure_masked_ce(self):
         student, targets, M, tea = self._setup()
@@ -153,7 +164,7 @@ class TestDistillLoss:
 
     def test_alpha_one_identical_logits_zero_kd(self):
         student, targets, M, tea = self._setup()
-        student.data[:] = tea.z_tea
+        student.data[M] = tea
         loss, kd, mdm = distill_loss(student, targets, M, tea, DistillConfig(alpha=1.0))
         assert loss.item() == 0.0 and kd == 0.0
 
@@ -166,15 +177,18 @@ class TestDistillLoss:
 
     def test_missing_teacher_rows_rejected(self):
         student, targets, M, tea = self._setup(2)
-        tea.valid[M[0]] = False
-        with pytest.raises(ContractError):
-            distill_loss(student, targets, M, tea, DistillConfig())
+        for rows in (tea[1:], np.concatenate([tea, tea[:1]])):
+            with pytest.raises(DimensionError):
+                distill_loss(student, targets, M, rows, DistillConfig())
 
     def test_empty_mask_zero(self):
-        student, targets, _, tea = self._setup(3)
-        loss, kd, mdm = distill_loss(student, targets, np.array([], dtype=int), tea,
-                                     DistillConfig())
-        assert loss.item() == 0.0 and kd == 0.0 and mdm == 0.0
+        student, targets, _, _ = self._setup(3)
+        for tea in (None, np.zeros((0, student.data.shape[1]))):
+            nd.zero_grads([student])
+            loss, kd, mdm = distill_loss(student, targets, np.array([], dtype=int), tea, DistillConfig())
+            loss.backward()
+            assert loss.item() == 0.0 and kd == 0.0 and mdm == 0.0
+            assert not student.grad.any()
 
 
 GLOBAL = MaskingConfig(mode="global_bernoulli", gamma_g=(0.3, 0.8))
@@ -360,7 +374,7 @@ class TestBatchedStep:
         got = {name: p.grad.copy() for name, p in params.items()}
 
         nd.zero_grads(plist)
-        losses, kds, start = [], [], 0
+        losses, kds, first_row = [], [], 0
         for sample, mask in zip(samples, self.MASKS):
             if not mask:
                 losses.append(0.0)
@@ -371,13 +385,12 @@ class TestBatchedStep:
             corrupted[mask] = CFG.vocab.mask_id
             logits = talker.forward(params, CFG, corrupted,
                                     talker.align_for_canvas(params, CFG, sample.source, T))
-            tea_i = (TeacherTargets(z_tea=tea.z_tea[start:start + T], valid=tea.valid[start:start + T])
-                     if distill else None)
+            tea_i = tea[first_row:first_row + len(mask)] if distill else None
             loss_i, kd_i, _ = distill_loss(logits, sample.target, mask, tea_i, dcfg)
             loss_i.backward()
             losses.append(loss_i.item())
             kds.append(kd_i)
-            start += T
+            first_row += len(mask)
         assert total.item() == pytest.approx(np.sum(losses), rel=1e-12)
         assert kd == pytest.approx(np.sum(kds), rel=1e-12, abs=0.0)
         assert (kd > 0) == distill
@@ -403,14 +416,14 @@ class TestBatchedStep:
             assert rows_per_forward == [21, 12, 12]
         starts = np.cumsum([0] + batch.lengths)
         kept = [(s, m) for s, m in zip(samples, masks) if m]
-        for (sample, mask), lo, hi in zip(kept, starts[:-1], starts[1:]):
+        first_rows = np.cumsum([0] + [len(m) for _, m in kept])
+        for (sample, mask), lo, hi, first_row in zip(kept, starts[:-1], starts[1:], first_rows):
             corrupted = batch.corrupted[lo:hi]
             aligned = talker.align_for_canvas(teacher, CFG, sample.source, hi - lo)
             one, one_final, _ = teacher_rollout(
                 corrupted, np.array(mask),
                 lambda toks, seqs: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K)
-            np.testing.assert_array_equal(tea.valid[lo:hi], one.valid)
-            np.testing.assert_array_equal(tea.z_tea[lo:hi], one.z_tea)
+            np.testing.assert_array_equal(tea[first_row:first_row + len(mask)], one)
             np.testing.assert_array_equal(final[lo:hi], one_final)
 
     def test_rollout_blocks_are_per_sequence(self):
@@ -423,8 +436,8 @@ class TestBatchedStep:
         targets, _, n_fwd = teacher_rollout(np.zeros(T, int), mask, teacher, B=4, K=4, lengths=[6, 6])
         assert n_fwd == 2
         step1 = teacher.history[0]
-        assert sum(np.array_equal(targets.z_tea[t], step1[t]) for t in (4, 5)) == 1
-        assert sum(np.array_equal(targets.z_tea[t], step1[t]) for t in (6, 7)) == 1
+        assert sum(map(np.array_equal, targets[:2], step1[4:6])) == 1  # rows of positions 4, 5
+        assert sum(map(np.array_equal, targets[2:], step1[6:8])) == 1  # rows of positions 6, 7
         with pytest.raises(ParameterError):
             teacher_rollout(np.zeros(T, int), mask, teacher, B=4, K=2, lengths=[6, 5])
 
