@@ -20,7 +20,7 @@ parameter gradients of one pass per sequence.
 
 Under :func:`no_grad` no op records parents or a backward function, and
 the ops of a model forward (:func:`matmul`, :func:`add`, :func:`relu`,
-:func:`rmsnorm_rows`, :func:`embedding`, :func:`masked_attention`) return
+:func:`rmsnorm_rows`, :func:`take_rows`, :func:`masked_attention`) return
 as soon as they have their output: they build no backward closure and
 keep nothing for a backward pass. Every inference forward runs this way
 (streaming decode, the bench's eval decodes, the distillation teacher).
@@ -74,10 +74,10 @@ def sequences(lengths):
     The ops whose arithmetic could see several sequences at once then take
     them one at a time: a matmul computes its product and input gradient
     block by block (a BLAS kernel may round a row differently when other
-    rows share the call), and a matmul, a row-broadcast add and an
-    embedding sum their weight gradients per sequence, adding the
-    sequences' sums in order. A stacked batch then computes bit for bit
-    what one forward and backward pass per sequence computes.
+    rows share the call), and a matmul, a row-broadcast add and a
+    :func:`take_rows` gather sum their weight gradients per sequence,
+    adding the sequences' sums in order. A stacked batch then computes
+    bit for bit what one forward and backward pass per sequence computes.
     """
     global _ROW_BLOCKS
     prev = _ROW_BLOCKS
@@ -283,62 +283,34 @@ def rmsnorm_rows(a: Tensor, eps: float = 1e-6) -> Tensor:
     return _result(x * inv, (a,), backward)
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows ``table[ids]``; backward scatter-adds into the table."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1:
-        raise DimensionError(f"embedding ids must be 1-D, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise DimensionError(f"embedding id out of range [0, {table.data.shape[0]})")
-    out = table.data[ids]
+def take_rows(src: Tensor, index) -> Tensor:
+    """Gather ``out[t] = src[index[t]]``, a zero row where ``index[t] == -1``.
+
+    The one op that moves rows: embedding lookups, the conditioning stream
+    laid out on a canvas and the rows a loss reads. Backward scatter-adds
+    into ``src``.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1:
+        raise DimensionError(f"row index must be 1-D, got shape {index.shape}")
+    n = src.data.shape[0]
+    if index.size and (index.min() < -1 or index.max() >= n):
+        raise DimensionError(f"row index outside [-1, {n})")
+    out = src.data[index]
+    missing = index < 0
+    out[missing] = 0.0
     if not _GRAD_ENABLED:
         return _wrap(out)
-    blocks = _row_blocks(len(ids))
+    blocks = _row_blocks(len(index))
 
     def backward(g):
         parts = []
         for rows in blocks:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids[rows], g[rows])
-            parts.append(gt)
-        return ((table, _sum_in_order(parts)),)
-
-    return _result(out, (table,), backward)
-
-
-def take_rows(a: Tensor, rows) -> Tensor:
-    """Gather a subset of rows by index, or a ``slice`` of them as a view."""
-    if not isinstance(rows, slice):
-        rows = np.asarray(rows, dtype=np.intp)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        if isinstance(rows, slice):
-            ga[rows] += g
-        else:
-            np.add.at(ga, rows, g)
-        return ((a, ga),)
-
-    return _result(a.data[rows], (a,), backward)
-
-
-def place_rows(src: Tensor, row_for_pos, n_rows: int) -> Tensor:
-    """Build an ``n_rows`` x d matrix with ``out[t] = src[row_for_pos[t]]``.
-
-    Positions with ``row_for_pos[t] < 0`` become zero rows. Used to lay out
-    sparse conditioning rows onto a longer timeline.
-    """
-    row_for_pos = np.asarray(row_for_pos, dtype=np.intp)
-    if row_for_pos.shape != (n_rows,):
-        raise DimensionError(f"row_for_pos must have shape ({n_rows},), got {row_for_pos.shape}")
-    valid = row_for_pos >= 0
-    out = np.zeros((n_rows, src.data.shape[1]), dtype=np.float64)
-    out[valid] = src.data[row_for_pos[valid]]
-
-    def backward(g):
-        gs = np.zeros_like(src.data)
-        np.add.at(gs, row_for_pos[valid], g[valid])
-        return ((src, gs),)
+            gs = np.zeros_like(src.data)
+            keep = ~missing[rows]
+            np.add.at(gs, index[rows][keep], g[rows][keep])
+            parts.append(gs)
+        return ((src, _sum_in_order(parts)),)
 
     return _result(out, (src,), backward)
 
@@ -377,29 +349,25 @@ def masked_cross_entropy(logits: Tensor, targets, mask_positions, counts=None) -
     targets = np.asarray(targets, dtype=np.intp)
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
     T, V = logits.data.shape
-    if mask_positions.size == 0:
-        return _result(np.float64(0.0), (logits,), lambda g: ((logits, np.zeros_like(logits.data)),))
-    if mask_positions.min() < 0 or mask_positions.max() >= T:
+    if mask_positions.size and (mask_positions.min() < 0 or mask_positions.max() >= T):
         raise ParameterError(f"mask positions must lie in [0, {T})")
     tgt = targets[mask_positions]
-    if tgt.min() < 0 or tgt.max() >= V:
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= V):
         raise ParameterError(f"targets at masked positions must lie in [0, {V})")
     if counts is not None and np.shape(counts) != mask_positions.shape:
         raise DimensionError(f"counts must have shape {mask_positions.shape}, got {np.shape(counts)}")
     inv = None if counts is None else 1.0 / np.asarray(counts, dtype=np.float64)
-    rows = logits.data[mask_positions]
-    logp = _log_softmax(rows)
+    rows = take_rows(logits, mask_positions)
+    logp = _log_softmax(rows.data)
     nll = -logp[np.arange(len(mask_positions)), tgt]
     loss = nll.sum() if inv is None else (nll * inv).sum()
 
     def backward(g):
         grows = np.exp(logp)
         grows[np.arange(len(mask_positions)), tgt] -= 1.0
-        gl = np.zeros_like(logits.data)
-        np.add.at(gl, mask_positions, grows * (g if inv is None else inv[:, None] * g))
-        return ((logits, gl),)
+        return ((rows, grows * (g if inv is None else inv[:, None] * g)),)
 
-    return _result(np.float64(loss), (logits,), backward)
+    return _result(np.float64(loss), (rows,), backward)
 
 
 def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str = "reverse",

@@ -194,15 +194,17 @@ class AlignedSemantics:
 
 def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: int) -> AlignedSemantics:
     """The conditioning stream for a length-``T`` canvas: the source's rows
-    of the learned source embedding table at the anchors, in order."""
+    of the learned source embedding table at the anchors, in order, as one
+    gather of that table whose index holds the source ids at the anchors
+    and -1 (a zero row) everywhere else."""
     source_tokens = np.asarray(source_tokens, dtype=np.intp)
     if source_tokens.size and not 0 <= source_tokens.min() <= source_tokens.max() < cfg.src_vocab:
         raise InputError(f"source token id outside [0, src_vocab={cfg.src_vocab})")
     anchors = np.nonzero(np.arange(T) % cfg.B < cfg.Q)[0]
     n_placed = min(len(source_tokens), len(anchors))
-    row_for_pos = np.full(T, -1, dtype=np.intp)
-    row_for_pos[anchors[:n_placed]] = np.arange(n_placed)
-    h_prime = nd.place_rows(nd.embedding(params["src_embed"], source_tokens), row_for_pos, T)
+    index = np.full(T, -1, dtype=np.intp)
+    index[anchors[:n_placed]] = source_tokens[:n_placed]
+    h_prime = nd.take_rows(params["src_embed"], index)
     return AlignedSemantics(T=T, h_prime=h_prime, n_dropped=len(source_tokens) - n_placed)
 
 
@@ -264,12 +266,12 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
     seqs = [(n, offset + n) for n in lengths]
     h_prime = aligned.h_prime
     if aligned.T > T:  # one sequence: its rows are positions offset..end-1
-        h_prime = nd.take_rows(h_prime, slice(offset, end))
+        h_prime = nd.take_rows(h_prime, np.arange(offset, end))
 
     with nd.sequences(lengths):
-        emb = nd.embedding(params["tok_embed"], tokens)
+        emb = nd.take_rows(params["tok_embed"], tokens)
         x = fuse(emb, h_prime, params["fusion.W1"], params["fusion.b1"], params["fusion.W2"], params["fusion.b2"])
-        x = nd.add(x, nd.embedding(params["pos_embed"], positions))
+        x = nd.add(x, nd.take_rows(params["pos_embed"], positions))
 
         for layer in range(cfg.n_layers):
             wq, wk, wv, wo, ffn_in, ffn_out = params.layer(layer)

@@ -119,6 +119,35 @@ class TestMaskedCrossEntropy:
         with pytest.raises(ParameterError):
             nd.masked_cross_entropy(logits, np.array([0, 7]), np.array([1]))
 
+    @pytest.mark.parametrize("position", [-1, 3])
+    def test_position_outside_rows_rejected(self, position):
+        # take_rows alone would read -1 as a zero row
+        logits = nd.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ParameterError):
+            nd.masked_cross_entropy(logits, np.array([0, 1, 2]), np.array([0, position]))
+
+
+class TestTakeRows:
+    def test_minus_one_is_a_zero_row_that_sends_no_gradient(self):
+        rng = nd.make_rng(5)
+        src = nd.Tensor(-np.abs(rng.normal(size=(5, 3))), requires_grad=True)
+        index = np.array([2, -1, 0, 2, -1, 1])
+        out = nd.take_rows(src, index)
+        valid = index >= 0
+        np.testing.assert_array_equal(out.data[valid], src.data[index[valid]])
+        assert (out.data[~valid] == 0.0).all() and not np.signbit(out.data[~valid]).any()
+        g = rng.normal(size=(6, 3))
+        ((parent, grad),) = out._backward(g)
+        want = np.zeros((5, 3))
+        np.add.at(want, index[valid], g[valid])
+        assert parent is src
+        np.testing.assert_array_equal(grad, want)  # rows 3 and 4 get none
+
+    @pytest.mark.parametrize("index", [[0, -2], [0, 5], [[0, 1]]])
+    def test_index_outside_rows_or_not_1d_rejected(self, index):
+        with pytest.raises(DimensionError):
+            nd.take_rows(nd.Tensor(np.zeros((5, 3))), index)
+
 
 class TestKLRows:
     def test_identical_logits_zero(self):
@@ -318,7 +347,7 @@ class TestSequences:
         params = {"table": table, "w": w, "bias": bias}
 
         def loss(rows):
-            logits = nd.add(nd.matmul(nd.embedding(table, ids[rows]), w), bias)
+            logits = nd.add(nd.matmul(nd.take_rows(table, ids[rows]), w), bias)
             return nd.masked_cross_entropy(logits, tgt[rows], np.arange(len(ids[rows])))
 
         nd.zero_grads(params.values())
@@ -532,8 +561,8 @@ class TestTapeMechanics:
         a, b, row = (nd.Tensor(np.ones(shape), requires_grad=True) for shape in ((3, 4), (4, 4), 4))
         ops = [lambda: nd.matmul(a, b), lambda: nd.add(a, a),
                lambda: nd.add(a, row), lambda: nd.scale(a, 2.0), lambda: nd.relu(a),
-               lambda: nd.rmsnorm_rows(a), lambda: nd.embedding(b, [0, 3]),
-               lambda: nd.take_rows(a, [2, 0]), lambda: nd.place_rows(a, [1, -1], 2),
+               lambda: nd.rmsnorm_rows(a), lambda: nd.take_rows(b, [0, 3]),
+               lambda: nd.take_rows(a, [2, 0]), lambda: nd.take_rows(a, [1, -1]),
                lambda: nd.concat_rows([a, a]),
                lambda: nd.masked_attention(a, a, a, [(3, 3)], 2, n_heads=2),
                lambda: nd.masked_cross_entropy(a, [0, 1, 2], [0, 2]),

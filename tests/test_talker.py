@@ -148,6 +148,18 @@ class TestAlign:
         report = nd.grad_check(loss, {"src_embed": embed})
         assert report.max_rel_err < 1e-6
 
+    def test_src_embed_gradient_is_a_scatter_over_the_anchors_in_order(self):
+        rng = nd.make_rng(6)
+        embed = nd.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        source = np.array([3, 1, 3, 0, 1, 3, 2])  # repeated ids; 4 anchors, so 3 rows dropped
+        out = stream(embed, source, 16, B=8, Q=2)
+        assert out.n_dropped == 3
+        g = rng.normal(size=(16, 5))
+        ((_, grad),) = out.h_prime._backward(g)
+        want = np.zeros((4, 5))
+        np.add.at(want, source[:4], g[[0, 1, 8, 9]])
+        np.testing.assert_array_equal(grad, want)
+
 
 FUSION_PARAMS = ("fusion.W1", "fusion.b1", "fusion.W2", "fusion.b2")
 
