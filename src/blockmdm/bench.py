@@ -106,9 +106,9 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, eva
     :func:`decode_eval` results over ``sources`` (in order, same
     ``max_blocks``; any number per K).
 
-    Stages: building the aligned conditioning stream, the talker's
-    diffusion steps for the first block, and post-processing (EOS scan and
-    emission). The talker stage is read from the eval decodes' traces of
+    Stages: building the conditioning stream's index, the talker's
+    diffusion steps for the first block (whose forwards gather the stream's
+    rows), and post-processing (EOS scan and emission). The talker stage is read from the eval decodes' traces of
     each source's first block, pooled over the results of a K; no model
     forward runs here. The two microsecond stages are timed here, post on
     each source's first chunk as its K's first eval decode emitted it.
@@ -134,8 +134,7 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, eva
     canvas_T = decode_mod.canvas_length(tcfg, DecodeConfig(B=tcfg.B, max_blocks=max_blocks))
 
     def semantics(source):
-        with nd.no_grad():
-            return talker.align_for_canvas(params, tcfg, source, canvas_T)
+        return talker.align_for_canvas(params, tcfg, source, canvas_T)
 
     def post(block):
         hits = np.nonzero(block == tcfg.vocab.eos_id)[0]

@@ -341,11 +341,11 @@ def cmd_gradcheck(ns) -> int:
     source = rng.integers(0, cfg.src_vocab, max(1, ns.T // 8))
     targets = rng.integers(0, cfg.vocab.data_tokens, ns.T)
     mask = np.sort(rng.choice(ns.T, max(1, ns.T // 3), replace=False))
+    aligned = talker.align_for_canvas(params, cfg, source, ns.T)
 
     def loss_fn():
-        aligned = talker.align_for_canvas(params, cfg, source, ns.T)
-        logits = talker.forward(params, cfg, tokens, aligned)
-        return nd.scale(nd.masked_cross_entropy(logits, targets, mask), 1.0 / len(mask))
+        rows = nd.take_rows(talker.forward(params, cfg, tokens, aligned), mask)
+        return nd.scale(nd.cross_entropy_rows(rows, targets[mask]), 1.0 / len(mask))
 
     report = nd.grad_check(loss_fn, params, epsilon=ns.epsilon,
                            max_coords_per_param=ns.coords, rng=nd.make_rng(ns.seed + 1))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nd, talker
+from . import talker
 from .errors import DecodeError, ParameterError
 from .talker import AlignedSemantics, TalkerConfig, TalkerParams
 
@@ -224,6 +224,5 @@ def decode_source(source_tokens, params: TalkerParams, tcfg: TalkerConfig,
                   dcfg: DecodeConfig) -> DecodeResult:
     """Convenience wrapper: build the conditioning stream for a source
     sequence over the full block budget, then decode."""
-    with nd.no_grad():
-        aligned = talker.align_for_canvas(params, tcfg, source_tokens, canvas_length(tcfg, dcfg))
+    aligned = talker.align_for_canvas(params, tcfg, source_tokens, canvas_length(tcfg, dcfg))
     return decode(aligned, params, tcfg, dcfg)

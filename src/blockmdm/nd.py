@@ -5,8 +5,8 @@ record backward closures onto a tape so a scalar loss can be
 backpropagated to every parameter that fed it. A parameter is a Tensor
 with ``requires_grad=True``, named by its key in the mapping that holds
 it. The set of operations is deliberately small: exactly the primitives a
-small transformer with masked attention, masked cross-entropy and a KL
-distillation loss needs.
+small transformer with masked attention, a cross-entropy over gathered
+rows and a KL distillation loss needs.
 
 Activations are ``rows x width`` matrices. A batch is several sequences
 stacked sample-major, with no padding, so row-wise ops run on the stacked
@@ -315,17 +315,6 @@ def take_rows(src: Tensor, index) -> Tensor:
     return _result(out, (src,), backward)
 
 
-def concat_rows(parts) -> Tensor:
-    """Stack matrices of equal width on top of each other."""
-    parts = list(parts)
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def backward(g):
-        return tuple((p, g[offsets[i]:offsets[i + 1]]) for i, p in enumerate(parts))
-
-    return _result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
-
-
 # ---------------------------------------------------------------------------
 # softmax / losses / attention
 # ---------------------------------------------------------------------------
@@ -337,34 +326,28 @@ def _log_softmax(z):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def masked_cross_entropy(logits: Tensor, targets, mask_positions, counts=None) -> Tensor:
-    """Summed negative log-likelihood over the masked positions only.
+def cross_entropy_rows(rows: Tensor, targets, counts=None) -> Tensor:
+    """Summed negative log-likelihood of one target per row.
 
-    Returns the scalar ``-sum_{t in mask} log p(targets[t] | logits[t])``;
-    the gradient is nonzero only at masked rows. ``counts`` gives per
-    masked position the masked count of its sequence, and each term is
-    divided by it: the result is then the sum over sequences of their mean.
-    An empty mask gives exactly zero loss and zero gradient.
+    Returns the scalar ``-sum_i log p(targets[i] | rows[i])``. ``counts``
+    gives per row the row count of its sequence, and each term is divided
+    by it: the result is then the sum over sequences of their mean. No rows
+    give exactly zero loss and zero gradient.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    mask_positions = np.asarray(mask_positions, dtype=np.intp)
-    T, V = logits.data.shape
-    if mask_positions.size and (mask_positions.min() < 0 or mask_positions.max() >= T):
-        raise ParameterError(f"mask positions must lie in [0, {T})")
-    tgt = targets[mask_positions]
-    if tgt.size and (tgt.min() < 0 or tgt.max() >= V):
-        raise ParameterError(f"targets at masked positions must lie in [0, {V})")
-    if counts is not None and np.shape(counts) != mask_positions.shape:
-        raise DimensionError(f"counts must have shape {mask_positions.shape}, got {np.shape(counts)}")
+    n, V = rows.data.shape
+    if targets.shape != (n,) or counts is not None and np.shape(counts) != (n,):
+        raise DimensionError(f"{n} rows need one target and count each, got {targets.shape} and {np.shape(counts)}")
+    if n and (targets.min() < 0 or targets.max() >= V):
+        raise ParameterError(f"targets must lie in [0, {V})")
     inv = None if counts is None else 1.0 / np.asarray(counts, dtype=np.float64)
-    rows = take_rows(logits, mask_positions)
     logp = _log_softmax(rows.data)
-    nll = -logp[np.arange(len(mask_positions)), tgt]
+    nll = -logp[np.arange(n), targets]
     loss = nll.sum() if inv is None else (nll * inv).sum()
 
     def backward(g):
         grows = np.exp(logp)
-        grows[np.arange(len(mask_positions)), tgt] -= 1.0
+        grows[np.arange(n), targets] -= 1.0
         return ((rows, grows * (g if inv is None else inv[:, None] * g)),)
 
     return _result(np.float64(loss), (rows,), backward)

@@ -1,15 +1,16 @@
 """The mask-predictor transformer, its conditioning stream and its
 checkpoint format.
 
-The conditioning stream spreads a source's rows of the learned source
-embedding table over a length-``T`` canvas: row ``m`` goes to the
-``m``-th anchor and every other position holds zeros. Anchors are the
-first ``Q`` positions of every block (those that exist in a ragged last
-block), so each block carries a bounded, prefix-only slice of the stream:
-changing row ``m`` changes only the block holding anchor ``m`` (no future
-leakage). Rows beyond the last anchor are dropped and counted. The model
-input is ``relu((E + h') @ W1 + b1) @ W2 + b2`` per position, over token
-embeddings ``E`` and the stream ``h'``.
+The conditioning stream of a length-``T`` canvas is an index into the
+learned source embedding table: the ``m``-th anchor holds the source's
+``m``-th id and every other position -1. :func:`forward` gathers its rows
+(zeros at -1) as it gathers the token and position embeddings. Anchors
+are the first ``Q`` positions of every block (those that exist in a
+ragged last block), so each block carries a bounded, prefix-only slice of
+the stream: changing row ``m`` changes only the block holding anchor
+``m`` (no future leakage). Ids beyond the last anchor are dropped and
+counted. The model input is ``relu((E + h') @ W1 + b1) @ W2 + b2`` per
+position, over token embeddings ``E`` and the gathered stream ``h'``.
 
 Block-causal attention: tokens attend bidirectionally inside their own
 block and causally to every earlier block, never to later blocks. The
@@ -30,7 +31,6 @@ Checkpoint format (binary, little-endian):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, asdict, fields
 
@@ -112,12 +112,6 @@ class TalkerParams(dict):
         """A deep copy: new parameters over copied arrays, with zero gradients."""
         return TalkerParams((name, nd.Tensor(p.data.copy(), requires_grad=True)) for name, p in self.items())
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for p in self.values():
-            h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-        return h.hexdigest()
-
 
 def init_params(cfg: TalkerConfig, rng, std: float = 0.02) -> TalkerParams:
     """Fresh parameters for every entry of :func:`param_shapes`: matrices
@@ -182,21 +176,25 @@ class KVCache:
 
 @dataclass
 class AlignedSemantics:
-    """Length-``T`` conditioning matrix, nonzero only at anchor rows.
+    """A canvas's conditioning stream: per position the ``src_embed`` row
+    that :func:`forward` gathers there, or -1 for a zero row.
 
     ``n_dropped`` counts the surplus conditioning rows that found no anchor.
     """
 
-    T: int
-    h_prime: nd.Tensor
+    index: np.ndarray
     n_dropped: int = 0
+
+    @property
+    def T(self) -> int:
+        return len(self.index)
 
 
 def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: int) -> AlignedSemantics:
-    """The conditioning stream for a length-``T`` canvas: the source's rows
-    of the learned source embedding table at the anchors, in order, as one
-    gather of that table whose index holds the source ids at the anchors
-    and -1 (a zero row) everywhere else."""
+    """The conditioning stream for a length-``T`` canvas: the source ids at
+    the anchors, in order, and -1 everywhere else. It reads no parameter
+    (``params`` is unused) and builds no Tensor, so it runs the same with
+    the tape on or off."""
     source_tokens = np.asarray(source_tokens, dtype=np.intp)
     if source_tokens.size and not 0 <= source_tokens.min() <= source_tokens.max() < cfg.src_vocab:
         raise InputError(f"source token id outside [0, src_vocab={cfg.src_vocab})")
@@ -204,14 +202,13 @@ def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: 
     n_placed = min(len(source_tokens), len(anchors))
     index = np.full(T, -1, dtype=np.intp)
     index[anchors[:n_placed]] = source_tokens[:n_placed]
-    h_prime = nd.take_rows(params["src_embed"], index)
-    return AlignedSemantics(T=T, h_prime=h_prime, n_dropped=len(source_tokens) - n_placed)
+    return AlignedSemantics(index=index, n_dropped=len(source_tokens) - n_placed)
 
 
 def stack_aligned(parts) -> AlignedSemantics:
     """Conditioning streams of single sequences stacked sample-major, as
     :func:`forward` takes them for a batch of those sequences."""
-    return AlignedSemantics(T=sum(a.T for a in parts), h_prime=nd.concat_rows([a.h_prime for a in parts]),
+    return AlignedSemantics(index=np.concatenate([a.index for a in parts]),
                             n_dropped=sum(a.n_dropped for a in parts))
 
 
@@ -230,14 +227,15 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
 
     ``lengths`` splits ``tokens`` into sequences stacked sample-major with
     no padding (default: one sequence); ``aligned`` then covers exactly
-    those rows, as :func:`stack_aligned` stacks them. Attention sees each
-    sequence on its own, and under :func:`nd.sequences` every sequence gets
-    the arithmetic of a forward pass of its own. Positions in block ``k``
-    of a sequence are a function of its blocks ``<= k`` only, given the
-    conditioning stream.
+    those rows, as :func:`stack_aligned` stacks them. The stream's rows of
+    ``src_embed`` are one gather, beside the token and position embedding
+    gathers. Attention sees each sequence on its own, and under
+    :func:`nd.sequences` every sequence gets the arithmetic of a forward
+    pass of its own. Positions in block ``k`` of a sequence are a function
+    of its blocks ``<= k`` only, given the conditioning stream.
     With a ``cache`` (one sequence, inference only, under
-    :func:`nd.no_grad`), ``tokens`` are the rows from position
-    ``cache.rows`` onward and the logits cover those rows only.
+    :func:`nd.no_grad`), ``tokens`` and the stream's index are read from
+    position ``cache.rows`` onward and the logits cover those rows only.
     """
     tokens = np.asarray(tokens, dtype=np.intp)
     T = len(tokens)
@@ -264,12 +262,10 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
     else:
         positions = np.concatenate([np.arange(n) for n in lengths])  # no cache: offset 0
     seqs = [(n, offset + n) for n in lengths]
-    h_prime = aligned.h_prime
-    if aligned.T > T:  # one sequence: its rows are positions offset..end-1
-        h_prime = nd.take_rows(h_prime, np.arange(offset, end))
 
     with nd.sequences(lengths):
         emb = nd.take_rows(params["tok_embed"], tokens)
+        h_prime = nd.take_rows(params["src_embed"], aligned.index[offset:end])
         x = fuse(emb, h_prime, params["fusion.W1"], params["fusion.b1"], params["fusion.W2"], params["fusion.b2"])
         x = nd.add(x, nd.take_rows(params["pos_embed"], positions))
 

@@ -134,21 +134,25 @@ def distill_loss(student_logits: nd.Tensor, targets, mask_positions, tea, cfg: D
     alone when ``tea`` is None.
 
     ``tea`` holds one row of teacher logits per masked position, in
-    ``mask_positions`` order (else :class:`DimensionError`). Both terms are
-    normalized by the masked count so the mix is scale-compatible; the KD
-    term carries its usual ``tau^2`` factor. For sequences stacked
-    sample-major, ``counts`` gives per masked position the masked count of
-    its sequence, which makes the loss the sum of the per-sequence losses.
-    An empty mask gives zero loss and gradient. Returns ``(loss, kd_value,
-    mdm_value)`` with the scalars as floats.
+    ``mask_positions`` order (else :class:`DimensionError`); both terms read
+    one gather of those rows. Both are normalized by the masked count so
+    the mix is scale-compatible; the KD term carries its usual ``tau^2``
+    factor. For sequences stacked sample-major, ``counts`` gives per masked
+    position the masked count of its sequence, which makes the loss the sum
+    of the per-sequence losses. An empty mask gives zero loss and gradient.
+    Returns ``(loss, kd_value, mdm_value)`` with the scalars as floats.
     """
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
+    T = student_logits.data.shape[0]
+    if mask_positions.size and (mask_positions.min() < 0 or mask_positions.max() >= T):
+        raise ParameterError(f"mask positions must lie in [0, {T})")  # the gather reads -1 as a zero row
     if counts is None:
         counts = np.full(len(mask_positions), len(mask_positions))
-    mdm = nd.masked_cross_entropy(student_logits, targets, mask_positions, counts)
+    rows = nd.take_rows(student_logits, mask_positions)
+    mdm = nd.cross_entropy_rows(rows, np.asarray(targets, dtype=np.intp)[mask_positions], counts)
     if tea is None:
         return mdm, 0.0, mdm.item()
-    kd = nd.kl_rows(nd.take_rows(student_logits, mask_positions), tea, cfg.tau, cfg.kl_direction, counts)
+    kd = nd.kl_rows(rows, tea, cfg.tau, cfg.kl_direction, counts)
     loss = nd.add(nd.scale(kd, cfg.alpha), nd.scale(mdm, 1.0 - cfg.alpha))
     return loss, kd.item(), mdm.item()
 
@@ -311,10 +315,8 @@ def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
     student = start_params.copy()
 
     def targets_fn(batch):
-        with nd.no_grad():
-            parts = [talker.align_for_canvas(start_params, cfg, source, n)
-                     for source, n in zip(batch.sources, batch.lengths)]
-
+        parts = [talker.align_for_canvas(start_params, cfg, source, n)
+                 for source, n in zip(batch.sources, batch.lengths)]
         rows = []
 
         def forward_fn(tokens, seqs):

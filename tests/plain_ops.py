@@ -2,16 +2,18 @@
 
 These are the ops in their straightforward form: ``np.mean`` RMSNorm, an
 ``np.where`` ReLU, attention that fills hidden scores with ``-inf`` whether
-or not any are hidden and takes a fresh softmax, a gather of the
-conditioning rows by index, and every product taken per sequence block
-with ``np.matmul(..., out=)``. Each records its backward onto the package's
-tape exactly as the package does, so a forward and backward pass through
-:func:`reference_forward` must give bit for bit the logits and parameter
-gradients of ``talker.forward``. The edit-distance table here is the
-oracle for ``synthtask.token_error_rate``.
+or not any are hidden and takes a fresh softmax, an ``np.where`` gather of
+embedding rows by id that reads -1 as a zero row, and every product taken
+per sequence block with ``np.matmul(..., out=)``. Each records its backward
+onto the package's tape exactly as the package does, so a forward and
+backward pass through :func:`reference_forward` must give bit for bit the
+logits and parameter gradients of ``talker.forward``. The edit-distance
+table here is the oracle for ``synthtask.token_error_rate``; the other
+helpers serve several test modules.
 """
 
 import functools
+import hashlib
 import math
 import operator
 
@@ -72,24 +74,34 @@ def rmsnorm(a, eps=1e-6):
 
 
 def embedding(table, ids, blocks):
+    """Rows of ``table`` by id, a zero row where the id is -1; the gradient
+    scatters per sequence block, and the -1 rows send none."""
+    present = ids >= 0
+
     def backward(g):
         parts = []
         for rows in blocks:
             gt = np.zeros_like(table.data)
-            np.add.at(gt, ids[rows], g[rows])
+            np.add.at(gt, ids[rows][present[rows]], g[rows][present[rows]])
             parts.append(gt)
         return ((table, sum_in_order(parts)),)
 
-    return node(table.data[ids], (table,), backward)
+    return node(np.where(present[:, None], table.data[ids], 0.0), (table,), backward)
 
 
-def take_rows(a, rows):
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, rows, g)
-        return ((a, ga),)
+def masked_cross_entropy(logits, targets, positions, counts=None):
+    """The cross-entropy of the rows at ``positions`` against their targets,
+    gathered as ``training.distill_loss`` gathers them."""
+    positions = np.asarray(positions, dtype=np.intp)
+    return nd.cross_entropy_rows(nd.take_rows(logits, positions), np.asarray(targets)[positions], counts)
 
-    return node(a.data[rows], (a,), backward)
+
+def param_digest(params) -> str:
+    """SHA-256 of every parameter's little-endian float64 bytes, in table order."""
+    h = hashlib.sha256()
+    for p in params.values():
+        h.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def softmax(z):
@@ -181,9 +193,9 @@ def reference_forward(params, cfg, tokens, aligned, lengths=None, prefix=None):
     blocks = [slice(int(e) - n, int(e)) for e, n in zip(ends, lengths)]
     positions = np.concatenate([np.arange(offset, offset + n) for n in lengths])
     masks = [block_causal_mask(offset + n, cfg.B)[offset:] for n in lengths]
-    h_prime = aligned.h_prime if aligned.T == len(tokens) else take_rows(aligned.h_prime, positions)
+    stream = aligned.index if aligned.T == len(tokens) else aligned.index[positions]
 
-    x = add(embedding(params["tok_embed"], tokens, blocks), h_prime, blocks)
+    x = add(embedding(params["tok_embed"], tokens, blocks), embedding(params["src_embed"], stream, blocks), blocks)
     u = relu(add(matmul(x, params["fusion.W1"], blocks), params["fusion.b1"], blocks))
     x = add(matmul(u, params["fusion.W2"], blocks), params["fusion.b2"], blocks)
     x = add(x, embedding(params["pos_embed"], positions, blocks), blocks)

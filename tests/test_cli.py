@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from plain_ops import param_digest
 
 import blockmdm
 from blockmdm import synthtask, talker
@@ -99,7 +100,7 @@ class TestTrainAndDistill:
         assert rc == 0
         cfg, params = talker.load_checkpoint(out)
         _, start = talker.load_checkpoint(checkpoint)
-        assert params.digest() != start.digest()
+        assert param_digest(params) != param_digest(start)
 
     @pytest.mark.parametrize("command", ["train", "distill"])
     def test_log_jsonl_one_event_per_step(self, command, corpus, checkpoint, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockmdm import nd
 from blockmdm.errors import DimensionError, NonFiniteError, ParameterError
+from blockmdm.training import DistillConfig, distill_loss
 
 
 def tensors(*arrays):
@@ -44,7 +45,7 @@ class TestMatmul:
         tgt = np.array([0, 1, 0])
 
         def loss():
-            return nd.masked_cross_entropy(nd.matmul(a, b), tgt, np.arange(3))
+            return nd.cross_entropy_rows(nd.matmul(a, b), tgt)
 
         report = nd.grad_check(loss, {"a": a, "b": b})
         assert report.max_rel_err < 1e-6
@@ -89,27 +90,30 @@ class TestSoftmaxRows:
 
 
 class TestMaskedCrossEntropy:
+    """``nd.cross_entropy_rows`` on rows gathered at the masked positions,
+    as ``training.distill_loss`` gathers them."""
+
     def test_perfect_prediction_zero_loss(self):
         logits = nd.Tensor([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
-        loss = nd.masked_cross_entropy(logits, np.array([0, 1]), np.array([0, 1]))
+        loss = nd.cross_entropy_rows(logits, np.array([0, 1]))
         assert loss.item() == 0.0
 
     def test_uniform_logits_analytic(self):
         logits = nd.Tensor(np.zeros((3, 4)))
-        loss = nd.masked_cross_entropy(logits, np.array([2, 0, 1]), np.array([1]))
+        loss = plain_ops.masked_cross_entropy(logits, np.array([2, 0, 1]), np.array([1]))
         assert abs(loss.item() - math.log(4)) < 1e-12
 
     def test_gradient_zero_at_unmasked_rows(self):
         rng = nd.make_rng(2)
         logits = nd.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        loss = nd.masked_cross_entropy(logits, np.array([0, 1, 2, 3, 0]), np.array([1, 3]))
+        loss = plain_ops.masked_cross_entropy(logits, np.array([0, 1, 2, 3, 0]), np.array([1, 3]))
         loss.backward()
         np.testing.assert_array_equal(logits.grad[[0, 2, 4]], 0.0)
         assert np.abs(logits.grad[[1, 3]]).sum() > 0
 
     def test_empty_mask_zero_loss_zero_grad(self):
         logits = nd.Tensor(np.ones((3, 4)), requires_grad=True)
-        loss = nd.masked_cross_entropy(logits, np.array([0, 1, 2]), np.array([], dtype=int))
+        loss = plain_ops.masked_cross_entropy(logits, np.array([0, 1, 2]), np.array([], dtype=int))
         assert loss.item() == 0.0
         loss.backward()
         np.testing.assert_array_equal(logits.grad, 0.0)
@@ -117,14 +121,16 @@ class TestMaskedCrossEntropy:
     def test_bad_target_rejected(self):
         logits = nd.Tensor(np.zeros((2, 4)))
         with pytest.raises(ParameterError):
-            nd.masked_cross_entropy(logits, np.array([0, 7]), np.array([1]))
+            nd.cross_entropy_rows(logits, np.array([0, 7]))
+        with pytest.raises(DimensionError):  # one target per row
+            nd.cross_entropy_rows(logits, np.array([0]))
 
     @pytest.mark.parametrize("position", [-1, 3])
     def test_position_outside_rows_rejected(self, position):
-        # take_rows alone would read -1 as a zero row
+        # the loss's one gather would read -1 as a zero row
         logits = nd.Tensor(np.zeros((3, 4)))
-        with pytest.raises(ParameterError):
-            nd.masked_cross_entropy(logits, np.array([0, 1, 2]), np.array([0, position]))
+        with pytest.raises(ParameterError, match=r"\[0, 3\)"):
+            distill_loss(logits, np.array([0, 1, 2]), np.array([0, position]), None, DistillConfig())
 
 
 class TestTakeRows:
@@ -267,7 +273,7 @@ class TestMaskedAttention:
 
         def loss():
             out = nd.masked_attention(q, k, v, [(3, 7)], 2)
-            return nd.masked_cross_entropy(out, tgt, np.arange(3))
+            return nd.cross_entropy_rows(out, tgt)
 
         report = nd.grad_check(loss, {"q": q, "k": k, "v": v}, epsilon=1e-6, max_coords_per_param=28)
         assert report.max_rel_err < 1e-5, str(report)
@@ -316,7 +322,7 @@ class TestBatchedMultiHeadAttention:
 
         def loss():
             out = nd.masked_attention(q, k, v, self.SEQS, 3, n_heads=2)
-            return nd.masked_cross_entropy(out, tgt, np.arange(len(tgt)))
+            return nd.cross_entropy_rows(out, tgt)
 
         report = nd.grad_check(loss, {"q": q, "k": k, "v": v}, epsilon=1e-6, max_coords_per_param=64)
         assert report.max_rel_err < 1e-5, str(report)
@@ -348,7 +354,7 @@ class TestSequences:
 
         def loss(rows):
             logits = nd.add(nd.matmul(nd.take_rows(table, ids[rows]), w), bias)
-            return nd.masked_cross_entropy(logits, tgt[rows], np.arange(len(ids[rows])))
+            return nd.cross_entropy_rows(logits, tgt[rows])
 
         nd.zero_grads(params.values())
         with nd.sequences(self.LENGTHS):
@@ -391,7 +397,7 @@ class TestPlainFormulas:
                                 (lambda *t: plain_ops.attention(*t, [mask], 4), want)):
                 params = [nd.Tensor(a, requires_grad=True) for a in (q, k, v)]
                 y = attend(*params)
-                nd.masked_cross_entropy(y, tgt, np.arange(rows)).backward()
+                nd.cross_entropy_rows(y, tgt).backward()
                 out.extend([y.data] + [p.grad for p in params])
                 with nd.no_grad():
                     out.append(attend(*params).data)
@@ -437,7 +443,7 @@ class TestParam:
         x = nd.Tensor(rng.normal(size=(4, 3)))
 
         def loss():
-            return nd.masked_cross_entropy(nd.matmul(x, w), np.array([0, 4, 2, 1]), np.arange(4))
+            return nd.cross_entropy_rows(nd.matmul(x, w), np.array([0, 4, 2, 1]))
 
         loss().backward()
         once = w.grad.copy()
@@ -502,7 +508,7 @@ class TestGradCheck:
         tgt = np.array([0, 1, 2, 3])
 
         def loss():
-            return nd.masked_cross_entropy(nd.matmul(x, w), tgt, np.arange(4))
+            return nd.cross_entropy_rows(nd.matmul(x, w), tgt)
 
         report = nd.grad_check(loss, {"w": w}, epsilon=1e-6, max_coords_per_param=30)
         assert report.max_rel_err < 1e-7
@@ -513,8 +519,8 @@ class TestGradCheck:
         x = nd.Tensor(rng.normal(size=(2, 3)))
 
         def loss():
-            return nd.masked_cross_entropy(nd.matmul(x, w), np.array([0, 1]),
-                                           np.array([], dtype=int))
+            return plain_ops.masked_cross_entropy(nd.matmul(x, w), np.array([0, 1]),
+                                                  np.array([], dtype=int))
 
         report = nd.grad_check(loss, {"w": w}, max_coords_per_param=9)
         assert report.max_rel_err == 0.0
@@ -523,7 +529,7 @@ class TestGradCheck:
     def test_epsilon_range_enforced(self):
         w = nd.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ParameterError):
-            nd.grad_check(lambda: nd.masked_cross_entropy(w, np.array([0, 1]), np.array([0])),
+            nd.grad_check(lambda: plain_ops.masked_cross_entropy(w, np.array([0, 1]), np.array([0])),
                           {"w": w}, epsilon=1e-2)
 
 
@@ -547,7 +553,7 @@ class TestTapeMechanics:
 
         def loss():
             y = nd.add(x, nd.relu(x))
-            return nd.masked_cross_entropy(y, np.array([0, 1]), np.array([0, 1]))
+            return nd.cross_entropy_rows(y, np.array([0, 1]))
 
         report = nd.grad_check(loss, {"x": x}, max_coords_per_param=4)
         assert report.max_rel_err < 1e-7
@@ -563,9 +569,8 @@ class TestTapeMechanics:
                lambda: nd.add(a, row), lambda: nd.scale(a, 2.0), lambda: nd.relu(a),
                lambda: nd.rmsnorm_rows(a), lambda: nd.take_rows(b, [0, 3]),
                lambda: nd.take_rows(a, [2, 0]), lambda: nd.take_rows(a, [1, -1]),
-               lambda: nd.concat_rows([a, a]),
                lambda: nd.masked_attention(a, a, a, [(3, 3)], 2, n_heads=2),
-               lambda: nd.masked_cross_entropy(a, [0, 1, 2], [0, 2]),
+               lambda: nd.cross_entropy_rows(a, [0, 1, 2]),
                lambda: nd.kl_rows(a, np.zeros((3, 4)), 2.0)]
         with nd.no_grad():
             for op in ops:

@@ -1,7 +1,9 @@
 """Every top-level function, class and method of the package is named by
 code in ``src/`` outside its own definition, or by the benchmark in
 ``perfbench/``: a helper that only tests call does not belong in the
-package."""
+package. A method counts as named only through an attribute (``x.name``)
+or an identifier string, never through a bare name: a local variable
+that happens to share a method's name does not call it."""
 
 import ast
 import glob
@@ -23,14 +25,14 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def names_used(node):
-    """How often each name, attribute and identifier string (a name that
-    ``getattr`` looks up, as ``perfbench/tracing.py`` patches by name)
-    appears in the code under ``node``."""
+def names_used(node, bare=True):
+    """How often each attribute, identifier string (a name that ``getattr``
+    looks up, as ``perfbench/tracing.py`` patches by name) and, with
+    ``bare``, each bare name appears in the code under ``node``."""
     used = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            used[n.id] += 1
+            used[n.id] += bare
         elif isinstance(n, ast.Attribute):
             used[n.attr] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
@@ -47,15 +49,18 @@ def parse(pattern):
 
 
 def test_every_definition_has_a_caller_outside_tests():
-    src = parse("src/blockmdm/*.py")
-    in_src = sum((names_used(tree) for _, tree in src), Counter())
-    in_perfbench = sum((names_used(tree) for _, tree in parse("perfbench/*.py")), Counter())
+    src, perfbench = parse("src/blockmdm/*.py"), parse("perfbench/*.py")
+    counts = {bare: (sum((names_used(tree, bare) for _, tree in src), Counter()),
+                     sum((names_used(tree, bare) for _, tree in perfbench), Counter()))
+              for bare in (True, False)}
     unused = []
     for path, tree in src:
         for qualname, node in definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue  # called by the language, not by name
-            if in_src[name] == names_used(node)[name] and not in_perfbench[name]:
+            bare = "." not in qualname  # a method is named through attributes only
+            in_src, in_perfbench = counts[bare]
+            if in_src[name] == names_used(node, bare)[name] and not in_perfbench[name]:
                 unused.append(f"{path}: {qualname}")
     assert not unused, f"named only by tests, or by nothing: {unused}"

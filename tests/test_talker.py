@@ -67,19 +67,22 @@ class TestConfig:
 
 
 def stream(table, source, T, B, Q):
-    """:func:`talker.align_for_canvas` with a source embedding table of the test's choosing."""
+    """The conditioning stream :func:`talker.align_for_canvas` builds, and its
+    rows of a source embedding table of the test's choosing, gathered as
+    :func:`talker.forward` gathers them."""
     embed = table if isinstance(table, nd.Tensor) else nd.Tensor(np.asarray(table, float), requires_grad=True)
     cfg = TalkerConfig(src_vocab=embed.data.shape[0], d=embed.data.shape[1], n_heads=1, B=B, Q=Q)
-    return talker.align_for_canvas({"src_embed": embed}, cfg, source, T)
+    aligned = talker.align_for_canvas(None, cfg, source, T)  # it reads no parameter
+    return aligned, nd.take_rows(embed, aligned.index)
 
 
 def anchors_of(T, B, Q):
-    """The positions a source with a row for every position fills, checked
-    to hold its rows in order, with the rows beyond them counted as dropped."""
-    aligned = stream(np.arange(1.0, T + 1)[:, None], np.arange(T), T, B, Q)
-    col = aligned.h_prime.data[:, 0]
-    anchors = np.nonzero(col)[0]
-    np.testing.assert_array_equal(col[anchors], np.arange(1, len(anchors) + 1))
+    """The positions a source with an id for every position fills, checked
+    to hold its ids in order, with the ids beyond them counted as dropped."""
+    aligned, _ = stream(np.ones((T, 1)), np.arange(T), T, B, Q)
+    anchors = np.nonzero(aligned.index >= 0)[0]
+    np.testing.assert_array_equal(aligned.index[anchors], np.arange(len(anchors)))
+    np.testing.assert_array_equal(np.delete(aligned.index, anchors), -1)
     assert aligned.n_dropped == T - len(anchors)
     return anchors
 
@@ -107,34 +110,39 @@ class TestAnchors:
 class TestAlign:
     def test_rows_assigned_in_order(self):
         table = np.arange(12.0).reshape(3, 4)
-        out = stream(table, [0, 1, 2], 32, B=16, Q=4)
-        np.testing.assert_array_equal(out.h_prime.data[[0, 1, 2]], table)
+        out, rows = stream(table, [0, 1, 2], 32, B=16, Q=4)
+        np.testing.assert_array_equal(out.index[:3], [0, 1, 2])
+        np.testing.assert_array_equal(rows.data[[0, 1, 2]], table)
         rest = np.delete(np.arange(32), [0, 1, 2])
-        np.testing.assert_array_equal(out.h_prime.data[rest], 0.0)
+        np.testing.assert_array_equal(out.index[rest], -1)
+        np.testing.assert_array_equal(rows.data[rest], 0.0)
 
     def test_spill_into_second_block(self):
         table = np.arange(24.0).reshape(6, 4)
-        out = stream(table, np.arange(6), 32, B=16, Q=4)
-        np.testing.assert_array_equal(out.h_prime.data[16], table[4])
-        np.testing.assert_array_equal(out.h_prime.data[17], table[5])
+        out, rows = stream(table, np.arange(6), 32, B=16, Q=4)
+        np.testing.assert_array_equal(out.index[[16, 17]], [4, 5])
+        np.testing.assert_array_equal(rows.data[16], table[4])
+        np.testing.assert_array_equal(rows.data[17], table[5])
 
     def test_empty_states_all_zero(self):
-        out = stream(np.ones((1, 4)), [], 32, B=16, Q=4)
-        np.testing.assert_array_equal(out.h_prime.data, np.zeros((32, 4)))
+        out, rows = stream(np.ones((1, 4)), [], 32, B=16, Q=4)
+        np.testing.assert_array_equal(out.index, np.full(32, -1))
+        np.testing.assert_array_equal(rows.data, np.zeros((32, 4)))
         assert out.n_dropped == 0
 
     def test_surplus_rows_dropped_and_counted(self, caplog):
-        out = stream(np.ones((5, 3)), np.arange(5), 16, B=16, Q=2)  # 2 anchors
-        np.testing.assert_array_equal(np.nonzero(out.h_prime.data.any(axis=1))[0], [0, 1])
+        out, rows = stream(np.ones((5, 3)), np.arange(5), 16, B=16, Q=2)  # 2 anchors
+        np.testing.assert_array_equal(np.nonzero(out.index >= 0)[0], [0, 1])
+        np.testing.assert_array_equal(np.nonzero(rows.data.any(axis=1))[0], [0, 1])
         assert out.n_dropped == 3
         assert not caplog.records
 
     def test_no_future_leakage(self):
         # changing row m only affects the row at anchor m
         table = nd.make_rng(0).normal(size=(8, 4))
-        base = stream(table, np.arange(8), 48, B=16, Q=4).h_prime.data
+        base = stream(table, np.arange(8), 48, B=16, Q=4)[1].data
         table[5] += 3.0
-        changed = stream(table, np.arange(8), 48, B=16, Q=4).h_prime.data
+        changed = stream(table, np.arange(8), 48, B=16, Q=4)[1].data
         diff_rows = np.nonzero(np.abs(changed - base).sum(axis=1))[0]
         np.testing.assert_array_equal(diff_rows, [17])  # anchors 0-3 and 16-19
 
@@ -142,8 +150,8 @@ class TestAlign:
         embed = nd.Tensor(nd.make_rng(1).normal(size=(3, 4)), requires_grad=True)
 
         def loss():
-            out = stream(embed, [0, 1, 2], 16, B=8, Q=2)
-            return nd.masked_cross_entropy(out.h_prime, np.zeros(16, dtype=int), np.array([0, 8]))
+            _, rows = stream(embed, [0, 1, 2], 16, B=8, Q=2)
+            return plain_ops.masked_cross_entropy(rows, np.zeros(16, dtype=int), np.array([0, 8]))
 
         report = nd.grad_check(loss, {"src_embed": embed})
         assert report.max_rel_err < 1e-6
@@ -152,13 +160,31 @@ class TestAlign:
         rng = nd.make_rng(6)
         embed = nd.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         source = np.array([3, 1, 3, 0, 1, 3, 2])  # repeated ids; 4 anchors, so 3 rows dropped
-        out = stream(embed, source, 16, B=8, Q=2)
+        out, rows = stream(embed, source, 16, B=8, Q=2)
         assert out.n_dropped == 3
         g = rng.normal(size=(16, 5))
-        ((_, grad),) = out.h_prime._backward(g)
+        ((_, grad),) = rows._backward(g)
         want = np.zeros((4, 5))
         np.add.at(want, source[:4], g[[0, 1, 8, 9]])
         np.testing.assert_array_equal(grad, want)
+
+    def test_index_alone_with_grad_enabled(self, monkeypatch):
+        # the stream is the source ids at the anchors: no Tensor, no tape, nothing read from params
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("align_for_canvas built a Tensor")
+
+        params = init_params(SMALL, nd.make_rng(0))
+        source = np.array([5, 0, 3, 3, 1, 2, 4])  # B=4, Q=2: anchors 0, 1, 4, 5, 8, 9 of 10
+        monkeypatch.setattr(nd.Tensor, "__init__", no_tensor)
+        monkeypatch.setattr(nd, "_wrap", no_tensor)
+        assert nd.grad_enabled()
+        out = talker.align_for_canvas(params, SMALL, source, 10)
+        monkeypatch.undo()
+        want = np.full(10, -1)
+        want[[0, 1, 4, 5, 8, 9]] = source[:6]
+        np.testing.assert_array_equal(out.index, want)
+        assert out.index.dtype == np.intp and out.T == 10 and out.n_dropped == 1
+        assert not any(isinstance(v, nd.Tensor) for v in vars(out).values())
 
 
 FUSION_PARAMS = ("fusion.W1", "fusion.b1", "fusion.W2", "fusion.b2")
@@ -177,25 +203,25 @@ def identity_fusion(d):
 
 class TestFuse:
     def test_identity_weights_pass_relu_of_embeddings(self):
-        aligned = stream(np.ones((1, 4)), [], 8, B=8, Q=2)  # h' all zero
+        _, h_prime = stream(np.ones((1, 4)), [], 8, B=8, Q=2)  # all zero
         emb = nd.make_rng(2).normal(size=(8, 4))
-        out = talker.fuse(nd.Tensor(emb), aligned.h_prime, *identity_fusion(4))
+        out = talker.fuse(nd.Tensor(emb), h_prime, *identity_fusion(4))
         np.testing.assert_allclose(out.data, np.maximum(emb, 0.0), atol=1e-15)
 
     def test_all_zero_inputs_zero_output(self):
-        aligned = stream(np.ones((1, 4)), [], 8, B=8, Q=2)
-        out = talker.fuse(nd.Tensor(np.zeros((8, 4))), aligned.h_prime, *identity_fusion(4))
+        _, h_prime = stream(np.ones((1, 4)), [], 8, B=8, Q=2)
+        out = talker.fuse(nd.Tensor(np.zeros((8, 4))), h_prime, *identity_fusion(4))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_position_local(self):
         rng = nd.make_rng(3)
         fp = fusion_params(4, 8, rng)
-        aligned = stream(rng.normal(size=(2, 4)), [0, 1], 8, B=8, Q=2)
+        _, h_prime = stream(rng.normal(size=(2, 4)), [0, 1], 8, B=8, Q=2)
         emb = rng.normal(size=(8, 4))
-        base = talker.fuse(nd.Tensor(emb), aligned.h_prime, *fp).data
+        base = talker.fuse(nd.Tensor(emb), h_prime, *fp).data
         emb2 = emb.copy()
         emb2[5] += 1.0
-        pert = talker.fuse(nd.Tensor(emb2), aligned.h_prime, *fp).data
+        pert = talker.fuse(nd.Tensor(emb2), h_prime, *fp).data
         diff_rows = np.nonzero(np.abs(pert - base).sum(axis=1))[0]
         np.testing.assert_array_equal(diff_rows, [5])
 
@@ -206,17 +232,17 @@ class TestFuse:
         emb = nd.Tensor(rng.normal(size=(4, 4)))
 
         def loss():
-            aligned = stream(embed, [0, 1], 4, B=4, Q=2)
-            out = talker.fuse(emb, aligned.h_prime, *fp)
-            return nd.masked_cross_entropy(out, np.array([0, 1, 2, 3]), np.arange(4))
+            _, h_prime = stream(embed, [0, 1], 4, B=4, Q=2)
+            out = talker.fuse(emb, h_prime, *fp)
+            return nd.cross_entropy_rows(out, np.array([0, 1, 2, 3]))
 
         report = nd.grad_check(loss, {"src_embed": embed, **dict(zip(FUSION_PARAMS, fp))})
         assert report.max_rel_err < 1e-6
 
     def test_width_mismatch(self):
-        aligned = stream(np.ones((1, 3)), [0], 4, B=4, Q=2)
+        _, h_prime = stream(np.ones((1, 3)), [0], 4, B=4, Q=2)
         with pytest.raises(DimensionError):
-            talker.fuse(nd.Tensor(np.zeros((4, 4))), aligned.h_prime, *identity_fusion(4))
+            talker.fuse(nd.Tensor(np.zeros((4, 4))), h_prime, *identity_fusion(4))
 
 
 class TestBlockCausalMask:
@@ -498,7 +524,7 @@ class TestPlainOracle:
             nd.zero_grads(plist)
             logits = fwd(params, self.CFG, tokens, stacked_stream(params, self.CFG, sources, self.LENGTHS),
                          lengths=self.LENGTHS)
-            nd.masked_cross_entropy(logits, targets, masked).backward()
+            plain_ops.masked_cross_entropy(logits, targets, masked).backward()
             grads.append({name: p.grad.copy() for name, p in params.items()})
         for name in params:
             np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
@@ -539,14 +565,14 @@ class TestParams:
         # distributions of init_params changes these digests
         cfg = TalkerConfig(data_tokens=64, src_vocab=256, d=64, d_ff=256, n_layers=4, n_heads=4,
                            B=16, Q=4, T_max=256)
-        assert init_params(cfg, nd.make_rng(seed)).digest() == digest
+        assert plain_ops.param_digest(init_params(cfg, nd.make_rng(seed))) == digest
 
     def test_copy_is_deep(self):
         p = init_params(SMALL, nd.make_rng(0))
         c = p.copy()
         c["head"].data[:] = 7.0
         assert not np.array_equal(p["head"].data, c["head"].data)
-        assert p.digest() != c.digest()
+        assert plain_ops.param_digest(p) != plain_ops.param_digest(c)
 
     def test_copy_shares_no_buffer(self):
         # train_distill's student is a copy of the start, which its teacher reads
@@ -554,7 +580,7 @@ class TestParams:
         for q in p.values():
             q.grad[:] = 1.0
         c = p.copy()
-        assert c.digest() == p.digest() and list(c) == list(p)
+        assert plain_ops.param_digest(c) == plain_ops.param_digest(p) and list(c) == list(p)
         for a, b in zip(p.values(), c.values()):
             for x, y in ((a.data, b.data), (a.grad, b.grad)):
                 assert not np.shares_memory(x, y)
@@ -568,7 +594,7 @@ class TestCheckpoint:
         save_checkpoint(path, SMALL, params)
         cfg2, params2 = load_checkpoint(path)
         assert cfg2 == SMALL
-        assert params2.digest() == params.digest() and list(params2) == list(params)
+        assert plain_ops.param_digest(params2) == plain_ops.param_digest(params) and list(params2) == list(params)
         for a, b in zip(params.values(), params2.values()):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -583,7 +609,7 @@ class TestCheckpoint:
         want = train_mdm(SMALL, ds, masks, opt, steps=1, seed=0, params=loaded.copy())
         got = train_mdm(SMALL, ds, masks, opt, steps=1, seed=0, params=loaded)
         assert got.params is loaded and got.curve == want.curve
-        assert loaded.digest() == want.params.digest()
+        assert plain_ops.param_digest(loaded) == plain_ops.param_digest(want.params)
 
     def test_fixture_resaves_byte_identical(self, tmp_path):
         # pins the checkpoint order against the committed benchmark fixture
