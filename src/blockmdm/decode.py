@@ -93,10 +93,6 @@ class DecodeResult:
     def stopped_on_eos(self):
         return self.trace.stopped_on_eos
 
-    @property
-    def truncated_by_limit(self):
-        return self.trace.truncated_by_limit
-
 
 def canvas_length(tcfg: TalkerConfig, dcfg: DecodeConfig) -> int:
     """Positions a request's conditioning stream covers: the block budget,

@@ -372,15 +372,11 @@ def kl_rows(student_logits: Tensor, teacher_logits, tau: float, direction: str =
     if student_logits.data.shape != tea.shape:
         raise DimensionError(f"kl_rows shape mismatch: {student_logits.data.shape} vs {tea.shape}")
     n_rows = student_logits.data.shape[0]
-    if n_rows == 0:
-        return _result(np.float64(0.0), (student_logits,),
-                       lambda g: ((student_logits, np.zeros_like(student_logits.data)),))
     if counts is None:
-        counts = n_rows
-    elif np.shape(counts) != (n_rows,):
+        counts = np.full(n_rows, n_rows)
+    if np.shape(counts) != (n_rows,):
         raise DimensionError(f"counts must have shape ({n_rows},), got {np.shape(counts)}")
-    else:
-        counts = np.asarray(counts, dtype=np.float64)[:, None]
+    counts = np.asarray(counts, dtype=np.float64)[:, None]
     logp = _log_softmax(student_logits.data / tau)
     logq = _log_softmax(tea / tau)
     p = np.exp(logp)

@@ -205,13 +205,6 @@ def align_for_canvas(params: TalkerParams, cfg: TalkerConfig, source_tokens, T: 
     return AlignedSemantics(index=index, n_dropped=len(source_tokens) - n_placed)
 
 
-def stack_aligned(parts) -> AlignedSemantics:
-    """Conditioning streams of single sequences stacked sample-major, as
-    :func:`forward` takes them for a batch of those sequences."""
-    return AlignedSemantics(index=np.concatenate([a.index for a in parts]),
-                            n_dropped=sum(a.n_dropped for a in parts))
-
-
 def fuse(tok_emb: nd.Tensor, h_prime: nd.Tensor, W1: nd.Tensor, b1: nd.Tensor, W2: nd.Tensor,
          b2: nd.Tensor) -> nd.Tensor:
     """Two-layer feed-forward over the sum of embeddings and the aligned
@@ -227,7 +220,7 @@ def forward(params: TalkerParams, cfg: TalkerConfig, tokens, aligned: AlignedSem
 
     ``lengths`` splits ``tokens`` into sequences stacked sample-major with
     no padding (default: one sequence); ``aligned`` then covers exactly
-    those rows, as :func:`stack_aligned` stacks them. The stream's rows of
+    those rows, a batch's stream stacked like its rows. The stream's rows of
     ``src_embed`` are one gather, beside the token and position embedding
     gathers. Attention sees each sequence on its own, and under
     :func:`nd.sequences` every sequence gets the arithmetic of a forward

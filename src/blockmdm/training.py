@@ -11,9 +11,10 @@ rows from a single forward pass on the original corrupted input, which is
 what compresses multi-step refinement into few steps.
 
 Both stages take one forward and one backward pass per optimizer step:
-a batch's sequences are stacked row by row without padding
-(:class:`Batch`), and the teacher rolls out the whole batch at once, each
-forward pass over the sequences it has not finished.
+a batch's sequences and their conditioning stream, built once, are stacked
+row by row without padding (:class:`Batch`), and the teacher rolls out the
+whole batch at once, each forward pass over the rows of the sequences it
+has not finished.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
 
     ``lengths`` splits the rows into sequences stacked sample-major
     (default: one sequence), and blocks are counted within each sequence.
-    ``forward_fn(tokens, seqs) -> logits array`` is the frozen teacher bound
-    to its conditioning: ``tokens`` stacks the rows of the sequences with
-    indices ``seqs`` (ascending), and the logits cover those rows. Each step
+    ``forward_fn(tokens, rows, lengths) -> logits array`` is the frozen
+    teacher bound to its conditioning: ``tokens`` are the stacked rows
+    ``rows`` (ascending) of the still active sequences of lengths
+    ``lengths``, and the logits cover those rows. Each step
     runs one forward pass over the sequences that still have masked
     positions (a sequence's logits do not depend on the others) and updates
     every block of those sequences in parallel: per block, the ``n_j``
@@ -110,7 +112,7 @@ def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, leng
             break
         active = np.unique(seq_of[masked])
         rows = np.nonzero(np.isin(seq_of, active))[0]
-        out = forward_fn(seq[rows], active)
+        out = forward_fn(seq[rows], rows, [lengths[i] for i in active])
         if not np.isfinite(out).all():
             raise NonFiniteError(f"non-finite teacher logits at rollout step {j}")
         n_forwards += 1
@@ -159,15 +161,15 @@ def distill_loss(student_logits: nd.Tensor, targets, mask_positions, tea, cfg: D
 
 @dataclass
 class Batch:
-    """A training batch stacked sample-major: one row per target position,
-    no padding.
+    """A training batch stacked sample-major, its conditioning stream like
+    its rows: one row per target position, no padding.
 
     Samples whose mask draw came up empty are left out of the rows;
     ``size`` still counts them, so they enter the batch mean as zero loss.
     """
 
     size: int
-    sources: list
+    stream: talker.AlignedSemantics  # n_dropped: summed over the kept samples
     lengths: list
     targets: np.ndarray
     corrupted: np.ndarray
@@ -176,7 +178,7 @@ class Batch:
 
 
 def draw_batch(dataset, cfg: TalkerConfig, masking_cfg: MaskingConfig, rng, size: int) -> Batch:
-    """Draw ``size`` samples and a mask for each, in that order from ``rng``."""
+    """Draw ``size`` samples and a mask for each, in that order from ``rng``; align each kept one."""
     drawn = []
     for _ in range(size):
         sample = dataset[int(rng.integers(len(dataset)))]
@@ -190,20 +192,20 @@ def draw_batch(dataset, cfg: TalkerConfig, masking_cfg: MaskingConfig, rng, size
     counts = np.concatenate([np.full(len(m), len(m)) for _, m in drawn] + none)
     corrupted = targets.copy()
     corrupted[masked] = cfg.vocab.mask_id
-    return Batch(size, [sample.source for sample, _ in drawn], lengths, targets, corrupted, masked, counts)
+    parts = [talker.align_for_canvas(None, cfg, sample.source, n) for (sample, _), n in zip(drawn, lengths)]
+    stream = talker.AlignedSemantics(np.concatenate([a.index for a in parts] + none),
+                                     sum(a.n_dropped for a in parts))
+    return Batch(size, stream, lengths, targets, corrupted, masked, counts)
 
 
 def batch_loss(params: TalkerParams, cfg: TalkerConfig, batch: Batch, tea=None,
                distill_cfg: DistillConfig = None):
     """Sum over the batch of the per-sample losses of :func:`distill_loss`
     (masked-CE alone without the teacher rows ``tea`` of ``batch.masked``),
-    from one forward pass over the stacked rows. Returns ``(loss, kd_value,
-    mdm_value, dropped_rows)``, the last the surplus conditioning rows the
-    alignment dropped."""
-    aligned = talker.stack_aligned([talker.align_for_canvas(params, cfg, source, T)
-                                    for source, T in zip(batch.sources, batch.lengths)])
-    logits = talker.forward(params, cfg, batch.corrupted, aligned, lengths=batch.lengths)
-    return (*distill_loss(logits, batch.targets, batch.masked, tea, distill_cfg, batch.counts), aligned.n_dropped)
+    from one forward pass over the stacked rows and ``batch.stream``.
+    Returns ``(loss, kd_value, mdm_value)``."""
+    logits = talker.forward(params, cfg, batch.corrupted, batch.stream, lengths=batch.lengths)
+    return distill_loss(logits, batch.targets, batch.masked, tea, distill_cfg, batch.counts)
 
 
 @dataclass
@@ -239,7 +241,7 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
     step's update.
     ``log_cb`` receives per step the curve row plus ``step_ms``,
     ``masked`` (positions), ``rows`` (stacked rows), ``dropped_rows``
-    (surplus conditioning rows, see :func:`batch_loss`), ``grad_norm`` (global
+    (surplus conditioning rows the batch's alignment dropped), ``grad_norm`` (global
     L2 norm of the gradient), ``grad_norm_groups`` (the L2 norm per
     parameter group: ``embeddings``, ``fusion``, each ``layer<i>`` and
     ``head``) and, with ``targets_fn``, its rollout fields.
@@ -254,7 +256,6 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
         batch = draw_batch(dataset, cfg, masking_cfg, rng, opt.batch_size)
         nd.zero_grads(params.values())
         loss = kd = mdm = 0.0
-        dropped = 0
         tea, rollout = None, {}
         if targets_fn is not None:
             rollout = {"rollout_forwards": 0, "rollout_rows": 0, "rollout_ms": 0.0}
@@ -264,7 +265,7 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
                     tea, rollout = targets_fn(batch)
                 except NonFiniteError as e:
                     raise TrainingDivergedError(f"{e} at step {step}", params=params, step=step) from e
-            total, kd, mdm, dropped = batch_loss(params, cfg, batch, tea, distill_cfg)
+            total, kd, mdm = batch_loss(params, cfg, batch, tea, distill_cfg)
             total.backward()
             loss = total.item()
         if not math.isfinite(loss):
@@ -281,7 +282,8 @@ def _train(params: TalkerParams, cfg: TalkerConfig, dataset, masking_cfg: Maskin
             for group, sq in zip(groups, grad_sq):
                 group_sq[group] += sq
             log_cb({**row, "step_ms": (time.perf_counter() - t0) * 1e3, "masked": int(batch.masked.size),
-                    "rows": int(sum(batch.lengths)), "dropped_rows": dropped, "grad_norm": math.sqrt(sum(grad_sq)),
+                    "rows": int(sum(batch.lengths)), "dropped_rows": batch.stream.n_dropped,
+                    "grad_norm": math.sqrt(sum(grad_sq)),
                     "grad_norm_groups": {group: math.sqrt(sq) for group, sq in group_sq.items()}, **rollout})
     return TrainResult(params=params, curve=curve)
 
@@ -315,20 +317,17 @@ def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
     student = start_params.copy()
 
     def targets_fn(batch):
-        parts = [talker.align_for_canvas(start_params, cfg, source, n)
-                 for source, n in zip(batch.sources, batch.lengths)]
-        rows = []
+        forwarded = []
 
-        def forward_fn(tokens, seqs):
-            rows.append(len(tokens))
-            aligned = talker.stack_aligned([parts[i] for i in seqs])
-            return talker.forward_array(start_params, cfg, tokens, aligned,
-                                        lengths=[batch.lengths[i] for i in seqs])
+        def forward_fn(tokens, rows, lengths):
+            forwarded.append(len(rows))
+            return talker.forward_array(start_params, cfg, tokens,
+                                        talker.AlignedSemantics(batch.stream.index[rows]), lengths=lengths)
 
         t0 = time.perf_counter()
         tea, _, n_forwards = teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=cfg.B,
                                              K=distill_cfg.K, lengths=batch.lengths)
-        return tea, {"rollout_forwards": n_forwards, "rollout_rows": sum(rows),
+        return tea, {"rollout_forwards": n_forwards, "rollout_rows": sum(forwarded),
                      "rollout_ms": (time.perf_counter() - t0) * 1e3}
 
     # with alpha = 0 the teacher targets would carry zero weight: pure masked-CE

@@ -5,7 +5,9 @@ from blockmdm import nd, talker
 from blockmdm.decode import (DecodeConfig, DecodeTrace, canvas_length, decode, decode_block,
                              decode_source, pick_reveal, reveal_step, schedule_step, stream_blocks)
 from blockmdm.errors import DecodeError, ParameterError
+from blockmdm.synthtask import SamplePair
 from plain_ops import row_entropy, softmax
+from test_training import scripted_batch
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
                           B=4, Q=2, T_max=32)
@@ -100,7 +102,7 @@ class TestDecodeStream:
             assert result.tokens[-1] == CFG.vocab.eos_id
             assert (result.tokens[:-1] != CFG.vocab.eos_id).all()
         else:
-            assert result.truncated_by_limit
+            assert result.trace.truncated_by_limit
 
     def test_eos_mid_block_cuts_at_position(self):
         # force the head so EOS wins everywhere: first block ends at its
@@ -137,7 +139,7 @@ class TestDecodeStream:
         params["head"].data[:, 3] = 5.0  # always emit token 3, never EOS
         dcfg = DecodeConfig(B=4, K=2, max_blocks=5, eos_id=CFG.vocab.eos_id)
         result = decode(aligned, params, CFG, dcfg)
-        assert result.truncated_by_limit and not result.stopped_on_eos
+        assert result.trace.truncated_by_limit and not result.stopped_on_eos
         assert len(result.tokens) == 5 * 4
         assert result.trace.tokens_emitted == 20
 
@@ -247,15 +249,21 @@ class TestDecodeSource:
         result = decode_source(source, params, CFG, dcfg)
         assert len(result.tokens) <= 3 * 4
 
-    def test_dropped_conditioning_rows_counted(self):
+    def test_dropped_conditioning_rows_counted(self, monkeypatch):
         # 3 blocks of Q=2 anchors: a 9-row source drops 3 rows, a 6-row one none
         params, _, _ = setup_model(seed=7)
         dcfg = DecodeConfig(B=4, K=2, max_blocks=3, eos_id=CFG.vocab.eos_id)
         long, short = np.arange(9) % CFG.src_vocab, np.arange(6) % CFG.src_vocab
         assert decode_source(long, params, CFG, dcfg).trace.dropped_rows == 3
         assert decode_source(short, params, CFG, dcfg).trace.dropped_rows == 0
-        parts = [talker.align_for_canvas(params, CFG, source, T) for source, T in [(long, 12), (short, 12), (long, 8)]]
-        assert talker.stack_aligned(parts).n_dropped == 3 + 0 + 5
+        # a training batch stacks its kept samples' streams: at 12 rows the
+        # long source drops 3 rows, at 8 rows 5; the empty mask adds none
+        dataset = [SamplePair(long, np.arange(T) % CFG.data_tokens) for T in (12, 8)]
+        batch, samples = scripted_batch(monkeypatch, ([0], [], [1, 2], [3]), seed=2, dataset=dataset)
+        parts = [talker.align_for_canvas(params, CFG, s.source, len(s.target)) for s in samples]
+        kept = parts[:1] + parts[2:]
+        np.testing.assert_array_equal(batch.stream.index, np.concatenate([a.index for a in kept]))
+        assert batch.stream.n_dropped == sum(a.n_dropped for a in kept) == 3 * len(kept) + 2 * batch.lengths.count(8)
 
 
 def uncached_reference_decode(aligned, params, cfg, dcfg):

@@ -33,8 +33,8 @@ def make_inputs(cfg, T, n_src, seed=0):
 
 def stacked_stream(params, cfg, sources, lengths):
     """The conditioning streams of sequences stacked sample-major, as a training batch builds them."""
-    return talker.stack_aligned([talker.align_for_canvas(params, cfg, source, T)
-                                 for source, T in zip(sources, lengths)])
+    parts = [talker.align_for_canvas(params, cfg, source, T) for source, T in zip(sources, lengths)]
+    return talker.AlignedSemantics(np.concatenate([a.index for a in parts]), sum(a.n_dropped for a in parts))
 
 
 class TestVocabulary:

@@ -30,8 +30,8 @@ class ScriptedTeacher:
         self.calls = 0
         self.history = []
 
-    def __call__(self, tokens, seqs):
-        assert len(tokens) == self.T  # every sequence still has masked positions
+    def __call__(self, tokens, rows, lengths):
+        assert len(tokens) == len(rows) == sum(lengths) == self.T  # every sequence still has masked positions
         self.calls += 1
         logits = self.rng.normal(size=(self.T, self.V)) + self.calls  # distinct per step
         if self.calls == self.nan_at:
@@ -122,7 +122,7 @@ class TestTeacherRollout:
         T, V, B = 4, 5, 4
         calls = []
 
-        def flat_teacher(tokens, seqs):
+        def flat_teacher(tokens, rows, lengths):
             calls.append(None)
             return np.full((T, V), float(len(calls)))  # uniform rows, valued by step
 
@@ -309,6 +309,17 @@ class TestTrainDistill:
         result = train_distill(CFG, start, tiny_dataset(), DistillConfig(K=2), HIER, OPT, steps=2, seed=3)
         assert len(copies) == 1 and copies[0] is start and result.params is not start
 
+    def test_step_aligns_each_sample_once(self, monkeypatch):
+        # teacher and student read the stream the batch drew
+        aligned, batches = [], []
+        align, draw = talker.align_for_canvas, training.draw_batch
+        monkeypatch.setattr(talker, "align_for_canvas", lambda *args: aligned.append(args) or align(*args))
+        monkeypatch.setattr(training, "draw_batch", lambda *args: batches.append(draw(*args)) or batches[-1])
+        start = talker.init_params(CFG, nd.make_rng(7))
+        train_distill(CFG, start, tiny_dataset(), DistillConfig(K=2), HIER, OPT, steps=1, seed=3)
+        assert len(batches[0].lengths) == OPT.batch_size  # no mask draw came up empty
+        assert len(aligned) == OPT.batch_size
+
     def test_read_only_start_arrays(self):
         start = talker.init_params(CFG, nd.make_rng(8))
         digest = plain_ops.param_digest(start)
@@ -318,11 +329,11 @@ class TestTrainDistill:
         assert plain_ops.param_digest(start) == digest and plain_ops.param_digest(result.params) != digest
 
 
-def scripted_batch(monkeypatch, masks, seed=0):
+def scripted_batch(monkeypatch, masks, seed=0, dataset=None):
     """A batch of ``len(masks)`` samples whose mask draws are ``masks``."""
     draws = iter(masks)
     monkeypatch.setattr(training, "sample_mask", lambda part, cfg, rng: np.array(next(draws), dtype=np.intp))
-    dataset = tiny_dataset(seed=seed)
+    dataset = tiny_dataset(seed=seed) if dataset is None else dataset
     batch = draw_batch(dataset, CFG, GLOBAL, nd.make_rng(seed), len(masks))
     rng = nd.make_rng(seed)  # the same draws again, for the per-sample oracle
     samples = [dataset[int(rng.integers(len(dataset)))] for _ in masks]
@@ -337,15 +348,12 @@ class TestBatchedStep:
 
     MASKS = ([0, 2, 3], [], [1, 4, 5, 6, 8], [3])  # the second sample's mask came up empty
 
-    def rollout(self, teacher, batch, K=2, rows_per_forward=None):
-        parts = [talker.align_for_canvas(teacher, CFG, source, n)
-                 for source, n in zip(batch.sources, batch.lengths)]
-
-        def forward_fn(tokens, seqs):
-            if rows_per_forward is not None:
-                rows_per_forward.append(len(tokens))
-            return talker.forward_array(teacher, CFG, tokens, talker.stack_aligned([parts[i] for i in seqs]),
-                                        lengths=[batch.lengths[i] for i in seqs])
+    def rollout(self, teacher, batch, K=2, forwards=None):
+        def forward_fn(tokens, rows, lengths):
+            if forwards is not None:
+                forwards.append((len(rows), lengths))
+            return talker.forward_array(teacher, CFG, tokens, talker.AlignedSemantics(batch.stream.index[rows]),
+                                        lengths=lengths)
 
         return teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=CFG.B, K=K,
                                lengths=batch.lengths)
@@ -370,7 +378,7 @@ class TestBatchedStep:
         tea = self.rollout(talker.init_params(CFG, nd.make_rng(3)), batch)[0] if distill else None
 
         nd.zero_grads(plist)
-        total, kd, mdm, _ = batch_loss(params, CFG, batch, tea, dcfg)
+        total, kd, mdm = batch_loss(params, CFG, batch, tea, dcfg)
         total.backward()
         got = {name: p.grad.copy() for name, p in params.items()}
 
@@ -409,12 +417,12 @@ class TestBatchedStep:
         masks = self.EARLY if early else self.MASKS
         batch, samples = scripted_batch(monkeypatch, masks, seed=4)
         teacher = talker.init_params(CFG, nd.make_rng(5))
-        rows_per_forward = []
-        tea, final, n_fwd = self.rollout(teacher, batch, K=K, rows_per_forward=rows_per_forward)
+        forwards = []  # per forward: its rows and the lengths of its sequences
+        tea, final, n_fwd = self.rollout(teacher, batch, K=K, forwards=forwards)
         assert n_fwd == K
         if early:
             assert batch.lengths == [5, 7, 9]
-            assert rows_per_forward == [21, 12, 12]
+            assert forwards == [(21, [5, 7, 9]), (12, [5, 7]), (12, [5, 7])]
         starts = np.cumsum([0] + batch.lengths)
         kept = [(s, m) for s, m in zip(samples, masks) if m]
         first_rows = np.cumsum([0] + [len(m) for _, m in kept])
@@ -423,7 +431,7 @@ class TestBatchedStep:
             aligned = talker.align_for_canvas(teacher, CFG, sample.source, hi - lo)
             one, one_final, _ = teacher_rollout(
                 corrupted, np.array(mask),
-                lambda toks, seqs: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K)
+                lambda toks, rows, lengths: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K)
             np.testing.assert_array_equal(tea[first_row:first_row + len(mask)], one)
             np.testing.assert_array_equal(final[lo:hi], one_final)
 
