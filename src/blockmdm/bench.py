@@ -32,7 +32,6 @@ from .errors import InputError, ParameterError
 from .talker import TalkerConfig, TalkerParams
 
 NOMINAL_SECONDS_PER_TOKEN = 0.04
-STAGE_ROUND = 12  # sources per round of first-chunk stage timing
 WARMUP = 2  # sources run untimed before each measurement
 
 CSV_COLUMNS = ["checkpoint", "K", "tps", "rtf_analog", "err_rate",
@@ -85,18 +84,20 @@ class ExperimentConfig:
             raise ParameterError(f"step count {repeated[0]} is given twice in {self.steps}")
         if not self.checkpoints:
             raise ParameterError("a sweep needs at least one checkpoint")
+        if self.eval_path is None:
+            raise ParameterError("a sweep needs an eval corpus (--eval)")
         if self.repetitions < 1:
             raise ParameterError(f"repetitions must be >= 1, got {self.repetitions}")
 
 
 def _timed(fn, inputs):
-    """``fn`` over ``inputs`` back to back; returns results and per-call wall times."""
-    results, times = [], []
+    """``fn`` over ``inputs`` back to back; returns the per-call wall times."""
+    times = []
     for x in inputs:
         t0 = time.perf_counter()
-        results.append(fn(x))
+        fn(x)
         times.append(time.perf_counter() - t0)
-    return results, times
+    return times
 
 
 def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, evals,
@@ -112,16 +113,14 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, eva
     each source's first block, pooled over the results of a K; no model
     forward runs here. The two microsecond stages are timed here, post on
     each source's first chunk as its K's first eval decode emitted it.
-    Sources are taken in rounds of ``STAGE_ROUND``, with the garbage
-    collector paused. Within a round each stage runs over the round's
-    sources in its own back-to-back loop, every source once per K, the K
-    values alternating from call to call (and their order reversed every
-    other round). So a stage is never timed right after a K-dependent
-    decode or across a collection, every K sees the same drift in
-    processor speed, and the memory held while the collector is paused
-    stays bounded. One preempted call can move a stage's mean by more than
-    10%; the median is the figure to compare across K, and the sweep
-    reports it.
+    After an untimed warm-up over the first ``WARMUP`` sources, each stage
+    runs in one back-to-back loop over every source once per K, with the
+    garbage collector paused; the K values alternate from call to call,
+    their order flipping from one source to the next. So a stage is never
+    timed right after a K-dependent decode or across a collection, and
+    every K sees the same drift in processor speed. One preempted call can
+    move a stage's mean by more than 10%; the median is the figure to
+    compare across K, and the sweep reports it.
     """
     by_K = {}
     for m in evals:
@@ -140,31 +139,24 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, eva
         hits = np.nonzero(block == tcfg.vocab.eos_id)[0]
         return (block[:int(hits[0]) + 1] if hits.size else block).tolist()
 
-    def run_round(indices, order):
-        """Both stages over the sources at ``indices`` in their own loops,
-        alternating between the K values of ``order`` from call to call;
-        returns per call its K and two stage times."""
-        jobs = [(K, i) for i in indices for K in order]
-        _, t_sem = _timed(semantics, [sources[i] for _, i in jobs])
-        _, t_post = _timed(post, [chunks[K][i] for K, i in jobs])
-        return zip([K for K, _ in jobs], t_sem, t_post)
-
     first = {K: [btrace for m in ms for _, btrace in m.first_blocks] for K, ms in by_K.items()}
     stages = {K: {"semantics": [], "talker": [btrace.wall_time for btrace in first[K]], "post": []}
               for K in Ks}
-    indices = range(len(sources))
-    run_round(indices[:WARMUP], Ks)
+    warm = [(K, i) for i in range(len(sources))[:WARMUP] for K in Ks]
+    _timed(semantics, [sources[i] for _, i in warm])
+    _timed(post, [chunks[K][i] for K, i in warm])
+    jobs = [(K, i) for i in range(len(sources)) for K in (Ks if i % 2 == 0 else Ks[::-1])]
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for r, lo in enumerate(range(0, len(sources), STAGE_ROUND)):
-            order = Ks if r % 2 == 0 else Ks[::-1]
-            for K, t_sem, t_post in run_round(indices[lo:lo + STAGE_ROUND], order):
-                stages[K]["semantics"].append(t_sem)
-                stages[K]["post"].append(t_post)
+        t_sem = _timed(semantics, [sources[i] for _, i in jobs])
+        t_post = _timed(post, [chunks[K][i] for K, i in jobs])
     finally:
         if gc_was_enabled:
             gc.enable()
+    for (K, _), sem, pst in zip(jobs, t_sem, t_post):
+        stages[K]["semantics"].append(sem)
+        stages[K]["post"].append(pst)
     reports = {}
     for K, by_stage in stages.items():
         report = {"K": K, "n_inputs": len(sources),
@@ -247,15 +239,14 @@ def uncertainty_profile(params: TalkerParams, tcfg: TalkerConfig, sources, K: in
             "n_sources": len(sources)}
 
 
-def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
-    """Run the full (checkpoint, K) grid and aggregate over repetitions.
+def bench_sweep(cfg: ExperimentConfig) -> dict:
+    """Run the full (checkpoint, K) grid over the eval corpus at
+    ``cfg.eval_path`` and aggregate over repetitions.
 
     Each cell decodes the eval set once per repetition (after warm-up);
     its confidence and entropy columns and its talker stage come from those
     decodes' traces, so the sweep runs no other model forward.
     """
-    if pairs is None and cfg.eval_path is None:
-        raise ParameterError("bench_sweep needs an eval corpus (eval_path) or explicit pairs")
     loaded = {}
     ref_cfg = None
     for label, path in cfg.checkpoints.items():
@@ -265,12 +256,9 @@ def bench_sweep(cfg: ExperimentConfig, pairs=None) -> dict:
         else:
             talker.check_compatible(ref_cfg, tcfg, path=path)
         loaded[label] = (tcfg, params)
-    if pairs is None:
-        _, pairs = synthtask.read_corpus(cfg.eval_path, ref_cfg.src_vocab, ref_cfg.V)
-        if not pairs:
-            raise InputError(f"{cfg.eval_path}: eval corpus has no pairs")
-    elif not pairs:
-        raise InputError("bench_sweep needs at least one eval pair")
+    _, pairs = synthtask.read_corpus(cfg.eval_path, ref_cfg.src_vocab, ref_cfg.V)
+    if not pairs:
+        raise InputError(f"{cfg.eval_path}: eval corpus has no pairs")
 
     sources = [p.source for p in pairs]
     rows = []

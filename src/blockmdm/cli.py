@@ -227,25 +227,25 @@ def _read_conditioning(path):
     return sources
 
 
-def _block_events(traces, B: int):
-    """One event per decoded block of ``B`` positions, read from the decode traces."""
-    for i, trace in enumerate(traces):
-        for btrace in trace.blocks:
-            conf = [c for step in btrace.steps for c in step.confidences]
-            entropy = [h for step in btrace.steps for h in step.entropies]
-            yield {"input_index": i, "block": btrace.block_index, "forwards": btrace.forward_passes,
-                   "tokens": min(B, trace.tokens_emitted - btrace.block_index * B),
-                   "wall_ms": btrace.wall_time * 1e3, "dropped_rows": trace.dropped_rows,
-                   "mean_confidence": float(np.mean(conf)), "mean_entropy": float(np.mean(entropy))}
+def _block_events(i: int, trace, B: int):
+    """One event per decoded block of ``B`` positions of input ``i``, read from its decode trace."""
+    for btrace in trace.blocks:
+        conf = [c for step in btrace.steps for c in step.confidences]
+        entropy = [h for step in btrace.steps for h in step.entropies]
+        yield {"input_index": i, "block": btrace.block_index, "forwards": btrace.forward_passes,
+               "tokens": min(B, trace.tokens_emitted - btrace.block_index * B),
+               "wall_ms": btrace.wall_time * 1e3, "dropped_rows": trace.dropped_rows,
+               "mean_confidence": float(np.mean(conf)), "mean_entropy": float(np.mean(entropy))}
 
 
 def cmd_decode(ns) -> int:
     cfg, params = talker.load_checkpoint(ns.checkpoint)
     dcfg = decode_mod.DecodeConfig(B=cfg.B, K=ns.steps, max_blocks=ns.max_blocks, eos_id=cfg.vocab.eos_id)
     sources = _read_conditioning(ns.input)
-    out = open(ns.output, "w", encoding="utf-8") if ns.output else sys.stdout
     traces = []
-    try:
+    with contextlib.ExitStack() as files:
+        out = files.enter_context(open(ns.output, "w", encoding="utf-8")) if ns.output else sys.stdout
+        events = files.enter_context(open(ns.log_jsonl, "w", encoding="utf-8")) if ns.log_jsonl else None
         for i, source in enumerate(sources):
             try:
                 result = decode_mod.decode_source(source, params, cfg, dcfg)
@@ -256,17 +256,13 @@ def cmd_decode(ns) -> int:
             for tok in result.tokens:
                 out.write(f"{int(tok)}\n")
             traces.append(result.trace)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            if events:
+                events.writelines(json.dumps(event) + "\n" for event in _block_events(i, result.trace, dcfg.B))
+                events.flush()
     if ns.trace:
         with open(ns.trace, "w", encoding="utf-8") as f:
             f.write(bench.report_to_json({"K": ns.steps, "traces": [
                 {"input_index": i, **asdict(trace)} for i, trace in enumerate(traces)]}))
-    if ns.log_jsonl:
-        with open(ns.log_jsonl, "w", encoding="utf-8") as f:
-            for event in _block_events(traces, dcfg.B):
-                f.write(json.dumps(event) + "\n")
     return 0
 
 

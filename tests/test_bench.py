@@ -8,7 +8,7 @@ from plain_ops import param_digest
 
 from blockmdm import bench, decode, nd, talker
 from blockmdm.errors import ParameterError
-from blockmdm.synthtask import TaskSpec, gen_dataset
+from blockmdm.synthtask import TaskSpec, gen_dataset, write_corpus
 from blockmdm.talker import TalkerConfig, init_params, save_checkpoint
 
 CFG = TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
@@ -20,11 +20,20 @@ def model():
     return init_params(CFG, nd.make_rng(0))
 
 
+SPEC = TaskSpec(source_vocab=CFG.src_vocab, data_tokens=CFG.data_tokens, upsample=2, grammar_seed=3)
+
+
 @pytest.fixture(scope="module")
 def pairs():
-    spec = TaskSpec(source_vocab=CFG.src_vocab, data_tokens=CFG.data_tokens, upsample=2,
-                    grammar_seed=3)
-    return gen_dataset(spec, 12, (2, 5), nd.make_rng(1), eos_id=CFG.vocab.eos_id)
+    return gen_dataset(SPEC, 12, (2, 5), nd.make_rng(1), eos_id=CFG.vocab.eos_id)
+
+
+@pytest.fixture(scope="module")
+def eval_path(pairs, tmp_path_factory):
+    """The ``pairs`` fixture as an eval corpus file, the one input of a sweep."""
+    path = tmp_path_factory.mktemp("eval") / "eval.corpus"
+    write_corpus(path, SPEC, pairs)
+    return str(path)
 
 
 class TestDecodeEval:
@@ -135,18 +144,18 @@ class TestFirstChunkBreakdown:
 
 
 class TestSweep:
-    def test_sweep_rows_and_compatibility(self, model, pairs, tmp_path):
+    def test_sweep_rows_and_compatibility(self, model, eval_path, tmp_path):
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
         ecfg = bench.ExperimentConfig(checkpoints={"base": str(path_a)}, steps=[2, 1],
-                                      repetitions=1, max_blocks=4)
-        report = bench.bench_sweep(ecfg, pairs=pairs)
+                                      eval_path=eval_path, repetitions=1, max_blocks=4)
+        report = bench.bench_sweep(ecfg)
         assert [r["K"] for r in report["rows"]] == [2, 1]
         for row in report["rows"]:
             assert row["forwards_per_block"] == row["K"]
             assert set(bench.CSV_COLUMNS) <= set(row) | {"checkpoint", "K"}
 
-    def test_one_decode_pass_per_cell(self, model, pairs, tmp_path, monkeypatch):
+    def test_one_decode_pass_per_cell(self, model, pairs, eval_path, tmp_path, monkeypatch):
         # each (checkpoint, K) cell decodes the eval set once per repetition
         # after its warm-up, and its uncertainty columns are what
         # uncertainty_profile reports for the same sources
@@ -173,8 +182,8 @@ class TestSweep:
         monkeypatch.setattr(decode, "decode_source", counting_decode)
         monkeypatch.setattr(talker, "forward", counting_forward)
         ecfg = bench.ExperimentConfig(checkpoints={k: str(v) for k, v in paths.items()},
-                                      steps=[2, 1], repetitions=2, max_blocks=4)
-        report = bench.bench_sweep(ecfg, pairs=pairs)
+                                      steps=[2, 1], eval_path=eval_path, repetitions=2, max_blocks=4)
+        report = bench.bench_sweep(ecfg)
         per_cell = ecfg.repetitions * (len(pairs) + bench.WARMUP)
         assert calls == {(label, K): per_cell for label in models for K in ecfg.steps}
         # the first-chunk timing reads its talker stage from those decodes:
@@ -189,17 +198,17 @@ class TestSweep:
             assert row["mean_confidence_per_step"] == prof["mean_confidence_per_step"]
             assert row["mean_entropy_per_step"] == prof["mean_entropy_per_step"]
 
-    def test_incompatible_checkpoints_rejected(self, model, pairs, tmp_path):
+    def test_incompatible_checkpoints_rejected(self, model, eval_path, tmp_path):
         other_cfg = TalkerConfig(data_tokens=12, src_vocab=6, d=32, d_ff=32, n_layers=2,
                                  n_heads=2, B=4, Q=2, T_max=64)
         path_a, path_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(path_a, CFG, model)
         save_checkpoint(path_b, other_cfg, init_params(other_cfg, nd.make_rng(1)))
         ecfg = bench.ExperimentConfig(checkpoints={"a": str(path_a), "b": str(path_b)},
-                                      steps=[1], max_blocks=4)
+                                      steps=[1], eval_path=eval_path, max_blocks=4)
         from blockmdm.errors import CheckpointError
         with pytest.raises(CheckpointError, match="d: expected 16, got 32"):
-            bench.bench_sweep(ecfg, pairs=pairs)
+            bench.bench_sweep(ecfg)
 
     def test_step_list_validation(self):
         with pytest.raises(ParameterError):
@@ -210,15 +219,17 @@ class TestSweep:
             bench.ExperimentConfig(checkpoints={"base": "a.ckpt"}, steps=[4, 1, 4])
         with pytest.raises(ParameterError, match="at least one checkpoint"):
             bench.ExperimentConfig(checkpoints={}, steps=[4])
+        with pytest.raises(ParameterError, match=r"a sweep needs an eval corpus \(--eval\)"):
+            bench.ExperimentConfig(checkpoints={"base": "a.ckpt"}, steps=[4])
 
-    def test_repetition_means_consistent(self, model, pairs, tmp_path):
+    def test_repetition_means_consistent(self, model, eval_path, tmp_path):
         # throughput means from 1 repetition and 5 repetitions agree within a
         # generous wall-clock tolerance; deterministic fields are identical
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
-        base = dict(checkpoints={"base": str(path_a)}, steps=[2], max_blocks=4)
-        r1 = bench.bench_sweep(bench.ExperimentConfig(repetitions=1, **base), pairs=pairs)
-        r5 = bench.bench_sweep(bench.ExperimentConfig(repetitions=5, **base), pairs=pairs)
+        base = dict(checkpoints={"base": str(path_a)}, steps=[2], eval_path=eval_path, max_blocks=4)
+        r1 = bench.bench_sweep(bench.ExperimentConfig(repetitions=1, **base))
+        r5 = bench.bench_sweep(bench.ExperimentConfig(repetitions=5, **base))
         row1, row5 = r1["rows"][0], r5["rows"][0]
         assert row1["err_rate"] == row5["err_rate"]
         spread = max(4.0 * row5["tps_std"], 0.5 * row5["tps"])
@@ -237,21 +248,21 @@ class TestReportSerialization:
         stripped = bench.strip_timing(report)
         assert stripped == {"rows": [{"err_rate": 0.25}]}
 
-    def test_deterministic_fields_reproducible(self, model, pairs, tmp_path):
+    def test_deterministic_fields_reproducible(self, model, eval_path, tmp_path):
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
         ecfg = bench.ExperimentConfig(checkpoints={"base": str(path_a)}, steps=[2],
-                                      repetitions=1, max_blocks=4)
-        r1 = bench.strip_timing(bench.bench_sweep(ecfg, pairs=pairs))
-        r2 = bench.strip_timing(bench.bench_sweep(ecfg, pairs=pairs))
+                                      eval_path=eval_path, repetitions=1, max_blocks=4)
+        r1 = bench.strip_timing(bench.bench_sweep(ecfg))
+        r2 = bench.strip_timing(bench.bench_sweep(ecfg))
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_csv_schema(self, model, pairs, tmp_path):
+    def test_csv_schema(self, model, eval_path, tmp_path):
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
         ecfg = bench.ExperimentConfig(checkpoints={"base": str(path_a)}, steps=[1],
-                                      repetitions=1, max_blocks=4)
-        report = bench.bench_sweep(ecfg, pairs=pairs)
+                                      eval_path=eval_path, repetitions=1, max_blocks=4)
+        report = bench.bench_sweep(ecfg)
         out = tmp_path / "sweep.csv"
         bench.write_sweep_csv(out, report)
         header = out.read_text().splitlines()[0]

@@ -268,6 +268,34 @@ class TestDecodeCommand:
         assert {(row["input_index"], row["dropped_rows"]) for row in rows} == {(0, 0), (1, 3)}
         assert capsys.readouterr().err == "" and not caplog.records
 
+    def test_log_jsonl_keeps_events_of_inputs_before_a_failure(self, tmp_path, capsys):
+        # each input's block events are written once it is decoded, so a
+        # failing third input leaves the first two inputs' events in the file
+        cfg = talker.TalkerConfig(data_tokens=12, src_vocab=256, d=16, d_ff=32, n_layers=1, n_heads=2,
+                                  B=4, Q=2, T_max=32)
+        ckpt = tmp_path / "vocab256.ckpt"
+        talker.save_checkpoint(ckpt, cfg, talker.init_params(cfg, np.random.default_rng(0)))
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1 2 3\n4 5\n")
+        bad.write_text("1 2 3\n4 5\n6 999\n")  # 999 lies outside [0, src_vocab=256)
+
+        def events_of(cond):
+            events = tmp_path / f"{cond.stem}.jsonl"
+            capsys.readouterr()
+            rc = main(["decode", "--checkpoint", str(ckpt), "--input", str(cond), "--steps", "2",
+                       "--max-blocks", "3", "--output", str(tmp_path / "tokens.txt"),
+                       "--log-jsonl", str(events)])
+            rows = [json.loads(line) for line in events.read_text().splitlines()]
+            return rc, capsys.readouterr().err.strip().splitlines(), [
+                {k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+        rc, err, want = events_of(good)
+        assert (rc, err) == (0, [])
+        rc, err, rows = events_of(bad)
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: source 3: "), err
+        assert rows == want and {row["input_index"] for row in rows} == {0, 1}
+
     def test_missing_checkpoint_exit_1(self, corpus):
         assert main(["decode", "--checkpoint", "/nonexistent.ckpt", "--input", str(corpus),
                      "--steps", "1"]) == 1
@@ -373,6 +401,7 @@ MALFORMED_INPUTS = {
     "bench_empty_eval": (synthtask.CORPUS_MAGIC + '{"count": 0, "spec": {}}\n',
                          lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}", "--eval", f,
                                                   "--steps", "1"]),
+    "bench_no_eval": ("", lambda f, ckpt, corpus: ["bench", "--checkpoint", f"base={ckpt}", "--steps", "1"]),
     "maskstats_delta_nan": ("", lambda f, ckpt, corpus: ["maskstats", "--mode", "global_bernoulli", "--T", "64",
                                                          "--samples", "1000", "--delta", "nan"]),
 }
@@ -443,6 +472,11 @@ class TestBenchCommand:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: unknown config keys: ['eval_path']\n"
+
+    def test_missing_eval_names_the_flag(self, checkpoint, capsys):
+        capsys.readouterr()
+        assert main(MALFORMED_INPUTS["bench_no_eval"][1](None, str(checkpoint), None)) == 1
+        assert capsys.readouterr().err == "error: a sweep needs an eval corpus (--eval)\n"
 
     def test_bad_checkpoint_spec_exit_1(self, corpus):
         assert main(["bench", "--checkpoint", "nolabel", "--eval", str(corpus)]) == 1

@@ -4,38 +4,50 @@ Usage, from the repository root::
 
     python3 tools/ab_pairs.py --out ab.json --pairs 5
     python3 tools/ab_pairs.py --base 061ddc8 --change 5865602 --workloads stream_long --pairs 10
+    python3 tools/ab_pairs.py --out ab.json --pairs 5 --tier1 2
 
-Each named revision is checked out with ``git worktree`` under a temporary
-directory and runs its own ``perfbench/run.py``, because workloads call
-APIs that change between revisions. ``--change`` defaults to the working
-tree itself, uncommitted edits included; ``--base`` defaults to ``HEAD``.
-Pair ``i`` runs both sides on seed ``--seed + i``, one after the other,
-and the side that goes first alternates from pair to pair. Each run is
+Each named revision's committed files are extracted with ``git archive``
+into a temporary directory and run their own ``perfbench/run.py``,
+because workloads call APIs that change between revisions. ``--change``
+defaults to the working tree itself, uncommitted edits included;
+``--base`` defaults to ``HEAD``. Pair ``i`` runs both sides on seed
+``--seed + i``, one after the other, and the side that goes first
+alternates from pair to pair. Each run is
 ``python3 perfbench/run.py --workload W --seed S --seconds X --trace 0``.
+``--tier1 N`` also runs the Tier-1 suite (:data:`TIER1`) N times per side,
+each side from its own tree, again alternating which side goes first.
 
 The output file holds the environment (numpy and BLAS versions, the
 OpenBLAS kernel name, processor count and BLAS threads), every run's
 end-to-end metrics, failure count and output digest, and per workload and
 metric: each side's median and quartiles, the change/base ratio of every
-pair with their median and range, and the pairs the change won. Worktrees
-are removed on exit, and each run finishes before the next starts. Only
-the standard library is used, so the script runs under any interpreter
-that can start the benchmark.
+pair with their median and range, and the pairs the change won. Under
+``tier1`` it holds every Tier-1 run's wall seconds and passed, failed and
+error counts, and each side's wall-time median and quartiles. Extracted
+trees are removed on exit, and each run finishes before the next starts.
+Only the standard library is used, so the script runs under any
+interpreter that can start the benchmark.
 """
 
 import argparse
 import ctypes
 import glob
 import importlib.util
+import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the Tier-1 suite, run from a tree's root with that tree's src/ first on PYTHONPATH
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def parse_args(argv):
@@ -44,14 +56,16 @@ def parse_args(argv):
     p.add_argument("--change", default=None, help="revision of the change side (default: the working tree)")
     p.add_argument("--workloads", default=None, help="comma-separated (default: every workload in BENCHMARK.json)")
     p.add_argument("--pairs", type=int, default=3)
+    p.add_argument("--tier1", type=int, default=0, metavar="N", help="Tier-1 runs per side (default 0)")
     p.add_argument("--seed", type=int, default=2301, help="seed of the first pair; pair i uses seed + i")
     p.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json run_seconds)")
     p.add_argument("--out", required=True, help="JSON file to write")
     return p.parse_args(argv)
 
 
-def git(*args):
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=True).stdout.strip()
+def git(*args, text=True):
+    out = subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=text).stdout
+    return out.strip() if text else out
 
 
 def openblas_corename():
@@ -90,6 +104,19 @@ def run_once(tree, workload, seed, seconds):
             "output_digest": json.loads(tagged.get("detail", "{}")).get("output_digest")}
 
 
+def run_tier1(tree):
+    """One Tier-1 run in ``tree``: its wall seconds and its passed, failed and error counts."""
+    path = os.pathsep.join(p for p in (os.path.join(tree, "src"), os.environ.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {kind.rstrip("s"): int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0), "returncode": proc.returncode}
+
+
 def spread(values):
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -121,10 +148,9 @@ def main(argv=None):
         bench = json.load(f)
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
     seconds = args.seconds or bench["run_seconds"]
-    if args.pairs < 1:
-        raise SystemExit("error: --pairs must be >= 1")
+    if args.pairs < 1 or args.tier1 < 0:
+        raise SystemExit("error: --pairs must be >= 1 and --tier1 >= 0")
     tmp = tempfile.mkdtemp(prefix="ab_pairs-")
-    added = []
     try:
         trees = {}
         for side, rev in (("base", args.base), ("change", args.change)):
@@ -133,8 +159,8 @@ def main(argv=None):
                                "dirty": bool(git("status", "--porcelain")), "path": ROOT}
                 continue
             path = os.path.join(tmp, side)
-            git("worktree", "add", "--detach", path, rev)
-            added.append(path)
+            with tarfile.open(fileobj=io.BytesIO(git("archive", rev, text=False))) as tar:
+                tar.extractall(path)
             trees[side] = {"rev": rev, "commit": git("rev-parse", rev), "path": path}
         report = {"base": {k: v for k, v in trees["base"].items() if k != "path"},
                   "change": {k: v for k, v in trees["change"].items() if k != "path"},
@@ -161,13 +187,23 @@ def main(argv=None):
                 "digests_equal": all(r["base"]["output_digest"] == r["change"]["output_digest"] for r in runs),
                 "failed": {side: sum(r[side]["failed"] for r in runs) for side in ("base", "change")},
                 "metrics": summarize(runs, bench["end_to_end"]), "runs": runs}
+        if args.tier1:
+            runs = []
+            for i in range(args.tier1):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                run = {"run": i, "first": order[0]}
+                for side in order:
+                    run[side] = run_tier1(trees[side]["path"])
+                    print(f"tier1 run {i} {side}: {json.dumps(run[side])}", file=sys.stderr, flush=True)
+                runs.append(run)
+            report["tier1"] = {"command": " ".join(["PYTHONPATH=src", "python", *TIER1[1:]]),
+                               "wall_s": {side: spread([r[side]["wall_s"] for r in runs])
+                                          for side in ("base", "change")},
+                               "runs": runs}
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(report, f, indent=1)
             f.write("\n")
     finally:
-        for path in added:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", path], capture_output=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 
