@@ -12,12 +12,13 @@ Confidence and entropy per reveal step, and the talker stage of the
 first-chunk latency, come from the traces of the eval decodes themselves:
 the decoder records confidence and entropy for every revealed position as
 :func:`decode.reveal_step` picks it, and the wall time and forward passes
-of every block. A sweep runs no model forward outside its eval decodes.
+of every block. :func:`uncertainty_profile` aggregates those traces, and
+:func:`first_chunk_breakdown` reads their first blocks, so the bench runs
+no decode, and no model forward, outside its eval decodes.
 """
 
 from __future__ import annotations
 
-import csv
 import gc
 import json
 import time
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decode as decode_mod
-from . import nd, synthtask, talker
+from . import synthtask, talker
 from .decode import DecodeConfig
 from .errors import InputError, ParameterError
 from .talker import TalkerConfig, TalkerParams
@@ -43,7 +44,6 @@ CSV_COLUMNS = ["checkpoint", "K", "tps", "rtf_analog", "err_rate",
 class Metrics:
     """Aggregate decode metrics for one (checkpoint, K) cell."""
 
-    checkpoint: str
     K: int
     tokens: int
     wall_time: float
@@ -55,14 +55,6 @@ class Metrics:
     forwards_per_block: float
     # per eval source: its first emitted chunk and the trace of its first block
     first_blocks: list = field(default_factory=list, repr=False)
-
-    @property
-    def conf_step1(self):
-        return self.mean_confidence_per_step[0] if self.mean_confidence_per_step else float("nan")
-
-    @property
-    def entropy_step1(self):
-        return self.mean_entropy_per_step[0] if self.mean_entropy_per_step else float("nan")
 
 
 @dataclass
@@ -100,8 +92,7 @@ def _timed(fn, inputs):
     return times
 
 
-def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, evals,
-                          max_blocks: int = 8) -> dict:
+def first_chunk_breakdown(tcfg: TalkerConfig, sources, evals, max_blocks: int = 8) -> dict:
     """Mean, median and standard deviation of per-stage first-chunk
     latency, as ``{K: report}`` for each step count among ``evals``: the
     :func:`decode_eval` results over ``sources`` (in order, same
@@ -133,7 +124,7 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, eva
     canvas_T = decode_mod.canvas_length(tcfg, DecodeConfig(B=tcfg.B, max_blocks=max_blocks))
 
     def semantics(source):
-        return talker.align_for_canvas(params, tcfg, source, canvas_T)
+        return talker.align_for_canvas(None, tcfg, source, canvas_T)
 
     def post(block):
         hits = np.nonzero(block == tcfg.vocab.eos_id)[0]
@@ -170,9 +161,11 @@ def first_chunk_breakdown(params: TalkerParams, tcfg: TalkerConfig, sources, eva
     return reports
 
 
-def _step_means(traces, K: int) -> list:
-    """Mean confidence and mean entropy of the positions revealed at each
-    of the ``K`` steps, over every block of the given decode traces."""
+def uncertainty_profile(traces, K: int) -> list:
+    """Mean confidence and mean entropy, as ``[confidences, entropies]``, of
+    the positions revealed at each of the ``K`` steps over every block of
+    ``traces``, each scored with the logits row it was revealed from (step 1
+    reflects the fully masked block state)."""
     conf_by_step = [[] for _ in range(K)]
     ent_by_step = [[] for _ in range(K)]
     for trace in traces:
@@ -185,7 +178,7 @@ def _step_means(traces, K: int) -> list:
 
 
 def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
-                max_blocks: int = 8, checkpoint_label: str = "model") -> Metrics:
+                max_blocks: int = 8) -> Metrics:
     """Decode an eval set at ``K`` steps per block and aggregate metrics."""
     vocab = tcfg.vocab
     dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=vocab.eos_id)
@@ -206,10 +199,9 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
         ref = synthtask.strip_eos(p.target, vocab.eos_id)
         errs.append(synthtask.token_error_rate(hyp, ref).rate)
         traces.append(result.trace)
-    mean_conf, mean_ent = _step_means(traces, K)
+    mean_conf, mean_ent = uncertainty_profile(traces, K)
     forwards = [btrace.forward_passes for trace in traces for btrace in trace.blocks]
     return Metrics(
-        checkpoint=checkpoint_label,
         K=K,
         tokens=tokens,
         wall_time=wall,
@@ -223,29 +215,13 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
     )
 
 
-def uncertainty_profile(params: TalkerParams, tcfg: TalkerConfig, sources, K: int,
-                        max_blocks: int = 8) -> dict:
-    """Mean confidence and entropy of the positions revealed at each step.
-
-    Decodes each source and scores positions with the logits rows they
-    were revealed from (step 1 reflects the fully masked block state).
-    """
-    if K < 1:
-        raise ParameterError(f"K must be >= 1, got {K}")
-    dcfg = DecodeConfig(B=tcfg.B, K=K, max_blocks=max_blocks, eos_id=tcfg.vocab.eos_id)
-    traces = [decode_mod.decode_source(source, params, tcfg, dcfg).trace for source in sources]
-    mean_conf, mean_ent = _step_means(traces, K)
-    return {"K": K, "mean_confidence_per_step": mean_conf, "mean_entropy_per_step": mean_ent,
-            "n_sources": len(sources)}
-
-
 def bench_sweep(cfg: ExperimentConfig) -> dict:
     """Run the full (checkpoint, K) grid over the eval corpus at
     ``cfg.eval_path`` and aggregate over repetitions.
 
     Each cell decodes the eval set once per repetition (after warm-up);
     its confidence and entropy columns and its talker stage come from those
-    decodes' traces, so the sweep runs no other model forward.
+    decodes' traces, so the sweep runs no other decode or model forward.
     """
     loaded = {}
     ref_cfg = None
@@ -263,10 +239,10 @@ def bench_sweep(cfg: ExperimentConfig) -> dict:
     sources = [p.source for p in pairs]
     rows = []
     for label, (tcfg, params) in loaded.items():
-        evals = {K: [decode_eval(params, tcfg, pairs, K, max_blocks=cfg.max_blocks, checkpoint_label=label)
+        evals = {K: [decode_eval(params, tcfg, pairs, K, max_blocks=cfg.max_blocks)
                      for _ in range(cfg.repetitions)]
                  for K in cfg.steps}
-        breakdown = first_chunk_breakdown(params, tcfg, sources, [m for ms in evals.values() for m in ms],
+        breakdown = first_chunk_breakdown(tcfg, sources, [m for ms in evals.values() for m in ms],
                                           max_blocks=cfg.max_blocks)
         for K in cfg.steps:
             reps = evals[K]
@@ -279,8 +255,8 @@ def bench_sweep(cfg: ExperimentConfig) -> dict:
                 "err_rate": reps[0].err_rate,  # decoding is deterministic across reps
                 "tokens": reps[0].tokens,
                 "forwards_per_block": reps[0].forwards_per_block,
-                "conf_step1": reps[0].conf_step1,
-                "entropy_step1": reps[0].entropy_step1,
+                "conf_step1": reps[0].mean_confidence_per_step[0],
+                "entropy_step1": reps[0].mean_entropy_per_step[0],
                 "mean_confidence_per_step": reps[0].mean_confidence_per_step,
                 "mean_entropy_per_step": reps[0].mean_entropy_per_step,
                 "latency_stage_semantics": breakdown[K]["semantics_median"],
@@ -331,11 +307,3 @@ def strip_timing(report: dict) -> dict:
         return obj
 
     return walk(report)
-
-
-def write_sweep_csv(path, report: dict) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        w.writeheader()
-        for row in report["rows"]:
-            w.writerow(row)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import sys
 from dataclasses import asdict
@@ -138,6 +139,14 @@ def _pair(text):
     return (lo, hi)
 
 
+def _write_csv(path, columns, rows) -> None:
+    """``rows`` (dicts) as CSV under the header ``columns``; other keys are left out."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+
+
 def cmd_gen_data(ns) -> int:
     spec = synthtask.TaskSpec(source_vocab=ns.source_vocab, data_tokens=ns.data_tokens,
                               upsample=ns.upsample, grammar_seed=ns.grammar_seed, noise_rho=ns.noise)
@@ -187,7 +196,7 @@ def _run_training(ns, cfg, verb: str, progress: bool, train) -> int:
         return 1
     talker.save_checkpoint(ns.out, cfg, result.params)
     if ns.curve:
-        training.write_curve_csv(ns.curve, result.curve)
+        _write_csv(ns.curve, ["step", "loss", "kd_loss", "mdm_loss"], result.curve)
     print(f"{verb} {ns.steps} steps, final loss {result.final_loss:.4f}, checkpoint {ns.out}")
     return 0
 
@@ -296,7 +305,7 @@ def cmd_bench(ns) -> int:
         with open(ns.out_json, "w", encoding="utf-8") as f:
             f.write(bench.report_to_json(report))
     if ns.out_csv:
-        bench.write_sweep_csv(ns.out_csv, report)
+        _write_csv(ns.out_csv, bench.CSV_COLUMNS, report["rows"])
     for row in report["rows"]:
         print(f"{row['checkpoint']} K={row['K']}: tps {row['tps']:.0f}  err {row['err_rate']:.4f}  "
               f"conf@1 {row['conf_step1']:.3f}")
@@ -314,12 +323,9 @@ def cmd_maskstats(ns) -> int:
         with open(ns.out_json, "w", encoding="utf-8") as f:
             f.write(text)
     if ns.out_csv:
-        import csv as _csv
-        with open(ns.out_csv, "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(["ratio_bin_center", "count"])
-            for i, count in enumerate(report["ratio_histogram"]):
-                w.writerow([i / ns.block_size, count])
+        _write_csv(ns.out_csv, ["ratio_bin_center", "count"],
+                   [{"ratio_bin_center": i / ns.block_size, "count": count}
+                    for i, count in enumerate(report["ratio_histogram"])])
     print(text)
     return 0
 

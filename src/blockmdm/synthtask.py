@@ -185,6 +185,9 @@ def read_corpus(path, src_vocab=None, V=None):
         count = meta["count"]
     except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"{path}: line 1: malformed corpus header: {e}") from None
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise InputError(f"{path}: line 1: malformed corpus header: "
+                         f"count must be a non-negative integer, got {count!r}")
     pairs = []
     lines = [ln.strip() for ln in lines]
     i = 0

@@ -19,7 +19,6 @@ has not finished.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -216,14 +215,6 @@ class TrainResult:
     @property
     def final_loss(self):
         return self.curve[-1]["loss"] if self.curve else math.nan
-
-
-def write_curve_csv(path, curve) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["step", "loss", "kd_loss", "mdm_loss"])
-        w.writeheader()
-        for row in curve:
-            w.writerow(row)
 
 
 # a diverging step overflows; the finite-loss check reports it as one error

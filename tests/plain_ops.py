@@ -8,8 +8,9 @@ per sequence block with ``np.matmul(..., out=)``. Each records its backward
 onto the package's tape exactly as the package does, so a forward and
 backward pass through :func:`reference_forward` must give bit for bit the
 logits and parameter gradients of ``talker.forward``. The edit-distance
-table here is the oracle for ``synthtask.token_error_rate``; the other
-helpers serve several test modules.
+table here is the oracle for ``synthtask.token_error_rate``, and greedy
+next-token decoding the oracle for block decoding at ``B=1, K=1``; the
+other helpers serve several test modules.
 """
 
 import functools
@@ -19,7 +20,7 @@ import operator
 
 import numpy as np
 
-from blockmdm import nd
+from blockmdm import nd, talker
 
 
 def node(data, parents, backward):
@@ -127,6 +128,24 @@ def edit_distance(hyp, ref):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (h != r))
         prev = cur
     return prev[-1]
+
+
+def greedy_ar_oracle(params, cfg, aligned, max_tokens, eos_id):
+    """Greedy next-token decoding: independent reference implementation.
+
+    Grows the sequence one position at a time; each step runs the model on
+    the prefix plus a masked slot and commits the argmax.
+    """
+    mask_id = cfg.vocab.mask_id
+    out = []
+    for t in range(max_tokens):
+        canvas = np.array(out + [mask_id], dtype=np.intp)
+        logits = talker.forward_array(params, cfg, canvas, aligned)
+        tok = int(logits[t].argmax())
+        out.append(tok)
+        if tok == eos_id:
+            break
+    return np.array(out, dtype=np.intp)
 
 
 def block_causal_mask(T, B):

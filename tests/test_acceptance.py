@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from plain_ops import param_digest
+from plain_ops import greedy_ar_oracle, param_digest
 
 from blockmdm import bench, decode, masking, nd, talker
 from blockmdm.decode import DecodeConfig, schedule_step
@@ -240,19 +240,6 @@ def test_criterion_4_block_causality():
 # criterion 5: AR reduction (B=1, K=1 equals greedy AR decoding)
 # ---------------------------------------------------------------------------
 
-def greedy_ar_oracle(params, cfg, aligned, max_tokens, eos_id):
-    mask_id = cfg.vocab.mask_id
-    out = []
-    for t in range(max_tokens):
-        canvas = np.array(out + [mask_id], dtype=np.intp)
-        logits = talker.forward_array(params, cfg, canvas, aligned)
-        tok = int(logits[t].argmax())
-        out.append(tok)
-        if tok == eos_id:
-            break
-    return np.array(out, dtype=np.intp)
-
-
 def run_ar_reduction():
     cfg = talker.TalkerConfig(data_tokens=16, src_vocab=8, d=16, d_ff=32, n_layers=2,
                               n_heads=2, B=1, Q=1, T_max=64)
@@ -345,16 +332,16 @@ def test_criterion_9_kl_direction(hier_rev_step1_error, distilled_hier_fwd, data
 
 def test_criterion_10_uncertainty(stage2, distilled_hier_rev, datasets):
     _, eval_ = datasets
-    sources = [p.source for p in eval_[:200]]  # >= 200 eval samples
-    base = bench.uncertainty_profile(stage2[0], MODEL_CFG, sources, K=4, max_blocks=4)
-    dist = bench.uncertainty_profile(distilled_hier_rev, MODEL_CFG, sources, K=4, max_blocks=4)
-    conf_up = dist["mean_confidence_per_step"][0] > base["mean_confidence_per_step"][0]
-    ent_down = dist["mean_entropy_per_step"][0] < base["mean_entropy_per_step"][0]
+    pairs = eval_[:200]  # >= 200 eval samples
+    base = bench.decode_eval(stage2[0], MODEL_CFG, pairs, K=4, max_blocks=4)
+    dist = bench.decode_eval(distilled_hier_rev, MODEL_CFG, pairs, K=4, max_blocks=4)
+    conf_up = dist.mean_confidence_per_step[0] > base.mean_confidence_per_step[0]
+    ent_down = dist.mean_entropy_per_step[0] < base.mean_entropy_per_step[0]
     report(10, conf_up and ent_down,
-           f"step-1 confidence {base['mean_confidence_per_step'][0]:.4f} -> "
-           f"{dist['mean_confidence_per_step'][0]:.4f} (up); entropy "
-           f"{base['mean_entropy_per_step'][0]:.4f} -> {dist['mean_entropy_per_step'][0]:.4f} "
-           f"(down) over {len(sources)} samples")
+           f"step-1 confidence {base.mean_confidence_per_step[0]:.4f} -> "
+           f"{dist.mean_confidence_per_step[0]:.4f} (up); entropy "
+           f"{base.mean_entropy_per_step[0]:.4f} -> {dist.mean_entropy_per_step[0]:.4f} "
+           f"(down) over {len(pairs)} samples")
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +358,7 @@ def test_criterion_11_efficiency_trend(stage2, datasets):
     tps = {K: m.tps for K, m in evals.items()}
     forwards_ok = all(m.forwards_per_block == K for K, m in evals.items())
     increasing = all(tps[a] < tps[b] for a, b in ((16, 8), (8, 4), (4, 2), (2, 1)))
-    stages = bench.first_chunk_breakdown(params, MODEL_CFG, sources, [evals[1], evals[16]],
-                                         max_blocks=4)
+    stages = bench.first_chunk_breakdown(MODEL_CFG, sources, [evals[1], evals[16]], max_blocks=4)
     lo, hi = stages[1], stages[16]
     talker_ratio = hi["talker_mean"] / lo["talker_mean"]
     report(11, increasing and forwards_ok and talker_ratio >= 4.0,
@@ -411,10 +397,10 @@ def test_criterion_12_determinism(stage2, distilled_hier_rev, datasets):
     e1, out1 = decode_error(distilled_hier_rev, eval_[:50], K=1)
     e2, out2 = decode_error(distilled_hier_rev, eval_[:50], K=1)
     checks.append(e1 == e2 and all(np.array_equal(x, y) for x, y in zip(out1, out2)))
-    sources = [p.source for p in eval_[:50]]
-    p1 = bench.uncertainty_profile(distilled_hier_rev, MODEL_CFG, sources, K=4, max_blocks=4)
-    p2 = bench.uncertainty_profile(distilled_hier_rev, MODEL_CFG, sources, K=4, max_blocks=4)
-    checks.append(json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True))
+    m1 = bench.decode_eval(distilled_hier_rev, MODEL_CFG, eval_[:50], K=4, max_blocks=4)
+    m2 = bench.decode_eval(distilled_hier_rev, MODEL_CFG, eval_[:50], K=4, max_blocks=4)
+    checks.append(json.dumps([m1.mean_confidence_per_step, m1.mean_entropy_per_step])
+                  == json.dumps([m2.mean_confidence_per_step, m2.mean_entropy_per_step]))
 
     report(12, all(checks),
            f"identical outputs across reruns: AR decodes, train/distill digests and curves, "

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from plain_ops import param_digest
 
-from blockmdm import bench, decode, nd, talker
+from blockmdm import bench, cli, decode, nd, talker
 from blockmdm.errors import ParameterError
 from blockmdm.synthtask import TaskSpec, gen_dataset, write_corpus
 from blockmdm.talker import TalkerConfig, init_params, save_checkpoint
@@ -60,10 +60,9 @@ class TestUncertaintyProfile:
     def test_uniform_logit_model_analytic(self, model, pairs):
         uniform = model.copy()
         uniform["head"].data[:] = 0.0
-        prof = bench.uncertainty_profile(uniform, CFG, [p.source for p in pairs], K=2,
-                                         max_blocks=4)
-        assert prof["mean_confidence_per_step"][0] == pytest.approx(1.0 / CFG.V, abs=1e-12)
-        assert prof["mean_entropy_per_step"][0] == pytest.approx(math.log(CFG.V), abs=1e-12)
+        m = bench.decode_eval(uniform, CFG, pairs, K=2, max_blocks=4)
+        assert m.mean_confidence_per_step[0] == pytest.approx(1.0 / CFG.V, abs=1e-12)
+        assert m.mean_entropy_per_step[0] == pytest.approx(math.log(CFG.V), abs=1e-12)
 
     def test_saturated_model_confident(self, model, pairs):
         # zero the whole network so the pre-head features are exactly ones
@@ -73,13 +72,13 @@ class TestUncertaintyProfile:
             p.data[:] = 0.0
         sat["fusion.b2"].data[:] = 1.0
         sat["head"].data[:, 5] = 5.0  # logit 80 for token 5, 0 elsewhere
-        prof = bench.uncertainty_profile(sat, CFG, [p.source for p in pairs], K=2, max_blocks=4)
-        assert prof["mean_confidence_per_step"][0] > 0.9999
-        assert prof["mean_entropy_per_step"][0] < 1e-6
+        m = bench.decode_eval(sat, CFG, pairs, K=2, max_blocks=4)
+        assert m.mean_confidence_per_step[0] > 0.9999
+        assert m.mean_entropy_per_step[0] < 1e-6
 
     def test_k_validation(self, model, pairs):
         with pytest.raises(ParameterError):
-            bench.uncertainty_profile(model, CFG, [p.source for p in pairs], K=0)
+            bench.decode_eval(model, CFG, pairs, K=0)
 
 
 def evals_at(model, pairs, Ks, max_blocks=4):
@@ -89,7 +88,7 @@ def evals_at(model, pairs, Ks, max_blocks=4):
 
 class TestFirstChunkBreakdown:
     def test_stage_fields_and_forward_count(self, model, pairs):
-        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs],
+        reps = bench.first_chunk_breakdown(CFG, [p.source for p in pairs],
                                            evals_at(model, pairs, [3]), max_blocks=4)
         assert list(reps) == [3]
         rep = reps[3]
@@ -105,7 +104,7 @@ class TestFirstChunkBreakdown:
         # the talker figures are those of the eval decodes' first blocks,
         # pooled over every result of a K, exactly
         evals = evals_at(model, pairs, [2, 1, 2])
-        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs], evals, max_blocks=4)
+        reps = bench.first_chunk_breakdown(CFG, [p.source for p in pairs], evals, max_blocks=4)
         for K in (1, 2):
             times = [btrace.wall_time for m in evals if m.K == K for _, btrace in m.first_blocks]
             assert len(times) == len(pairs) * (2 if K == 2 else 1)
@@ -119,13 +118,13 @@ class TestFirstChunkBreakdown:
             raise AssertionError("first_chunk_breakdown ran a model forward")
 
         monkeypatch.setattr(talker, "forward", no_forward)
-        bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs], evals, max_blocks=4)
+        bench.first_chunk_breakdown(CFG, [p.source for p in pairs], evals, max_blocks=4)
         with pytest.raises(ParameterError):
-            bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs[:-1]], evals, max_blocks=4)
+            bench.first_chunk_breakdown(CFG, [p.source for p in pairs[:-1]], evals, max_blocks=4)
 
     def test_talker_stage_scales_with_k(self, model, pairs):
         pairs = pairs * 3
-        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs],
+        reps = bench.first_chunk_breakdown(CFG, [p.source for p in pairs],
                                            evals_at(model, pairs, [1, 8]), max_blocks=4)
         lo, hi = reps[1], reps[8]
         assert hi["talker_mean"] > 3.0 * lo["talker_mean"]
@@ -135,7 +134,7 @@ class TestFirstChunkBreakdown:
         # medians (over enough repetitions to tame microsecond jitter) agree
         # within 10% between K=1 and K=8
         pairs = pairs * 25  # 300 measurements
-        reps = bench.first_chunk_breakdown(model, CFG, [p.source for p in pairs],
+        reps = bench.first_chunk_breakdown(CFG, [p.source for p in pairs],
                                            evals_at(model, pairs, [1, 8]), max_blocks=4)
         lo, hi = reps[1], reps[8]
         for stage in ("semantics", "post"):
@@ -158,7 +157,7 @@ class TestSweep:
     def test_one_decode_pass_per_cell(self, model, pairs, eval_path, tmp_path, monkeypatch):
         # each (checkpoint, K) cell decodes the eval set once per repetition
         # after its warm-up, and its uncertainty columns are what
-        # uncertainty_profile reports for the same sources
+        # uncertainty_profile reads from fresh decodes of the same sources
         other = init_params(CFG, nd.make_rng(5))
         models = {"a": model, "b": other}
         paths = {label: tmp_path / f"{label}.ckpt" for label in models}
@@ -191,12 +190,13 @@ class TestSweep:
         assert forwards["decodes"] > 0
         assert forwards["all"] == forwards["decodes"]
         monkeypatch.undo()
-        sources = [p.source for p in pairs]
         for row in report["rows"]:
-            prof = bench.uncertainty_profile(models[row["checkpoint"]], CFG, sources, row["K"],
-                                             max_blocks=4)
-            assert row["mean_confidence_per_step"] == prof["mean_confidence_per_step"]
-            assert row["mean_entropy_per_step"] == prof["mean_entropy_per_step"]
+            dcfg = decode.DecodeConfig(B=CFG.B, K=row["K"], max_blocks=4, eos_id=CFG.vocab.eos_id)
+            traces = [decode.decode_source(p.source, models[row["checkpoint"]], CFG, dcfg).trace
+                      for p in pairs]
+            conf, entropy = bench.uncertainty_profile(traces, row["K"])
+            assert row["mean_confidence_per_step"] == conf
+            assert row["mean_entropy_per_step"] == entropy
 
     def test_incompatible_checkpoints_rejected(self, model, eval_path, tmp_path):
         other_cfg = TalkerConfig(data_tokens=12, src_vocab=6, d=32, d_ff=32, n_layers=2,
@@ -260,10 +260,8 @@ class TestReportSerialization:
     def test_csv_schema(self, model, eval_path, tmp_path):
         path_a = tmp_path / "a.ckpt"
         save_checkpoint(path_a, CFG, model)
-        ecfg = bench.ExperimentConfig(checkpoints={"base": str(path_a)}, steps=[1],
-                                      eval_path=eval_path, repetitions=1, max_blocks=4)
-        report = bench.bench_sweep(ecfg)
         out = tmp_path / "sweep.csv"
-        bench.write_sweep_csv(out, report)
+        assert cli.main(["bench", "--checkpoint", f"base={path_a}", "--eval", eval_path, "--steps", "1",
+                         "--max-blocks", "4", "--out-csv", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert header == ",".join(bench.CSV_COLUMNS)

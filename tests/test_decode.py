@@ -6,7 +6,7 @@ from blockmdm.decode import (DecodeConfig, DecodeTrace, canvas_length, decode, d
                              decode_source, pick_reveal, reveal_step, schedule_step, stream_blocks)
 from blockmdm.errors import DecodeError, ParameterError
 from blockmdm.synthtask import SamplePair
-from plain_ops import row_entropy, softmax
+from plain_ops import greedy_ar_oracle, row_entropy, softmax
 from test_training import scripted_batch
 
 CFG = talker.TalkerConfig(data_tokens=12, src_vocab=6, d=16, d_ff=32, n_layers=2, n_heads=2,
@@ -206,24 +206,6 @@ class TestDecodeStream:
         dcfg = DecodeConfig(B=4, K=1, max_blocks=2, eos_id=CFG.vocab.eos_id)
         with pytest.raises(ParameterError):
             decode(short, params, CFG, dcfg)
-
-
-def greedy_ar_oracle(params, cfg, aligned, max_tokens, eos_id):
-    """Greedy next-token decoding: independent reference implementation.
-
-    Grows the sequence one position at a time; each step runs the model on
-    the prefix plus a masked slot and commits the argmax.
-    """
-    mask_id = cfg.vocab.mask_id
-    out = []
-    for t in range(max_tokens):
-        canvas = np.array(out + [mask_id], dtype=np.intp)
-        logits = talker.forward_array(params, cfg, canvas, aligned)
-        tok = int(logits[t].argmax())
-        out.append(tok)
-        if tok == eos_id:
-            break
-    return np.array(out, dtype=np.intp)
 
 
 class TestARReduction:

@@ -176,6 +176,16 @@ class TestCorpusIO:
         with pytest.raises(InputError, match="header"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("count", ['"1"', "true", "1.0", "-1"])
+    def test_header_count_must_be_a_non_negative_int(self, tmp_path, count):
+        pairs = gen_dataset(SPEC, 1, (2, 3), nd.make_rng(6), eos_id=EOS)
+        path = tmp_path / "corpus.txt"
+        write_corpus(path, SPEC, pairs)
+        path.write_text(path.read_text().replace('"count": 1', f'"count": {count}', 1))
+        with pytest.raises(InputError, match=r"line 1: malformed corpus header: "
+                                             r"count must be a non-negative integer, got "):
+            read_corpus(path)
+
     def test_count_mismatch_rejected(self, tmp_path):
         pairs = gen_dataset(SPEC, 3, (2, 3), nd.make_rng(6), eos_id=EOS)
         path = tmp_path / "corpus.txt"

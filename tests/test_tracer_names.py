@@ -27,7 +27,7 @@ def test_traced_spans_recorded(monkeypatch):
         training.train_distill(CFG, params, pairs, training.DistillConfig(K=2),
                                MaskingConfig(mode="hierarchical"), training.OptimizerConfig(batch_size=2),
                                steps=1, seed=0)
-        bench.uncertainty_profile(params, CFG, [pairs[1].source], K=2, max_blocks=2)
+        bench.decode_eval(params, CFG, pairs[1:2], K=2, max_blocks=2)
     recorded = {span[0] for span in tracer.spans}
     for name in ("schedule.reveal", "semantics.fuse", "decode.block", "training.rollout", "bench.uncertainty",
                  "masking.sample", "nd.backward", "nd.adamw", "semantics.align", "nd.attention"):
