@@ -83,13 +83,14 @@ class ExperimentConfig:
 
 
 def _timed(fn, inputs):
-    """``fn`` over ``inputs`` back to back; returns the per-call wall times."""
-    times = []
-    for x in inputs:
+    """``fn`` over ``inputs`` in order; per input, the wall time of the
+    fastest of 3 back-to-back calls."""
+    def once(x):
         t0 = time.perf_counter()
         fn(x)
-        times.append(time.perf_counter() - t0)
-    return times
+        return time.perf_counter() - t0
+
+    return [min(once(x) for _ in range(3)) for x in inputs]
 
 
 def first_chunk_breakdown(tcfg: TalkerConfig, sources, evals, max_blocks: int = 8) -> dict:
@@ -100,18 +101,18 @@ def first_chunk_breakdown(tcfg: TalkerConfig, sources, evals, max_blocks: int = 
 
     Stages: building the conditioning stream's index, the talker's
     diffusion steps for the first block (whose forwards gather the stream's
-    rows), and post-processing (EOS scan and emission). The talker stage is read from the eval decodes' traces of
-    each source's first block, pooled over the results of a K; no model
-    forward runs here. The two microsecond stages are timed here, post on
-    each source's first chunk as its K's first eval decode emitted it.
+    rows), and post-processing (EOS scan and emission). The talker stage is
+    read from the eval decodes' traces of each source's first block, pooled
+    over the results of a K; no model forward runs here. The other two are
+    timed here, post on the first chunk each K's first eval decode emitted.
     After an untimed warm-up over the first ``WARMUP`` sources, each stage
     runs in one back-to-back loop over every source once per K, with the
-    garbage collector paused; the K values alternate from call to call,
-    their order flipping from one source to the next. So a stage is never
-    timed right after a K-dependent decode or across a collection, and
-    every K sees the same drift in processor speed. One preempted call can
-    move a stage's mean by more than 10%; the median is the figure to
-    compare across K, and the sweep reports it.
+    garbage collector paused; the K values alternate from job to job,
+    their order flipping from one source to the next, and a job's time is
+    the fastest of its 3 back-to-back calls. So a stage is never timed
+    right after a K-dependent decode or across a collection, every K sees
+    the same drift in processor speed, and a preempted call rarely counts;
+    the sweep reports the median over sources, the figure to compare.
     """
     by_K = {}
     for m in evals:
@@ -185,20 +186,16 @@ def decode_eval(params: TalkerParams, tcfg: TalkerConfig, pairs, K: int,
     for p in pairs[:WARMUP]:
         decode_mod.decode_source(p.source, params, tcfg, dcfg)
 
-    tokens = 0
-    wall = 0.0
-    errs = []
-    traces = []
-    first_blocks = []
+    tokens, errs, traces, first_blocks = 0, [], [], []
     for p in pairs:
         result = decode_mod.decode_source(p.source, params, tcfg, dcfg)
         first_blocks.append((result.tokens[:dcfg.B], result.trace.blocks[0]))
         tokens += len(result.tokens)
-        wall += result.trace.wall_time
         hyp = synthtask.strip_eos(result.tokens, vocab.eos_id)
         ref = synthtask.strip_eos(p.target, vocab.eos_id)
         errs.append(synthtask.token_error_rate(hyp, ref).rate)
         traces.append(result.trace)
+    wall = sum(trace.wall_time for trace in traces)
     mean_conf, mean_ent = uncertainty_profile(traces, K)
     forwards = [btrace.forward_passes for trace in traces for btrace in trace.blocks]
     return Metrics(

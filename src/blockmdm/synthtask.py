@@ -24,6 +24,9 @@ from .errors import InputError, ParameterError
 from .nd import make_rng
 
 CORPUS_MAGIC = "# blockmdm-corpus v1 "
+# the JSON types of a corpus header's spec fields; an int also serves for a float
+SPEC_TYPES = {"source_vocab": int, "data_tokens": int, "upsample": int, "grammar_seed": int,
+              "noise_rho": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -181,9 +184,14 @@ def read_corpus(path, src_vocab=None, V=None):
         raise InputError(f"{path}: missing corpus header")
     try:
         meta = json.loads(header[len(CORPUS_MAGIC):])
-        spec = TaskSpec(**meta["spec"])
-        count = meta["count"]
-    except (ValueError, KeyError, TypeError) as e:
+        spec, count = meta["spec"], meta["count"]
+        if not isinstance(spec, dict) or not set(spec) <= set(SPEC_TYPES):
+            raise TypeError(f"spec must be an object of TaskSpec fields, got {spec!r}")
+        for key, value in spec.items():
+            if isinstance(value, bool) or not isinstance(value, SPEC_TYPES[key]):
+                raise TypeError(f"spec field {key!r} has the wrong type: {value!r}")
+        spec = TaskSpec(**spec)
+    except (ValueError, KeyError, TypeError, ParameterError) as e:
         raise InputError(f"{path}: line 1: malformed corpus header: {e}") from None
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise InputError(f"{path}: line 1: malformed corpus header: "

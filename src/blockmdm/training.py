@@ -13,8 +13,7 @@ what compresses multi-step refinement into few steps.
 Both stages take one forward and one backward pass per optimizer step:
 a batch's sequences and their conditioning stream, built once, are stacked
 row by row without padding (:class:`Batch`), and the teacher rolls out the
-whole batch at once, each forward pass over the rows of the sequences it
-has not finished.
+whole batch at once, each forward pass over all of its rows.
 """
 
 from __future__ import annotations
@@ -69,55 +68,43 @@ class OptimizerConfig:
             raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
-def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, lengths=None):
+def teacher_rollout(corrupted0, mask_positions, forward_fn, B: int, K: int, lengths):
     """Reveal all masked positions in ``K`` confidence-ranked steps.
 
-    ``lengths`` splits the rows into sequences stacked sample-major
-    (default: one sequence), and blocks are counted within each sequence.
-    ``forward_fn(tokens, rows, lengths) -> logits array`` is the frozen
-    teacher bound to its conditioning: ``tokens`` are the stacked rows
-    ``rows`` (ascending) of the still active sequences of lengths
-    ``lengths``, and the logits cover those rows. Each step
-    runs one forward pass over the sequences that still have masked
-    positions (a sequence's logits do not depend on the others) and updates
-    every block of those sequences in parallel: per block, the ``n_j``
-    still-masked positions with highest confidence (ties to lowest index)
-    are recorded and replaced by their argmax tokens. Returns ``(targets,
-    final_sequence, n_forward_passes)``, ``targets`` one row of logits per
-    masked position, in ``mask_positions`` order, from the step that
-    revealed it; logits with a NaN or Inf raise :class:`NonFiniteError`
-    before any reveal.
+    ``lengths`` splits the rows into sequences stacked sample-major, and
+    blocks are counted within each sequence. ``forward_fn(tokens) -> logits
+    array`` is the frozen teacher bound to its conditioning and ``lengths``.
+    Each step runs one forward pass over all the rows (a sequence's logits
+    depend on it alone, and a finished one has nothing left to reveal) and
+    updates every block in parallel: per block, the ``n_j`` still-masked
+    positions with highest confidence (ties to lowest index) are recorded
+    and replaced by their argmax tokens. Returns ``(targets, final_sequence,
+    n_forward_passes)``, ``targets`` one row of logits per masked position,
+    in ``mask_positions`` order, from the step that revealed it; logits with
+    a NaN or Inf raise :class:`NonFiniteError` before any reveal.
     """
-    corrupted0 = np.asarray(corrupted0)
+    seq = np.array(corrupted0)
     mask_positions = np.asarray(mask_positions, dtype=np.intp)
     if mask_positions.size == 0:
         raise ParameterError("teacher rollout requires a nonempty masked set")
-    T = len(corrupted0)
-    lengths = [T] if lengths is None else list(lengths)
+    T = len(seq)
     if sum(lengths) != T:
         raise ParameterError(f"sequence lengths {lengths} do not cover the {T} rows")
-    starts = np.cumsum([0] + lengths)
-    seq_of = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum([0, *lengths])
     blocks = [slice(b, min(b + B, end)) for start, end in zip(starts[:-1], starts[1:])
               for b in range(start, end, B)]
-    seq = corrupted0.copy()
     masked = np.zeros(T, dtype=bool)
     masked[mask_positions] = True
 
-    z_tea = logits = None
-    n_forwards = 0
+    z_tea, n_forwards = None, 0
     for j in range(1, K + 1):
         if not masked.any():
             break
-        active = np.unique(seq_of[masked])
-        rows = np.nonzero(np.isin(seq_of, active))[0]
-        out = forward_fn(seq[rows], rows, [lengths[i] for i in active])
-        if not np.isfinite(out).all():
+        logits = forward_fn(seq)
+        if not np.isfinite(logits).all():
             raise NonFiniteError(f"non-finite teacher logits at rollout step {j}")
         n_forwards += 1
-        if z_tea is None:
-            z_tea, logits = np.zeros((T, out.shape[1])), np.zeros((T, out.shape[1]))
-        logits[rows] = out
+        z_tea = np.zeros_like(logits) if z_tea is None else z_tea
         for block in blocks:
             pos = block.start + np.nonzero(masked[block])[0]
             if pos.size:
@@ -308,17 +295,13 @@ def train_distill(cfg: TalkerConfig, start_params: TalkerParams, dataset,
     student = start_params.copy()
 
     def targets_fn(batch):
-        forwarded = []
-
-        def forward_fn(tokens, rows, lengths):
-            forwarded.append(len(rows))
-            return talker.forward_array(start_params, cfg, tokens,
-                                        talker.AlignedSemantics(batch.stream.index[rows]), lengths=lengths)
+        def forward_fn(tokens):
+            return talker.forward_array(start_params, cfg, tokens, batch.stream, lengths=batch.lengths)
 
         t0 = time.perf_counter()
         tea, _, n_forwards = teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=cfg.B,
                                              K=distill_cfg.K, lengths=batch.lengths)
-        return tea, {"rollout_forwards": n_forwards, "rollout_rows": sum(forwarded),
+        return tea, {"rollout_forwards": n_forwards, "rollout_rows": n_forwards * len(batch.corrupted),
                      "rollout_ms": (time.perf_counter() - t0) * 1e3}
 
     # with alpha = 0 the teacher targets would carry zero weight: pure masked-CE

@@ -128,10 +128,9 @@ class TestTrainAndDistill:
             rss = math.sqrt(sum(norm ** 2 for norm in groups.values()))
             assert rss == pytest.approx(row["grad_norm"], rel=1e-12)
             if command == "distill":
-                # K=2 teacher steps over the batch's rows: one or two forwards,
-                # the second over the samples still masked
+                # K=2 teacher steps: one or two forwards, each over all the batch's rows
                 assert row["rollout_forwards"] in (1, 2) and row["rollout_ms"] > 0
-                assert row["rows"] <= row["rollout_rows"] <= row["rollout_forwards"] * row["rows"]
+                assert row["rollout_rows"] == row["rollout_forwards"] * row["rows"]
             for key in ("loss", "kd_loss", "mdm_loss"):
                 assert row[key] == float(w[key])
             assert isinstance(row["masked"], int) and isinstance(row["rows"], int)
@@ -352,6 +351,11 @@ MALFORMED_INPUTS = {
                                                                             "--input", f, "--steps", "1"]),
     "conditioning_id_over_vocab": ("1 2 3\n1 2 8\n", lambda f, ckpt, corpus: ["decode", "--checkpoint", ckpt,
                                                                              "--input", f, "--steps", "1"]),
+    # a corpus header spec field of the wrong type, or out of TaskSpec's range
+    "train_corpus_spec_type": (synthtask.CORPUS_MAGIC + '{"count": 1, "spec": {"source_vocab": "16"}}\n1 2\n3 4\n\n',
+                               lambda f, ckpt, corpus: TRAIN_ARGV(f, f)),
+    "train_corpus_spec_range": (synthtask.CORPUS_MAGIC + '{"count": 1, "spec": {"data_tokens": -3}}\n1 2\n3 4\n\n',
+                                lambda f, ckpt, corpus: TRAIN_ARGV(f, f)),
     # the second record's source holds -3, outside [0, src_vocab=8), or its target 99, outside [0, V=15)
     "train_source_id": (BAD_SOURCE_ID, lambda f, ckpt, corpus: TRAIN_ARGV(f, f)),
     "train_target_id": (BAD_TARGET_ID, lambda f, ckpt, corpus: TRAIN_ARGV(f, f)),

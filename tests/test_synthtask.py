@@ -1,3 +1,4 @@
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockmdm import nd
 from blockmdm.errors import InputError, ParameterError
-from blockmdm.synthtask import (TaskSpec, gen_dataset, gen_grammar, read_corpus,
+from blockmdm.synthtask import (CORPUS_MAGIC, TaskSpec, gen_dataset, gen_grammar, read_corpus,
                                 strip_eos, token_error_rate, write_corpus)
 
 SPEC = TaskSpec(source_vocab=16, data_tokens=32, upsample=4, grammar_seed=5)
@@ -185,6 +186,39 @@ class TestCorpusIO:
         with pytest.raises(InputError, match=r"line 1: malformed corpus header: "
                                              r"count must be a non-negative integer, got "):
             read_corpus(path)
+
+    @staticmethod
+    def _corpus_with_spec(path, edit):
+        """A one-record corpus at ``path`` whose header spec is ``edit(spec)``."""
+        write_corpus(path, SPEC, gen_dataset(SPEC, 1, (2, 3), nd.make_rng(6), eos_id=EOS))
+        header, rest = path.read_text().split("\n", 1)
+        meta = json.loads(header[len(CORPUS_MAGIC):])
+        meta["spec"] = edit(meta["spec"])
+        path.write_text(CORPUS_MAGIC + json.dumps(meta) + "\n" + rest)
+
+    @pytest.mark.parametrize("field, value, why", [("upsample", 4.5, "'upsample' has the wrong type: 4.5"),
+                                                   ("grammar_seed", True, "'grammar_seed' has the wrong type"),
+                                                   ("source_vocab", "16", "'source_vocab' has the wrong type"),
+                                                   ("data_tokens", -3, "data_tokens >= 2")],
+                             ids=["upsample", "grammar_seed", "source_vocab", "data_tokens"])
+    def test_header_spec_fields_checked(self, tmp_path, field, value, why):
+        path = tmp_path / "corpus.txt"
+        self._corpus_with_spec(path, lambda spec: {**spec, field: value})
+        with pytest.raises(InputError) as e:
+            read_corpus(path)
+        assert str(e.value).startswith(f"{path}: line 1: malformed corpus header: ") and why in str(e.value)
+
+    @pytest.mark.parametrize("spec", [[], {"vocab": 16}], ids=["list", "unknown-field"])
+    def test_header_spec_must_be_an_object_of_taskspec_fields(self, tmp_path, spec):
+        path = tmp_path / "corpus.txt"
+        self._corpus_with_spec(path, lambda _: spec)
+        with pytest.raises(InputError, match="line 1: malformed corpus header: spec must be an object of TaskSpec"):
+            read_corpus(path)
+
+    def test_header_spec_noise_rho_takes_an_int(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        self._corpus_with_spec(path, lambda spec: {**spec, "noise_rho": 0})
+        assert read_corpus(path)[0] == SPEC
 
     def test_count_mismatch_rejected(self, tmp_path):
         pairs = gen_dataset(SPEC, 3, (2, 3), nd.make_rng(6), eos_id=EOS)

@@ -30,8 +30,8 @@ class ScriptedTeacher:
         self.calls = 0
         self.history = []
 
-    def __call__(self, tokens, rows, lengths):
-        assert len(tokens) == len(rows) == sum(lengths) == self.T  # every sequence still has masked positions
+    def __call__(self, tokens):
+        assert len(tokens) == self.T  # every forward covers all the rows
         self.calls += 1
         logits = self.rng.normal(size=(self.T, self.V)) + self.calls  # distinct per step
         if self.calls == self.nan_at:
@@ -63,7 +63,7 @@ class TestTeacherRollout:
         teacher = ScriptedTeacher(T, V)
         corrupted = np.full(T, 7)
         mask = np.array([1, 2, 5, 9, 10])
-        targets, final, n_fwd = teacher_rollout(corrupted, mask, teacher, B=B, K=1)
+        targets, final, n_fwd = teacher_rollout(corrupted, mask, teacher, B=B, K=1, lengths=[T])
         assert n_fwd == 1
         assert targets.shape == (len(mask), V)
         np.testing.assert_array_equal(targets, teacher.history[0][mask])
@@ -73,7 +73,7 @@ class TestTeacherRollout:
         T, V, B = 12, 9, 4
         teacher = ScriptedTeacher(T, V, seed=3, nan_at=2)
         with pytest.raises(NonFiniteError, match="non-finite teacher logits at rollout step 2"):
-            teacher_rollout(np.full(T, 7), np.arange(T), teacher, B=B, K=3)
+            teacher_rollout(np.full(T, 7), np.arange(T), teacher, B=B, K=3, lengths=[T])
         assert teacher.calls == 2
 
     def test_all_revealed_within_k_and_monotone(self):
@@ -81,7 +81,7 @@ class TestTeacherRollout:
         teacher = ScriptedTeacher(T, V, seed=1)
         corrupted = np.full(T, 7)
         mask = np.arange(T)  # everything masked
-        targets, final, n_fwd = teacher_rollout(corrupted, mask, teacher, B=B, K=K)
+        targets, final, n_fwd = teacher_rollout(corrupted, mask, teacher, B=B, K=K, lengths=[T])
         assert n_fwd == K
         assert targets.shape == (T, V)
         # every row is the teacher's logits for its position at some step
@@ -93,7 +93,7 @@ class TestTeacherRollout:
         teacher = ScriptedTeacher(T, V, seed=2)
         corrupted = np.arange(T) % 9
         mask = np.array([0, 1, 9])  # blocks 0 and 2 only
-        targets, final, _ = teacher_rollout(corrupted, mask, teacher, B=B, K=2)
+        targets, final, _ = teacher_rollout(corrupted, mask, teacher, B=B, K=2, lengths=[T])
         assert targets.shape == (len(mask), V)  # no row for the unmasked block
         np.testing.assert_array_equal(final[4:8], corrupted[4:8])
 
@@ -101,7 +101,7 @@ class TestTeacherRollout:
         T, V, B, K = 8, 5, 4, 4
         teacher = ScriptedTeacher(T, V, seed=3)
         mask = np.arange(8)  # each block has R=4 >= K
-        _, _, n_fwd = teacher_rollout(np.zeros(T, int), mask, teacher, B=B, K=K)
+        _, _, n_fwd = teacher_rollout(np.zeros(T, int), mask, teacher, B=B, K=K, lengths=[T])
         assert n_fwd == K == teacher.calls
 
     def test_provenance_rows_match_reveal_step(self):
@@ -110,7 +110,7 @@ class TestTeacherRollout:
         T, V, B, K = 4, 6, 4, 2
         teacher = ScriptedTeacher(T, V, seed=4)
         mask = np.arange(4)
-        targets, _, _ = teacher_rollout(np.zeros(T, int), mask, teacher, B=B, K=K)
+        targets, _, _ = teacher_rollout(np.zeros(T, int), mask, teacher, B=B, K=K, lengths=[T])
         step1, step2 = teacher.history
         matches_step1 = [np.array_equal(targets[t], step1[t]) for t in range(4)]
         matches_step2 = [np.array_equal(targets[t], step2[t]) for t in range(4)]
@@ -122,27 +122,27 @@ class TestTeacherRollout:
         T, V, B = 4, 5, 4
         calls = []
 
-        def flat_teacher(tokens, rows, lengths):
+        def flat_teacher(tokens):
             calls.append(None)
             return np.full((T, V), float(len(calls)))  # uniform rows, valued by step
 
-        targets, final, _ = teacher_rollout(np.full(T, 3), np.arange(T), flat_teacher, B=B, K=2)
+        targets, final, _ = teacher_rollout(np.full(T, 3), np.arange(T), flat_teacher, B=B, K=2, lengths=[T])
         # with all-equal confidence, step 1 must reveal positions 0 and 1
         np.testing.assert_array_equal(targets, [[1.0] * V, [1.0] * V, [2.0] * V, [2.0] * V])
 
     def test_rows_follow_mask_positions_order(self):
         T, V, B, K = 12, 9, 4, 2
         mask = np.array([9, 1, 5, 10, 2])
-        rows, final, _ = teacher_rollout(np.full(T, 7), mask, ScriptedTeacher(T, V, seed=5), B=B, K=K)
+        rows, final, _ = teacher_rollout(np.full(T, 7), mask, ScriptedTeacher(T, V, seed=5), B=B, K=K, lengths=[T])
         sorted_rows, sorted_final, _ = teacher_rollout(np.full(T, 7), np.sort(mask), ScriptedTeacher(T, V, seed=5),
-                                                       B=B, K=K)
+                                                       B=B, K=K, lengths=[T])
         assert rows.shape == (len(mask), V)
         np.testing.assert_array_equal(rows, sorted_rows[np.argsort(np.argsort(mask))])
         np.testing.assert_array_equal(final, sorted_final)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ParameterError):
-            teacher_rollout(np.zeros(8, int), np.array([], dtype=int), ScriptedTeacher(8, 5), B=4, K=2)
+            teacher_rollout(np.zeros(8, int), np.array([], dtype=int), ScriptedTeacher(8, 5), B=4, K=2, lengths=[8])
 
 
 class TestDistillLoss:
@@ -349,11 +349,10 @@ class TestBatchedStep:
     MASKS = ([0, 2, 3], [], [1, 4, 5, 6, 8], [3])  # the second sample's mask came up empty
 
     def rollout(self, teacher, batch, K=2, forwards=None):
-        def forward_fn(tokens, rows, lengths):
+        def forward_fn(tokens):
             if forwards is not None:
-                forwards.append((len(rows), lengths))
-            return talker.forward_array(teacher, CFG, tokens, talker.AlignedSemantics(batch.stream.index[rows]),
-                                        lengths=lengths)
+                forwards.append(len(tokens))
+            return talker.forward_array(teacher, CFG, tokens, batch.stream, lengths=batch.lengths)
 
         return teacher_rollout(batch.corrupted, batch.masked, forward_fn, B=CFG.B, K=K,
                                lengths=batch.lengths)
@@ -409,7 +408,7 @@ class TestBatchedStep:
 
     # samples of 5, 7 and 9 rows; the last one's only masked row is alone in
     # its ragged last block (R=1 < K), so at K=3 that sample is done after
-    # the first forward and later forwards leave its rows out
+    # the first forward, and later forwards still cover its rows
     EARLY = ([0, 2, 3], [1, 4, 5, 6], [8])
 
     @pytest.mark.parametrize("K, early", [(1, False), (3, False), (3, True)], ids=["1", "3", "3-early"])
@@ -417,12 +416,12 @@ class TestBatchedStep:
         masks = self.EARLY if early else self.MASKS
         batch, samples = scripted_batch(monkeypatch, masks, seed=4)
         teacher = talker.init_params(CFG, nd.make_rng(5))
-        forwards = []  # per forward: its rows and the lengths of its sequences
+        forwards = []  # per forward: the rows it covers
         tea, final, n_fwd = self.rollout(teacher, batch, K=K, forwards=forwards)
         assert n_fwd == K
         if early:
             assert batch.lengths == [5, 7, 9]
-            assert forwards == [(21, [5, 7, 9]), (12, [5, 7]), (12, [5, 7])]
+            assert forwards == [21, 21, 21]
         starts = np.cumsum([0] + batch.lengths)
         kept = [(s, m) for s, m in zip(samples, masks) if m]
         first_rows = np.cumsum([0] + [len(m) for _, m in kept])
@@ -431,7 +430,7 @@ class TestBatchedStep:
             aligned = talker.align_for_canvas(teacher, CFG, sample.source, hi - lo)
             one, one_final, _ = teacher_rollout(
                 corrupted, np.array(mask),
-                lambda toks, rows, lengths: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K)
+                lambda toks: talker.forward_array(teacher, CFG, toks, aligned), B=CFG.B, K=K, lengths=[hi - lo])
             np.testing.assert_array_equal(tea[first_row:first_row + len(mask)], one)
             np.testing.assert_array_equal(final[lo:hi], one_final)
 

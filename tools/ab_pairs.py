@@ -21,7 +21,9 @@ The output file holds the environment (numpy and BLAS versions, the
 OpenBLAS kernel name, processor count and BLAS threads), every run's
 end-to-end metrics, failure count and output digest, and per workload and
 metric: each side's median and quartiles, the change/base ratio of every
-pair with their median and range, and the pairs the change won. Under
+pair with their median and range, the pairs the change won, and a
+``verdict`` (``gain``, ``regression``, ``unresolved`` or ``within_bound``;
+see :func:`verdict`). Under
 ``tier1`` it holds every Tier-1 run's wall seconds and passed, failed and
 error counts, and each side's wall-time median and quartiles. Extracted
 trees are removed on exit, and each run finishes before the next starts.
@@ -124,21 +126,47 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(base, change, wins, lower, bound):
+    """One metric's reading from its paired runs (``base[i]`` against
+    ``change[i]``, ``wins`` of them won by the change, ties counting for
+    neither):
+
+    - ``gain``: the change won at least nine tenths of the pairs, and its
+      median is better than the base's by more than the base's quartile
+      distance;
+    - ``regression``: the change's median is worse than the base's by more
+      than ``bound`` times the base's median;
+    - ``unresolved``: the base's quartile distance is wider than ``bound``
+      times its median, and not every change run beats every base run;
+    - ``within_bound`` otherwise.
+    """
+    b, c = spread(base), spread(change)
+    better_by = (b["median"] - c["median"]) if lower else (c["median"] - b["median"])
+    if wins >= 0.9 * len(base) and better_by > b["q3"] - b["q1"]:
+        return "gain"
+    if -better_by > bound * b["median"]:
+        return "regression"
+    all_beat = max(change) < min(base) if lower else min(change) > max(base)
+    if b["q3"] - b["q1"] > bound * b["median"] and not all_beat:
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(runs, metrics):
     """Per end-to-end metric: both sides' quartiles, the per-pair
-    change/base ratios and the pairs the change won."""
+    change/base ratios, the pairs the change won and its :func:`verdict`."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base = [r["base"]["metrics"][name] for r in runs]
         change = [r["change"]["metrics"][name] for r in runs]
         ratios = [c / b for b, c in zip(base, change)]  # end-to-end metrics are never 0
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                      "base": spread(base), "change": spread(change), "ratios": ratios,
                      "ratio_median": statistics.median(ratios), "ratio_min": min(ratios),
-                     "ratio_max": max(ratios),
-                     "change_wins": sum((c < b) if lower else (c > b) for b, c in zip(base, change)),
-                     "pairs": len(runs)}
+                     "ratio_max": max(ratios), "change_wins": wins, "pairs": len(runs),
+                     "verdict": verdict(base, change, wins, lower, m["bound"])}
     return out
 
 
